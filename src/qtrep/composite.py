@@ -171,21 +171,19 @@ def entropy_gradient(system, w):
 def qt_flow(system, w):
     """Rank-4 double contraction of the entropy gradient.
 
-    Uses the brute-force kernel with the normalization fixed by
-    8 * norm**2 = 1.  With lam = lambda_star(a, c) this equals
-    composite_generator(system) @ w on product states.
+    Uses the closed form of the kernel, equal to main_term_bruteforce
+    with the normalization fixed by 8 * norm**2 = 1.  With
+    lam = lambda_star(a, c) this equals composite_generator(system) @ w
+    on product states.
     """
     grad = entropy_gradient(system, _state4(w))
-    return multilinear.main_term_bruteforce(grad, 4, norm=multilinear.normalizer(4))
+    return multilinear.main_term_closed(grad, 4)
 
 
 def q_parameter(system):
-    """Deformation parameter q = 1 + k (a + c) / 4 of the coupling."""
-    k = system.boltzmann_k
-    q = 1.0 + k * (system.a + system.c) / 4.0
-    # Consistency of the composition rule: (1 - q)/k must equal the
-    # coefficient -(a + c)/4 in front of the entropy product.
-    assert abs((1.0 - q) / k + (system.a + system.c) / 4.0) <= 1e-12 * max(
-        1.0, abs(q)
-    )
-    return q
+    """Deformation parameter q = 1 + k (a + c) / 4 of the coupling.
+
+    (1 - q)/k equals -(a + c)/4, the coefficient in front of the entropy
+    product of the composition rule.
+    """
+    return 1.0 + system.boltzmann_k * (system.a + system.c) / 4.0

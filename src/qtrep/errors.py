@@ -40,11 +40,11 @@ class GradientFormUnavailableError(InputError):
 
 
 class FitNonConvergenceError(QtrepError):
-    """Entropy fit did not reach the residual target.
+    """Entropy fit left a flow residual above the acceptance tolerance.
 
     Attributes
     ----------
-    best : the best representation found across all restarts, or None
+    best : the representation the fit found
     residual : float, the residual of that representation
     """
 

@@ -16,11 +16,19 @@ projection of the entropy gradient.
 Unknown count: q contributes N(N+1)/2 - 1 (one direction is pure gauge,
 q -> q + k * ones changes nothing on the simplex), the coefficients
 contribute (N-1)(N-2)/2, together N(N-1), matching the degrees of
-freedom of a generator with zero column sums.  fit() solves the
-resulting bilinear matching problem by variable projection: the inner
-problem in q is an exact linear least-squares solve for each fixed r,
-and a small Levenberg-Marquardt iteration with deterministic multistart
-handles the outer problem in r.
+freedom of a generator with zero column sums.
+
+fit() solves the matching problem in closed form.  With U an
+orthonormal tangent basis, the main term is the projection U U^T and
+the ham terms span the antisymmetric maps U K U^T, one-to-one through
+K = norm**2 sum_a r_a U^T ham_a U, so L = U (I + K) U^T q.  Symmetry of
+U^T q U is the Sylvester equation B K + K B^T = B - B^T with
+B = U^T L U, solved for r by linear least squares; then
+U^T q = (I + K)^-1 U^T L and the gauge q[N-1, N-1] = 0 fixes the rest
+of q.  One Gauss-Newton step on the flow mismatch, linear in r and q,
+then removes the roundoff the solve leaves on stiff chains.  The fit
+has no random start and no size cap: the ham matrices are
+determinants, not permutation sums.
 """
 
 from __future__ import annotations
@@ -31,16 +39,14 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 
 from .errors import FitNonConvergenceError, InputError
-from .multilinear import difference_basis, ham_term, normalizer
-from .pme import ProbabilityState, TransitionMatrix, build_generator
+from .multilinear import difference_basis, normalizer
+from .pme import TransitionMatrix, _as_vector, build_generator
 
 __all__ = [
     "QuadraticEntropy",
     "QTRepresentation",
-    "hyperplane_basis",
     "ham_subsets",
     "qt_rhs",
     "flow_matrix",
@@ -50,10 +56,9 @@ __all__ = [
     "fit",
 ]
 
-# A fit counts as converged below ACCEPT_TOL; the multistart loop stops
-# early once a start lands below TARGET_TOL.
+# A fit whose flow residual lies above ACCEPT_TOL raises
+# FitNonConvergenceError (CLI exit code 3).
 ACCEPT_TOL = 1e-8
-TARGET_TOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,11 +84,11 @@ class QuadraticEntropy:
         return self.q.shape[0]
 
     def value(self, p):
-        p = _state_vector(p, self.n)
+        p = _as_vector(p, self.n)
         return 0.5 * float(p @ self.q @ p)
 
     def gradient(self, p):
-        return self.q @ _state_vector(p, self.n)
+        return self.q @ _as_vector(p, self.n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,6 +114,15 @@ class QTRepresentation:
             raise InputError(
                 f"got {r.size} coefficients for {len(subsets)} subsets"
             )
+        n = self.entropy.n
+        for s in subsets:
+            if len(s) != n - 3 or len(set(s)) != len(s) or not all(
+                0 <= i < n - 1 for i in s
+            ):
+                raise InputError(
+                    f"subset {s} is not n - 3 = {n - 3} distinct indices "
+                    f"in 0..{n - 2}"
+                )
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "subsets", subsets)
@@ -146,24 +160,10 @@ class QTRepresentation:
         return rep
 
 
-def _state_vector(p, n):
-    if isinstance(p, ProbabilityState):
-        p = p.p
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (n,):
-        raise InputError(f"state must have shape ({n},), got {arr.shape}")
-    return arr
-
-
-def hyperplane_basis(n):
-    """Tangent basis of the simplex, rows e_b - e_{b+1}; shape (n-1, n)."""
-    return difference_basis(n)
-
-
 def ham_subsets(n):
     """Catalog of ham-term subsets: size-(n-3) combinations, lex order.
 
-    Indices are 0-based positions in hyperplane_basis(n).  Empty for
+    Indices are 0-based positions in difference_basis(n).  Empty for
     n = 2 (the two-state flow has no Hamiltonian freedom); a single
     empty subset for n = 3.
     """
@@ -176,9 +176,21 @@ def ham_subsets(n):
 
 @lru_cache(maxsize=None)
 def _ham_matrix(n, subset):
-    """Matrix of ham_term(., subset, n) in the standard basis."""
-    cols = [ham_term(np.eye(n)[k], subset, n) for k in range(n)]
-    mat = np.column_stack(cols)
+    """Matrix of ham_term(., subset, n) in the standard basis.
+
+    Entry [i, k] is det[e_i; ones; e_k; v_s1; ...; v_s(n-3)], the
+    epsilon contraction of multilinear.ham_term written as a
+    determinant, so the cost is polynomial in n.  The rows are integer
+    vectors, so every entry is an integer and rounding removes the LU
+    roundoff.
+    """
+    eye = np.eye(n)
+    rows = np.empty((n, n, n, n))
+    rows[:, :, 0] = eye[:, None, :]
+    rows[:, :, 1] = 1.0
+    rows[:, :, 2] = eye[None, :, :]
+    rows[:, :, 3:] = difference_basis(n)[list(subset)]
+    mat = np.rint(np.linalg.det(rows))
     mat.setflags(write=False)
     return mat
 
@@ -188,27 +200,23 @@ def _main_scale(norm, n):
     return norm * norm * n * math.factorial(n - 2)
 
 
+def _flow_operator(n, norm, r, subsets):
+    """Matrix that multiplies q in the represented flow."""
+    op = _main_scale(norm, n) * (np.eye(n) - 1.0 / n)
+    for coeff, subset in zip(r, subsets):
+        op += (norm * norm * coeff) * _ham_matrix(n, subset)
+    return op
+
+
 def qt_rhs(rep, p):
     """Right-hand side of the represented flow at state p."""
-    n = rep.n
-    g = rep.entropy.q @ _state_vector(p, n)
-    out = _main_scale(rep.norm, n) * (g - g.mean())
-    if rep.r.size:
-        acc = np.zeros(n)
-        for coeff, subset in zip(rep.r, rep.subsets):
-            acc += coeff * (_ham_matrix(n, subset) @ g)
-        out += (rep.norm * rep.norm) * acc
-    return out
+    return flow_matrix(rep) @ _as_vector(p, rep.n)
 
 
 def flow_matrix(rep):
     """The represented flow as a matrix acting on states."""
-    n = rep.n
-    proj = np.eye(n) - np.full((n, n), 1.0 / n)
-    mat = _main_scale(rep.norm, n) * (proj @ rep.entropy.q)
-    for coeff, subset in zip(rep.r, rep.subsets):
-        mat += (rep.norm * rep.norm) * coeff * (_ham_matrix(n, subset) @ rep.entropy.q)
-    return mat
+    op = _flow_operator(rep.n, rep.norm, rep.r, rep.subsets)
+    return op @ rep.entropy.q
 
 
 def entropy_value(rep, p):
@@ -261,144 +269,133 @@ def three_state_kappa_r(rates):
     return kappa, (1.0 - kappa) / (1.0 + kappa)
 
 
-def _sym_parameter_pairs(n):
-    # Independent entries of symmetric q, gauge fixed by dropping the
-    # last diagonal entry (the all-ones matrix direction is transversal
-    # to that constraint, so every q is reachable up to gauge).
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pairs.remove((n - 1, n - 1))
-    return pairs
-
-
-def _pack_symmetric(x, pairs, n):
-    q = np.zeros((n, n))
-    for value, (i, j) in zip(x, pairs):
-        q[i, j] = value
-        q[j, i] = value
-    return q
-
-
 def _residual_metric(diff, n):
     """Worst flow mismatch over tangent directions and the centroid."""
     dirs = np.vstack([difference_basis(n), np.full(n, 1.0 / n)])
     return float(np.max(np.abs(diff @ dirs.T)))
 
 
-def fit(w, seed=0, max_restarts=50):
+@lru_cache(maxsize=None)
+def _tangent_frame(n):
+    """Orthonormal frame [U, e] of R^n and the map from r to K.
+
+    U spans the simplex tangent space and e = ones / sqrt(n).  Column a
+    of the map is vec(norm**2 U^T ham_a U); the ham terms span the
+    antisymmetric maps of the tangent space, so r -> K is one-to-one.
+    """
+    u = np.linalg.qr(difference_basis(n).T)[0]
+    frame = np.column_stack([u, np.full(n, n ** -0.5)])
+    r_to_k = normalizer(n) ** 2 * np.column_stack(
+        [(u.T @ _ham_matrix(n, s) @ u).ravel() for s in ham_subsets(n)]
+    )
+    for arr in (frame, r_to_k):
+        arr.setflags(write=False)
+    return frame, r_to_k
+
+
+def _closed_form(gen):
+    """(r, q) solving L = (P + U K U^T) q through the Sylvester equation."""
+    n = gen.shape[0]
+    m = n - 1
+    frame, r_to_k = _tangent_frame(n)
+    # a = U^T L [U e]; its first m columns are B = U^T L U.
+    a = frame[:, :m].T @ gen @ frame
+    b = a[:, :m]
+    eye = np.eye(m)
+    # B K + K B^T is I (x) B + B (x) I on vec(K), in either vec order.
+    # lstsq gives the minimum-norm r where the chain is reducible and
+    # the operator singular.
+    sylvester = (np.kron(eye, b) + np.kron(b, eye)) @ r_to_k
+    r = np.linalg.lstsq(sylvester, (b - b.T).ravel(), rcond=None)[0]
+    # Rows of U^T q in the frame; I + K is invertible for antisymmetric K.
+    y = np.linalg.solve(eye + (r_to_k @ r).reshape(m, m), a)
+    z = np.zeros((n, n))
+    z[:m] = y
+    z[m, :m] = y[:, m]
+    q = frame @ z @ frame.T
+    q = 0.5 * (q + q.T)
+    q -= q[-1, -1]
+    return r, q
+
+
+def _gauss_newton_step(gen, r, q, norm, subsets):
+    """One linearised least-squares correction of (r, q).
+
+    The flow mismatch (P + norm**2 sum_a r_a ham_a) q - L is bilinear in
+    r and in the gauge-fixed entries of q (q[n-1, n-1] = 0); the step
+    solves its linearisation at (r, q), with unit-norm columns because
+    the r columns scale with norm**2.
+    """
+    n = gen.shape[0]
+    rows, cols = np.triu_indices(n)
+    rows, cols = rows[:-1], cols[:-1]
+    basis = np.zeros((rows.size, n, n))
+    basis[np.arange(rows.size), rows, cols] = 1.0
+    basis[np.arange(rows.size), cols, rows] = 1.0
+    hams = np.stack([_ham_matrix(n, s) for s in subsets])
+    op = _flow_operator(n, norm, r, subsets)
+    jac = np.concatenate([(norm * norm) * (hams @ q), op @ basis])
+    jac = jac.reshape(len(jac), n * n).T
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0.0] = 1.0
+    step = np.linalg.lstsq(jac / scale, (gen - op @ q).ravel(), rcond=None)[0]
+    step /= scale
+    x = q[rows, cols] + step[len(subsets):]
+    q = np.zeros((n, n))
+    q[rows, cols] = x
+    q[cols, rows] = x
+    return r + step[: len(subsets)], q
+
+
+def fit(w):
     """Fit a quadratic-entropy representation to a master equation.
 
     Parameters
     ----------
     w : TransitionMatrix or array
         Rate matrix of the target flow.
-    seed : int
-        Seed for the deterministic multistart sequence.
-    max_restarts : int
-        Number of perturbed outer starts tried after the zero start.
 
     Returns
     -------
     QTRepresentation
         With norm = normalizer(n) for n >= 3; the two-state case is the
         closed form of two_state_entropy with norm = 1 and no
-        coefficients.
+        coefficients.  Deterministic: the same w gives the same bytes.
 
     Raises
     ------
     FitNonConvergenceError
-        If no start reaches residual <= 1e-8.  The error carries the
-        best representation found.
+        If the flow residual lies above ACCEPT_TOL = 1e-8, as it does
+        when roundoff on very stiff rates exceeds it.  The error carries
+        the representation found.
 
     Notes
     -----
-    For fixed r the matching condition M(r) q = L is linear in the
-    gauge-fixed symmetric q and solved exactly by least squares; the
-    outer problem over r is a Levenberg-Marquardt minimization of the
-    projected residual, restarted from seeded perturbations in
-    [-0.5, 0.5] until the residual target is met.
+    The closed form of the module docstring followed by one
+    Gauss-Newton step; there is no size cap on n.
     """
     if not isinstance(w, TransitionMatrix):
         w = TransitionMatrix(w)
     n = w.n
     gen = build_generator(w)
-    subsets = ham_subsets(n)
-    pairs = _sym_parameter_pairs(n) if n >= 2 else []
-    # Free unknowns must match the generator degrees of freedom.
-    assert len(pairs) + len(subsets) == n * (n - 1)
-
     if n == 2:
-        entropy = two_state_entropy(w)
         rep = QTRepresentation(
-            entropy=entropy, r=np.zeros(0), subsets=(), norm=1.0, residual=0.0
+            entropy=two_state_entropy(w), r=np.zeros(0), subsets=(), norm=1.0,
+            residual=0.0,
         )
-        resid = _residual_metric(flow_matrix(rep) - gen, n)
-        return dataclasses.replace(rep, residual=resid)
-
-    norm = normalizer(n)
-    ham_scale = norm * norm
-    proj = np.eye(n) - np.full((n, n), 1.0 / n)
-    ham_mats = [_ham_matrix(n, s) for s in subsets]
-    # Vectorized design tensor: basis[k] is the k-th symmetric basis matrix.
-    basis = np.zeros((len(pairs), n, n))
-    for k, (i, j) in enumerate(pairs):
-        basis[k, i, j] = 1.0
-        basis[k, j, i] = 1.0
-    target = gen.ravel()
-
-    def flow_operator(r):
-        mat = proj.copy()
-        for coeff, ham in zip(r, ham_mats):
-            mat += ham_scale * coeff * ham
-        return mat
-
-    def inner_solve(r):
-        op = flow_operator(r)
-        design = np.einsum("il,klm->kim", op, basis).reshape(len(pairs), n * n).T
-        x, *_ = np.linalg.lstsq(design, target, rcond=None)
-        return x, design @ x - target
-
-    def outer_residual(r):
-        return inner_solve(r)[1]
-
-    rng = np.random.default_rng(seed)
-    best = None
-    best_resid = math.inf
-    n_coeffs = len(subsets)
-    for attempt in range(max_restarts + 1):
-        if attempt == 0:
-            r0 = np.zeros(n_coeffs)
-        else:
-            r0 = rng.uniform(-0.5, 0.5, n_coeffs)
-        sol = scipy.optimize.least_squares(
-            outer_residual,
-            r0,
-            method="lm",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=400 * (n_coeffs + 1),
+    else:
+        norm = normalizer(n)
+        subsets = ham_subsets(n)
+        r, q = _closed_form(gen)
+        r, q = _gauss_newton_step(gen, r, q, norm, subsets)
+        rep = QTRepresentation(
+            entropy=QuadraticEntropy(q), r=r, subsets=subsets, norm=norm,
+            residual=0.0,
         )
-        x, _ = inner_solve(sol.x)
-        q = _pack_symmetric(x, pairs, n)
-        diff = flow_operator(sol.x) @ q - gen
-        resid = _residual_metric(diff, n)
-        if resid < best_resid:
-            best_resid = resid
-            best = QTRepresentation(
-                entropy=QuadraticEntropy(q),
-                r=sol.x.copy(),
-                subsets=subsets,
-                norm=norm,
-                residual=resid,
-            )
-        if best_resid <= TARGET_TOL:
-            break
-
-    if best_resid > ACCEPT_TOL:
+    resid = _residual_metric(flow_matrix(rep) - gen, n)
+    rep = dataclasses.replace(rep, residual=resid)
+    if not resid <= ACCEPT_TOL:
         raise FitNonConvergenceError(
-            f"fit residual {best_resid:.3e} above {ACCEPT_TOL:.0e} "
-            f"after {max_restarts + 1} starts",
-            best,
-            best_resid,
+            f"fit residual {resid:.3e} above {ACCEPT_TOL:.0e}", rep, resid
         )
-    return best
+    return rep

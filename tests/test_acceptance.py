@@ -57,7 +57,7 @@ def test_criterion_02_fit_round_trip():
     for n in (2, 3, 4, 5):
         for _ in range(50):
             w = random_chain(n, rng)
-            rep = qtfit.fit(w, seed=0)
+            rep = qtfit.fit(w)
             fits += 1
             # unknown count must match the generator dof
             q_dof = n * (n + 1) // 2 - 1
@@ -75,8 +75,7 @@ def test_criterion_03_three_state_r_formula():
     worst = 0.0
     for _ in range(100):
         rates = tuple(rng.uniform(0.05, 2.0, 6))
-        rep = qtfit.fit(relaxation.ThreeStateRates(*rates).to_transition_matrix(),
-                        seed=0)
+        rep = qtfit.fit(relaxation.ThreeStateRates(*rates).to_transition_matrix())
         _, r_closed = qtfit.three_state_kappa_r(rates)
         worst = max(worst, abs(abs(float(rep.r[0])) - abs(r_closed)))
     report(3, "three-state |r| = |1-kappa|/(1+kappa) (tol 1e-8)",
@@ -247,7 +246,7 @@ def test_criterion_10_conservation_and_entropy_production():
     # represented master-equation flows, one fit per size
     for n in (2, 3, 4, 5):
         w = random_chain(n, rng)
-        rep = qtfit.fit(w, seed=0)
+        rep = qtfit.fit(w)
         mat = qtfit.flow_matrix(rep)
         p0 = rng.dirichlet(np.ones(n))
         runs.append((
@@ -259,7 +258,7 @@ def test_criterion_10_conservation_and_entropy_production():
 
     # the oscillatory cycle, fitted and integrated
     cyc = relaxation.ThreeStateRates(1, 0, 0, 1, 1, 0).to_transition_matrix()
-    rep = qtfit.fit(cyc, seed=0)
+    rep = qtfit.fit(cyc)
     mat = qtfit.flow_matrix(rep)
     runs.append((
         "qt flow cycle",

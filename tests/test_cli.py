@@ -83,6 +83,38 @@ class TestQtFit:
         )
         assert run(["qt-fit", "--config", cfg]) == 2
 
+    @staticmethod
+    def stiff_chain(s):
+        return [[0, s, 1e-6, 1], [1, 0, 1, 1], [1e-6, 1, 0, s], [1, 1, 1, 0]]
+
+    def test_stiff_chain_within_tolerance(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        cfg = write_config(
+            tmp_path / "c.json", {"W": self.stiff_chain(1e7), "out": str(out)}
+        )
+        assert run(["qt-fit", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "rep.json").read_text())
+        assert doc["residual"] <= 1e-8
+
+    def test_residual_above_tolerance_exits_3(self, tmp_path, capsys):
+        # Roundoff on rates of 1e9 leaves a flow residual above 1e-8.
+        out = tmp_path / "rep"
+        cfg = write_config(
+            tmp_path / "c.json", {"W": self.stiff_chain(1e9), "out": str(out)}
+        )
+        assert run(["qt-fit", "--config", cfg]) == 3
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1
+        assert "above 1e-08" in errors[0]
+        doc = json.loads((tmp_path / "rep.json").read_text())
+        rep = qtfit.QTRepresentation.from_json_dict(doc)
+        assert rep.n == 4
+        assert rep.residual > 1e-8
+
 
 class TestPmeSolve:
     def test_trajectory_and_report(self, tmp_path):

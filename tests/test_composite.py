@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qtrep import composite as cp
+from qtrep import multilinear as ml
 from qtrep import pme
 from qtrep.errors import InputError
 
@@ -104,6 +105,15 @@ class TestGradientFlow:
                 cp.qt_flow(system, w), gen @ w, atol=1e-12
             )
 
+    @pytest.mark.parametrize("lam", [cp.lambda_star(0.7, 2.3), 1.0])
+    def test_matches_bruteforce_kernel(self, lam):
+        system = cp.CompositeSystem(a=0.7, c=2.3, lam=lam)
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            w = rng.dirichlet(np.ones(4))
+            oracle = ml.main_term_bruteforce(cp.entropy_gradient(system, w), 4)
+            np.testing.assert_allclose(cp.qt_flow(system, w), oracle, rtol=0, atol=1e-14)
+
     def test_off_star_coupling_differs(self):
         system = cp.CompositeSystem(a=1.0, c=1.0, lam=1.0)
         gen = cp.composite_generator(system)
@@ -153,6 +163,12 @@ class TestQParameter:
         for _ in range(10):
             a, c = rng.uniform(0.1, 5.0, 2)
             assert cp.q_parameter(cp.CompositeSystem.with_lambda_star(a, c)) > 1.0
+
+    @pytest.mark.parametrize("a,c,k", [(1.0, 1.0, 1.0), (0.3, 7.0, 2.5), (4.0, 0.2, 0.1)])
+    def test_composition_rule_coefficient(self, a, c, k):
+        # (1 - q)/k is the coefficient -(a + c)/4 of the entropy product.
+        q = cp.q_parameter(cp.CompositeSystem.with_lambda_star(a, c, boltzmann_k=k))
+        assert abs((1.0 - q) / k + (a + c) / 4.0) <= 1e-12 * max(1.0, abs(q))
 
     def test_boltzmann_scaling(self):
         system = cp.CompositeSystem.with_lambda_star(1.0, 2.0, boltzmann_k=0.5)

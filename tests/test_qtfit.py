@@ -7,6 +7,7 @@ import pytest
 
 from qtrep import pme, qtfit
 from qtrep.errors import InputError
+from qtrep.multilinear import ham_term
 from qtrep.relaxation import ThreeStateRates
 
 
@@ -43,6 +44,16 @@ class TestCatalog:
         assert len(qtfit.ham_subsets(5)) == 6
         assert len(qtfit.ham_subsets(6)) == 10
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_ham_matrix_matches_ham_term(self, n):
+        for subset in qtfit.ham_subsets(n):
+            oracle = np.column_stack(
+                [ham_term(np.eye(n)[k], subset, n) for k in range(n)]
+            )
+            np.testing.assert_allclose(
+                qtfit._ham_matrix(n, subset), oracle, rtol=0, atol=1e-12
+            )
+
     def test_parameter_count_matches_generator_dof(self):
         for n in range(2, 7):
             q_dof = n * (n + 1) // 2 - 1
@@ -58,7 +69,7 @@ class TestTwoState:
 
     def test_flow_is_exact(self):
         w = random_chain(2, seed=0)
-        rep = qtfit.fit(w, seed=0)
+        rep = qtfit.fit(w)
         assert rep.norm == 1.0
         assert rep.r.size == 0
         assert rep.residual < 1e-14
@@ -69,7 +80,7 @@ class TestTwoState:
 
     def test_entropy_increases_along_flow(self):
         w = random_chain(2, seed=1)
-        rep = qtfit.fit(w, seed=0)
+        rep = qtfit.fit(w)
         p = np.array([0.9, 0.1])
         production = rep.entropy.gradient(p) @ qtfit.qt_rhs(rep, p)
         assert production >= -1e-15
@@ -106,7 +117,7 @@ class TestThreeStateClosedForm:
         # equal to -omega/xi
         for rates in [(1, 2, 3, 4, 5, 6), (2, 1, 1, 2, 2, 1), (0.3, 0.7, 0.2, 0.9, 1.1, 0.5)]:
             w = ThreeStateRates(*rates).to_transition_matrix()
-            rep = qtfit.fit(w, seed=0)
+            rep = qtfit.fit(w)
             _, r_formula = qtfit.three_state_kappa_r(rates)
             assert rep.r[0] == pytest.approx(-r_formula, abs=1e-10)
             omega = (rates[0] + rates[3] + rates[4]) - (rates[1] + rates[2] + rates[5])
@@ -118,7 +129,7 @@ class TestFitRoundTrip:
     def test_flow_matches_target(self, n):
         for trial in range(3):
             w = random_chain(n, seed=1000 * n + trial)
-            rep = qtfit.fit(w, seed=0)
+            rep = qtfit.fit(w)
             assert rep.residual < 1e-8
             rng = np.random.default_rng(trial)
             for _ in range(5):
@@ -129,7 +140,7 @@ class TestFitRoundTrip:
 
     def test_flow_matrix_agrees_with_rhs(self):
         w = random_chain(4, seed=5)
-        rep = qtfit.fit(w, seed=0)
+        rep = qtfit.fit(w)
         mat = qtfit.flow_matrix(rep)
         p = np.random.default_rng(6).dirichlet(np.ones(4))
         np.testing.assert_allclose(mat @ p, qtfit.qt_rhs(rep, p), atol=1e-12)
@@ -137,7 +148,7 @@ class TestFitRoundTrip:
     def test_gauge_invariance_of_flow(self):
         # q and q + k*ones generate the same flow on the simplex
         w = random_chain(3, seed=8)
-        rep = qtfit.fit(w, seed=0)
+        rep = qtfit.fit(w)
         shifted = qtfit.QTRepresentation(
             entropy=qtfit.QuadraticEntropy(rep.entropy.q + 5.0),
             r=rep.r,
@@ -150,18 +161,42 @@ class TestFitRoundTrip:
             qtfit.qt_rhs(shifted, p), qtfit.qt_rhs(rep, p), atol=1e-12
         )
 
-    def test_deterministic_given_seed(self):
+    def test_seed_free_and_deterministic(self):
         w = random_chain(4, seed=21)
-        rep1 = qtfit.fit(w, seed=3)
-        rep2 = qtfit.fit(w, seed=3)
+        with pytest.raises(TypeError):
+            qtfit.fit(w, seed=3)
+        rep1 = qtfit.fit(w)
+        rep2 = qtfit.fit(w)
         np.testing.assert_array_equal(rep1.entropy.q, rep2.entropy.q)
         np.testing.assert_array_equal(rep1.r, rep2.r)
         assert rep1.residual == rep2.residual
 
+    @pytest.mark.parametrize("w", [
+        np.zeros((4, 4)),
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]],
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+    ])
+    def test_reducible_chains(self, w):
+        rep = qtfit.fit(w)
+        assert rep.residual < 1e-8
+        np.testing.assert_allclose(
+            qtfit.flow_matrix(rep), pme.build_generator(pme.TransitionMatrix(w)),
+            rtol=0, atol=1e-8,
+        )
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_beyond_bruteforce_cap(self, n):
+        w = random_chain(n, seed=40 + n)
+        rep = qtfit.fit(w)
+        assert rep.residual < 1e-8
+        np.testing.assert_allclose(
+            qtfit.flow_matrix(rep), pme.build_generator(w), rtol=0, atol=1e-8
+        )
+
     def test_entropy_production_nonnegative(self):
         # main term produces sum of squares, ham terms conserve entropy
         w = random_chain(4, seed=30)
-        rep = qtfit.fit(w, seed=0)
+        rep = qtfit.fit(w)
         rng = np.random.default_rng(31)
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))
@@ -172,7 +207,7 @@ class TestFitRoundTrip:
 class TestSerialization:
     def test_json_round_trip(self):
         w = random_chain(4, seed=50)
-        rep = qtfit.fit(w, seed=0)
+        rep = qtfit.fit(w)
         doc = rep.to_json_dict()
         back = qtfit.QTRepresentation.from_json_dict(doc)
         np.testing.assert_array_equal(back.entropy.q, rep.entropy.q)
@@ -182,8 +217,15 @@ class TestSerialization:
 
     def test_inconsistent_document_rejected(self):
         w = random_chain(3, seed=51)
-        doc = qtfit.fit(w, seed=0).to_json_dict()
+        doc = qtfit.fit(w).to_json_dict()
         doc["n"] = 4
+        with pytest.raises(InputError):
+            qtfit.QTRepresentation.from_json_dict(doc)
+
+    @pytest.mark.parametrize("subset", [[0, 0], [1, 4], [1]])
+    def test_bad_subset_rejected(self, subset):
+        doc = qtfit.fit(random_chain(5, seed=52)).to_json_dict()
+        doc["subsets"][2] = subset
         with pytest.raises(InputError):
             qtfit.QTRepresentation.from_json_dict(doc)
 

@@ -4,7 +4,9 @@ Reports and tables are byte-reproducible: floats are printed with a
 fixed number of significant digits (17 by default, enough for exact
 round-tripping), dictionary order is insertion order, and files are
 written to a temporary name in the target directory and renamed into
-place so readers never observe partial content.
+place so readers never observe partial content.  CSV tables are built
+from column arrays: one ``%`` row template formats the rows in blocks
+of ``CSV_BLOCK_ROWS``, with the same bytes as ``format_float`` per cell.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 from .errors import InputError
 
 DEFAULT_PRECISION = 17
+# Rows formatted per block by csv_text; bounds the Python objects alive at once.
+CSV_BLOCK_ROWS = 512
 
 
 def format_float(value, precision=DEFAULT_PRECISION):
@@ -79,19 +85,33 @@ def atomic_write_text(path, text):
         raise
 
 
-def csv_text(header, rows, precision=DEFAULT_PRECISION):
-    """CSV text with fixed-precision floats and lowercase booleans."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, float):
-                cells.append("nan" if math.isnan(value) else format_float(value, precision))
-            elif isinstance(value, int):
-                cells.append(str(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def csv_text(header, columns, precision=DEFAULT_PRECISION):
+    """CSV text from equal-length 1-D columns.
+
+    Bool columns print true/false; every other column is cast to float
+    and printed like format_float, except that NaN prints nan.  A column
+    holding +-inf raises InputError.
+    """
+    arrays = []
+    fmts = []
+    for col in columns:
+        col = np.asarray(col)
+        if col.dtype == bool:
+            arrays.append(np.where(col, "true", "false"))
+            fmts.append("%s")
+            continue
+        col = col.astype(float, copy=False)
+        if np.isinf(col).any():
+            value = float(col[np.isinf(col)][0])
+            raise InputError(f"cannot serialize non-finite value {value!r}")
+        arrays.append(col)
+        fmts.append(f"%.{precision}g")
+    count = len(arrays[0])
+    template = ",".join(fmts) + "\n"
+    parts = [",".join(header) + "\n"]
+    for start in range(0, count, CSV_BLOCK_ROWS):
+        cells = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in arrays]
+        # One string per block: thousands of live row strings would
+        # fragment the small-object heap and raise the peak RSS.
+        parts.append("".join([template % row for row in zip(*cells)]))
+    return "".join(parts)

@@ -50,9 +50,8 @@ _SCHEMAS = {
         "[0, 1]), constrain_omega_zero: bool (default false), bins: int "
         "(default 10), out: path base}. " + _COMMON_KEYS + "\n"
         "Writes <out>.csv (a,b,c,d,e,f,xi,disc,omega,u,v,monotonic) and "
-        "<out>.json with the oscillatory fractions.  QTK_THREADS, when "
-        "set, caps scan parallelism; the sample order in the output is "
-        "always the sampling order."
+        "<out>.json with the oscillatory fractions.  The sample order in "
+        "the output is the sampling order."
     ),
     "lindblad": (
         "Integrate a two-level dissipative channel in Bloch form.\n"
@@ -135,6 +134,9 @@ def _get_out(cfg, required=True):
     value = cfg["out"]
     if not isinstance(value, str) or not value:
         _fail(f"out must be a non-empty path string, got {value!r}")
+    directory = os.path.dirname(os.path.abspath(value))
+    if not os.path.isdir(directory):
+        _fail(f"out directory does not exist: {directory}")
     return value
 
 
@@ -164,19 +166,6 @@ def _get_vector(cfg, key, length=None):
     return arr
 
 
-def _qtk_threads():
-    raw = os.environ.get("QTK_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        _fail(f"QTK_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        _fail(f"QTK_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _write_json(out_base, document, precision):
     text = _jsonio.dumps(document, precision=precision)
     if out_base is None:
@@ -185,25 +174,16 @@ def _write_json(out_base, document, precision):
         _jsonio.atomic_write_text(out_base + ".json", text)
 
 
-def _trajectory_rows(traj, stride):
-    count = traj.times.size
-    indices = list(range(0, count, stride))
-    if indices[-1] != count - 1:
-        indices.append(count - 1)
-    for i in indices:
-        entropy = float("nan") if traj.entropy is None else float(traj.entropy[i])
-        yield (
-            float(traj.times[i]),
-            *(float(v) for v in traj.states[i]),
-            entropy,
-            float(traj.sum_drift[i]),
-        )
-
-
 def _write_trajectory(out_base, traj, stride, precision):
     dim = traj.states.shape[1]
     header = ["t"] + [f"y{i + 1}" for i in range(dim)] + ["entropy", "sum_drift"]
-    text = _jsonio.csv_text(header, _trajectory_rows(traj, stride), precision)
+    count = traj.times.size
+    rows = np.arange(0, count, stride)
+    if rows[-1] != count - 1:
+        rows = np.append(rows, count - 1)
+    entropy = np.full(rows.size, np.nan) if traj.entropy is None else traj.entropy[rows]
+    columns = [traj.times[rows], *traj.states[rows].T, entropy, traj.sum_drift[rows]]
+    text = _jsonio.csv_text(header, columns, precision)
     _jsonio.atomic_write_text(out_base + ".csv", text)
 
 
@@ -287,21 +267,21 @@ def _cmd_relax_scan(cfg):
     precision = _get_int(cfg, "precision", 17, 1)
     seed = _get_int(cfg, "seed", 0, 0)
     out = _get_out(cfg)
-    _qtk_threads()
     if "samples" not in cfg:
         _fail("missing required key: samples")
     samples = _get_int(cfg, "samples", None, 1)
     grid = relaxation.ScanGrid(
-        ranges=tuple(cfg.get("ranges", (0.0, 1.0))),
+        ranges=cfg.get("ranges", (0.0, 1.0)),
         samples=samples,
         constrain_omega_zero=_get_bool(cfg, "constrain_omega_zero", False),
         bins=_get_int(cfg, "bins", 10, 1),
     )
     result = relaxation.scan(grid, seed=seed)
     header = ["a", "b", "c", "d", "e", "f", "xi", "disc", "omega", "u", "v", "monotonic"]
-    _jsonio.atomic_write_text(
-        out + ".csv", _jsonio.csv_text(header, result.rows(), precision)
-    )
+    columns = [*result.rates.T, result.xi, result.disc, result.omega, result.u,
+               result.v, result.monotonic]
+    text = _jsonio.csv_text(header, columns, precision)
+    _jsonio.atomic_write_text(out + ".csv", text)
     summary = {
         "samples": grid.samples,
         "oscillatory_fraction": result.oscillatory_fraction,

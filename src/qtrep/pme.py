@@ -51,6 +51,9 @@ class TransitionMatrix:
         np.fill_diagonal(arr, 0.0)
         if np.any(arr < 0.0):
             raise InputError("off-diagonal rates must be non-negative")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(arr.sum(axis=0))):
+                raise InputError("rate matrix column sums are not finite")
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
 

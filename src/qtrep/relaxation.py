@@ -247,19 +247,6 @@ class ScanResult:
             )
         return out
 
-    def rows(self):
-        """Per-sample rows (a..f, xi, disc, omega, u, v, monotonic)."""
-        for i in range(self.rates.shape[0]):
-            yield (
-                *(float(v) for v in self.rates[i]),
-                float(self.xi[i]),
-                float(self.disc[i]),
-                float(self.omega[i]),
-                float(self.u[i]),
-                float(self.v[i]),
-                bool(self.monotonic[i]),
-            )
-
 
 def scan(grid, seed=0):
     """Classify a deterministic random sample of rate space.
@@ -273,31 +260,31 @@ def scan(grid, seed=0):
     lows = np.array([r[0] for r in grid.ranges])
     highs = np.array([r[1] for r in grid.ranges])
     rates = rng.uniform(lows, highs, size=(grid.samples, 6))
-    if grid.constrain_omega_zero:
-        fwd = rates[:, [0, 3, 4]].sum(axis=1)
-        bwd = rates[:, [1, 2, 5]].sum(axis=1)
-        safe = bwd > 0.0
-        factor = np.where(safe, fwd / np.where(safe, bwd, 1.0), 0.0)
-        rates[:, [1, 2, 5]] *= factor[:, None]
-        # A zero backward group cannot be rescaled; zero the forward
-        # group too so omega = 0 still holds.
-        if np.any(~safe):
-            rates[np.ix_(~safe, [0, 3, 4])] = 0.0
+    # Rates near the float limit overflow to inf or nan below; the CSV
+    # writer rejects those with one error, so numpy's warnings are muted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid.constrain_omega_zero:
+            fwd = rates[:, [0, 3, 4]].sum(axis=1)
+            bwd = rates[:, [1, 2, 5]].sum(axis=1)
+            safe = bwd > 0.0
+            factor = np.where(safe, fwd / np.where(safe, bwd, 1.0), 0.0)
+            rates[:, [1, 2, 5]] *= factor[:, None]
+            # A zero backward group cannot be rescaled; zero the forward
+            # group too so omega = 0 still holds.
+            if np.any(~safe):
+                rates[np.ix_(~safe, [0, 3, 4])] = 0.0
 
-    a, b, c, d, e, f = (rates[:, i] for i in range(6))
-    xi = rates.sum(axis=1)
-    eta = c + d + f
-    constant = eta * (a + b + e) - (e - c) * (f - a)
-    disc = xi * xi - 4.0 * constant
-    omega = (a + d + e) - (b + c + f)
-    l = f - a
-    m = b - d
+        a, b, c, d, e, f = (rates[:, i] for i in range(6))
+        xi = rates.sum(axis=1)
+        eta = c + d + f
+        constant = eta * (a + b + e) - (e - c) * (f - a)
+        disc = xi * xi - 4.0 * constant
+        omega = (a + d + e) - (b + c + f)
+        l = f - a
+        m = b - d
+        u = l + m
+        v = l - m
+        monotonic = disc >= 0.0
     return ScanResult(
-        rates=rates,
-        xi=xi,
-        disc=disc,
-        omega=omega,
-        u=l + m,
-        v=l - m,
-        monotonic=disc >= 0.0,
+        rates=rates, xi=xi, disc=disc, omega=omega, u=u, v=v, monotonic=monotonic
     )

@@ -17,6 +17,13 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def error_lines(capsys):
+    return [
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("error:")
+    ]
+
+
 @pytest.fixture
 def chain3():
     return [[0.0, 3.0, 5.0], [1.0, 0.0, 6.0], [2.0, 4.0, 0.0]]
@@ -83,6 +90,13 @@ class TestQtFit:
         )
         assert run(["qt-fit", "--config", cfg]) == 2
 
+    def test_overflowing_rates_rejected(self, tmp_path, capsys):
+        w = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]
+        cfg = write_config(tmp_path / "c.json", {"W": w, "out": str(tmp_path / "r")})
+        assert run(["qt-fit", "--config", cfg]) == 2
+        assert error_lines(capsys) == ["error: rate matrix column sums are not finite"]
+        assert not (tmp_path / "r.json").exists()
+
     @staticmethod
     def stiff_chain(s):
         return [[0, s, 1e-6, 1], [1, 0, 1, 1], [1e-6, 1, 0, s], [1, 1, 1, 0]]
@@ -104,10 +118,7 @@ class TestQtFit:
             tmp_path / "c.json", {"W": self.stiff_chain(1e9), "out": str(out)}
         )
         assert run(["qt-fit", "--config", cfg]) == 3
-        errors = [
-            line for line in capsys.readouterr().err.splitlines()
-            if line.startswith("error:")
-        ]
+        errors = error_lines(capsys)
         assert len(errors) == 1
         assert "above 1e-08" in errors[0]
         doc = json.loads((tmp_path / "rep.json").read_text())
@@ -152,6 +163,16 @@ class TestPmeSolve:
             },
         )
         assert run(["pme-solve", "--config", cfg]) == 2
+
+    def test_overflowing_rates_rejected(self, tmp_path, capsys):
+        w = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"W": w, "p0": [1, 0, 0], "t_end": 1.0, "out": str(tmp_path / "r")},
+        )
+        assert run(["pme-solve", "--config", cfg]) == 2
+        assert error_lines(capsys) == ["error: rate matrix column sums are not finite"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_bad_probability_rejected(self, tmp_path):
         cfg = write_config(
@@ -210,14 +231,26 @@ class TestRelaxCommands:
         assert run(["relax-scan", "--config", cfg]) == 0
         assert (tmp_path / "scan.csv").read_bytes() == first
 
-    def test_qtk_threads_validated(self, tmp_path, monkeypatch):
+    def test_scalar_ranges_rejected(self, tmp_path, capsys):
         cfg = write_config(
-            tmp_path / "c.json", {"samples": 8, "out": str(tmp_path / "s")}
+            tmp_path / "c.json", {"samples": 8, "ranges": 5, "out": str(tmp_path / "s")}
         )
-        monkeypatch.setenv("QTK_THREADS", "not-a-number")
         assert run(["relax-scan", "--config", cfg]) == 2
-        monkeypatch.setenv("QTK_THREADS", "2")
-        assert run(["relax-scan", "--config", cfg]) == 0
+        assert len(error_lines(capsys)) == 1
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_non_finite_scan_value_writes_nothing(self, tmp_path, capsys):
+        # xi sums six rates of up to 1e308, so it overflows to inf
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"samples": 8, "ranges": [0, 1e308], "out": str(tmp_path / "s")},
+        )
+        assert run(["relax-scan", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot serialize non-finite value")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestLindblad:
@@ -295,6 +328,30 @@ class TestComposite:
     def test_bad_rate_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"a": -1.0, "c": 2.0})
         assert run(["composite", "--config", cfg]) == 2
+
+
+class TestOutPath:
+    def test_missing_directory_relax_scan(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "scan"
+        cfg = write_config(tmp_path / "c.json", {"samples": 8, "out": str(out)})
+        assert run(["relax-scan", "--config", cfg]) == 2
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert "does not exist" in errors[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_missing_directory_pme_solve(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "run"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"W": [[0.0, 1.0], [2.0, 0.0]], "p0": [0.9, 0.1], "t_end": 1.0,
+             "out": str(out)},
+        )
+        assert run(["pme-solve", "--config", cfg]) == 2
+        errors = error_lines(capsys)
+        assert len(errors) == 1
+        assert "does not exist" in errors[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 class TestAtomicWrites:

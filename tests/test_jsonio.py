@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from qtrep import _jsonio
@@ -44,17 +45,53 @@ class TestDumps:
         assert _jsonio.dumps(doc) == _jsonio.dumps(doc)
 
 
+def _oracle_csv(header, columns, precision):
+    """Per-cell reference: format_float, nan, true/false, one row at a time."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if math.isnan(value):
+            return "nan"
+        return _jsonio.format_float(value, precision)
+
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvText:
     def test_layout(self):
-        text = _jsonio.csv_text(["x", "flag"], [(0.5, True), (1.5, False)])
+        columns = [np.array([0.5, 1.5]), np.array([True, False])]
+        text = _jsonio.csv_text(["x", "flag"], columns)
         lines = text.splitlines()
         assert lines[0] == "x,flag"
         assert lines[1] == "0.5,true"
         assert lines[2] == "1.5,false"
 
     def test_nan_allowed_in_csv(self):
-        text = _jsonio.csv_text(["x"], [(float("nan"),)])
+        text = _jsonio.csv_text(["x"], [np.array([float("nan")])])
         assert text.splitlines()[1] == "nan"
+
+    def test_matches_per_cell_oracle(self):
+        rng = np.random.default_rng(12)
+        # more than two blocks, with a partial last block
+        count = 2 * _jsonio.CSV_BLOCK_ROWS + 37
+        special = [math.nan, -0.0, 0.0, 5e-324, 1e-300, 1.7e308, -1.7e308, 21.0, 1e16]
+        floats = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+        floats[: len(special)] = special
+        integral = np.round(rng.uniform(-1e6, 1e6, count))
+        flags = rng.random(count) < 0.5
+        columns = [floats, integral, flags, rng.permutation(floats)]
+        header = ["f", "i", "flag", "g"]
+        for precision in range(1, 18):
+            assert _jsonio.csv_text(header, columns, precision) == _oracle_csv(
+                header, columns, precision
+            )
+
+    def test_inf_cell_rejected(self):
+        column = np.array([0.5, 1.0, -math.inf, 2.0])
+        with pytest.raises(InputError, match="non-finite value -inf"):
+            _jsonio.csv_text(["x", "y"], [np.ones(4), column])
 
 
 class TestAtomicWrite:

@@ -34,6 +34,17 @@ class TestTransitionMatrix:
         with pytest.raises(InputError):
             pme.TransitionMatrix([[0.0]])
 
+    def test_overflowing_column_sum_rejected(self):
+        w = np.full((3, 3), 1e308)
+        with pytest.raises(InputError, match="column sums"):
+            pme.TransitionMatrix(w)
+        # each rate is finite; only a column sum overflows
+        w[0, 1] = w[0, 2] = 0.0
+        with pytest.raises(InputError, match="column sums"):
+            pme.TransitionMatrix(w)
+        w[1, 0] = 0.0
+        assert pme.TransitionMatrix(w).w[2, 0] == 1e308
+
     def test_frozen_array(self):
         tm = pme.TransitionMatrix([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):

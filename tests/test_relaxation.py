@@ -128,11 +128,14 @@ class TestScan:
     def test_matches_classify_rowwise(self):
         grid = relaxation.ScanGrid(ranges=(0.0, 2.0), samples=50)
         result = relaxation.scan(grid, seed=1)
-        for row in list(result.rows())[:20]:
-            rep = relaxation.classify(row[:6])
-            assert row[6] == pytest.approx(rep.xi, rel=1e-12)
-            assert row[7] == pytest.approx(rep.disc, rel=1e-12, abs=1e-12)
-            assert row[11] == rep.monotonic
+        for i in range(20):
+            rep = relaxation.classify(result.rates[i])
+            assert result.xi[i] == pytest.approx(rep.xi, rel=1e-12)
+            assert result.disc[i] == pytest.approx(rep.disc, rel=1e-12, abs=1e-12)
+            assert result.omega[i] == pytest.approx(rep.omega, rel=1e-12, abs=1e-12)
+            assert result.u[i] == pytest.approx(rep.u, rel=1e-12, abs=1e-12)
+            assert result.v[i] == pytest.approx(rep.v, rel=1e-12, abs=1e-12)
+            assert bool(result.monotonic[i]) == rep.monotonic
 
     def test_omega_zero_constraint(self):
         grid = relaxation.ScanGrid(

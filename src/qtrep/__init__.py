@@ -70,7 +70,6 @@ from .pme import (
 from .qtfit import (
     QTRepresentation,
     QuadraticEntropy,
-    entropy_value,
     fit,
     flow_matrix,
     ham_subsets,
@@ -124,7 +123,6 @@ __all__ = [
     "difference_basis",
     "embed_six",
     "entropy_gradient",
-    "entropy_value",
     "extract_bloch",
     "fit",
     "flow_matrix",

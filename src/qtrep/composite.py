@@ -80,18 +80,16 @@ def lambda_star(a, c):
     """Coupling 4 (a + c)/(a c) that makes the joint flow a gradient."""
     a = float(a)
     c = float(c)
-    if not (math.isfinite(a) and math.isfinite(c)) or a <= 0.0 or c <= 0.0:
-        raise InputError(f"rates must be finite and > 0, got a={a!r}, c={c!r}")
-    return 4.0 * (a + c) / (a * c)
-
-
-def _state4(w):
-    arr = np.asarray(w, dtype=float)
-    if arr.shape != (4,):
-        raise InputError(f"composite state must have shape (4,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("state has non-finite entries")
-    return arr
+    total = a + c
+    product = a * c
+    # Finite rates near the float limits still overflow the sum or the
+    # product, or underflow the product to zero.
+    if not (a > 0.0 and c > 0.0 and math.isfinite(total) and 0.0 < product < math.inf):
+        raise InputError(
+            f"rates a={a!r} and c={c!r} must be > 0, with a finite sum and a "
+            "finite, positive product"
+        )
+    return 4.0 * total / product
 
 
 def product_state(p1, q1):
@@ -122,7 +120,7 @@ def composite_generator(system):
 
 def subsystem_entropies(system, w):
     """Marginal entropies (S_A, S_B) at joint state w."""
-    w = _state4(w)
+    w = multilinear._finite_vector(w, 4, "composite state")
     d_a = float(_V_A @ w)
     d_b = float(_V_B @ w)
     return (
@@ -144,7 +142,7 @@ def composite_entropy(system, w):
     This expanded form is what the flow machinery differentiates; it
     agrees with the literal product expression on product states.
     """
-    w = _state4(w)
+    w = multilinear._finite_vector(w, 4, "composite state")
     d_a = float(_V_A @ w)
     d_b = float(_V_B @ w)
     d_c = float(_V_C @ w)
@@ -157,7 +155,7 @@ def composite_entropy(system, w):
 
 def entropy_gradient(system, w):
     """Gradient of the expanded composite entropy; sums to zero."""
-    w = _state4(w)
+    w = multilinear._finite_vector(w, 4, "composite state")
     d_a = float(_V_A @ w)
     d_b = float(_V_B @ w)
     d_c = float(_V_C @ w)
@@ -176,7 +174,7 @@ def qt_flow(system, w):
     lam = lambda_star(a, c) this equals composite_generator(system) @ w
     on product states.
     """
-    grad = entropy_gradient(system, _state4(w))
+    grad = entropy_gradient(system, w)
     return multilinear.main_term_closed(grad, 4)
 
 

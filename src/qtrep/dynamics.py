@@ -25,6 +25,9 @@ WITNESS_TOL = 1e-9
 # A trajectory must end this close to the claimed stationary state for
 # the witness to mean anything.
 WITNESS_CONVERGENCE = 1e-6
+# Most steps one integration may take.  Every state is kept, so this
+# bounds memory as well as time: 1e5 steps at n = 8 peak near 42 MB.
+MAX_STEPS = 10**6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,6 +75,8 @@ def integrate(rhs, y0, t_end, dt, entropy=None):
 
     Raises
     ------
+    InputError
+        When t_end / dt exceeds MAX_STEPS, before the first step.
     DivergenceError
         When a step produces a non-finite state; carries the step index.
     """
@@ -85,6 +90,11 @@ def integrate(rhs, y0, t_end, dt, entropy=None):
     if not np.all(np.isfinite(y)):
         raise InputError("y0 has non-finite entries")
 
+    if t_end / dt > MAX_STEPS:
+        raise InputError(
+            f"t_end / dt = {t_end / dt:.6g} steps exceeds the budget of "
+            f"{MAX_STEPS} steps; raise dt"
+        )
     n_full = int(t_end / dt)
     remainder = t_end - n_full * dt
     # Guard against t_end/dt landing a hair above an integer.
@@ -102,21 +112,24 @@ def integrate(rhs, y0, t_end, dt, entropy=None):
         s_values = [float(entropy(y))]
         s_delta = [0.0]
 
-    for step in range(1, steps + 1):
-        h = dt if step <= n_full else remainder
-        y = _rk4_step(rhs, y, h)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(
-                f"non-finite state at step {step} (t = {step * dt!r})", step
-            )
-        t = step * dt if step <= n_full else t_end
-        times.append(min(t, t_end))
-        states.append(y.copy())
-        drift.append(abs(math.fsum(y.tolist()) - sum0))
-        if entropy is not None:
-            value = float(entropy(y))
-            s_delta.append(value - s_values[-1])
-            s_values.append(value)
+    # A step that overflows is caught by the finiteness check, which
+    # raises DivergenceError; numpy's warning would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            h = dt if step <= n_full else remainder
+            y = _rk4_step(rhs, y, h)
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError(
+                    f"non-finite state at step {step} (t = {step * dt!r})", step
+                )
+            t = step * dt if step <= n_full else t_end
+            times.append(min(t, t_end))
+            states.append(y.copy())
+            drift.append(abs(math.fsum(y.tolist()) - sum0))
+            if entropy is not None:
+                value = float(entropy(y))
+                s_delta.append(value - s_values[-1])
+                s_values.append(value)
     times[-1] = t_end
 
     return Trajectory(

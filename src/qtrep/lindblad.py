@@ -30,7 +30,7 @@ from .errors import (
     GradientFormUnavailableError,
     InputError,
 )
-from .multilinear import six_slot_main_term
+from .multilinear import _finite_vector, check_six_state, six_slot_main_term
 
 __all__ = [
     "LindbladChannel",
@@ -46,15 +46,6 @@ __all__ = [
 ]
 
 
-def _vec3(x, name):
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (3,):
-        raise InputError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} has non-finite entries")
-    return arr
-
-
 @dataclasses.dataclass(frozen=True)
 class LindbladChannel:
     """Field vector plus a tuple of (A, B) dissipator pairs."""
@@ -63,14 +54,14 @@ class LindbladChannel:
     dissipators: tuple
 
     def __post_init__(self):
-        h = _vec3(self.h, "h")
+        h = _finite_vector(self.h, 3, "h")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
         pairs = []
         for idx, pair in enumerate(self.dissipators):
             a, b = pair
-            a = _vec3(a, f"A[{idx}]")
-            b = _vec3(b, f"B[{idx}]")
+            a = _finite_vector(a, 3, f"A[{idx}]")
+            b = _finite_vector(b, 3, f"B[{idx}]")
             a.setflags(write=False)
             b.setflags(write=False)
             pairs.append((a, b))
@@ -98,7 +89,7 @@ class LindbladChannel:
 
 def bloch_rhs(channel, p):
     """dP/dt for the full channel at Bloch vector p."""
-    p = _vec3(p, "P")
+    p = _finite_vector(p, 3, "P")
     out = np.cross(channel.h, p)
     for a, b in channel.dissipators:
         out += 2.0 * np.cross(a, b)
@@ -109,8 +100,8 @@ def bloch_rhs(channel, p):
 
 def stationary_bloch(a, b):
     """Stationary Bloch vector 2 (A x B) / (A**2 + B**2)."""
-    a = _vec3(a, "A")
-    b = _vec3(b, "B")
+    a = _finite_vector(a, 3, "A")
+    b = _finite_vector(b, 3, "B")
     weight = float(a @ a + b @ b)
     if weight == 0.0:
         raise DegenerateChannelError("A = B = 0 has no stationary direction")
@@ -119,9 +110,9 @@ def stationary_bloch(a, b):
 
 def bloch_entropy(a, b, p):
     """Entropy whose gradient flow is the single-dissipator channel."""
-    a = _vec3(a, "A")
-    b = _vec3(b, "B")
-    p = _vec3(p, "P")
+    a = _finite_vector(a, 3, "A")
+    b = _finite_vector(b, 3, "B")
+    p = _finite_vector(p, 3, "P")
     return float(
         2.0 * np.cross(a, b) @ p
         - (p @ p) * (a @ a + b @ b) / 2.0
@@ -132,9 +123,9 @@ def bloch_entropy(a, b, p):
 
 def gradient_rhs(a, b, p):
     """Analytic gradient of bloch_entropy with respect to P."""
-    a = _vec3(a, "A")
-    b = _vec3(b, "B")
-    p = _vec3(p, "P")
+    a = _finite_vector(a, 3, "A")
+    b = _finite_vector(b, 3, "B")
+    p = _finite_vector(p, 3, "P")
     return (
         2.0 * np.cross(a, b)
         - p * (a @ a + b @ b)
@@ -145,7 +136,7 @@ def gradient_rhs(a, b, p):
 
 def embed_six(p):
     """Six-variable embedding p_k = (1 +/- P_i) / 2, pairs summing to 1."""
-    p = _vec3(p, "P")
+    p = _finite_vector(p, 3, "P")
     out = np.empty(6)
     out[0::2] = (1.0 + p) / 2.0
     out[1::2] = (1.0 - p) / 2.0
@@ -160,22 +151,6 @@ def extract_bloch(s):
     return s[0::2] - s[1::2]
 
 
-def check_six_state(s):
-    """Validate pair sums of a six-variable state (tolerance 1e-9)."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (6,):
-        raise InputError(f"six-variable state must have shape (6,), got {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InputError("state has non-finite entries")
-    for i in range(3):
-        total = s[2 * i] + s[2 * i + 1]
-        if abs(total - 1.0) > 1e-9:
-            raise InputError(
-                f"pair {i} must sum to 1, got {total!r}"
-            )
-    return s
-
-
 def qt_six_rhs(a, b, s):
     """Six-variable flow of the single-dissipator channel.
 
@@ -183,9 +158,8 @@ def qt_six_rhs(a, b, s):
     the pair-difference variables.  Pairs move oppositely, so each pair
     sum is conserved and the extracted differences obey the gradient
     flow: extract_bloch(qt_six_rhs(a, b, embed_six(P))) equals
-    gradient_rhs(a, b, P).
+    gradient_rhs(a, b, P).  six_slot_main_term validates s.
     """
-    s = check_six_state(s)
     g3 = gradient_rhs(a, b, extract_bloch(s))
     return six_slot_main_term(g3, s)
 

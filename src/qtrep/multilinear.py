@@ -42,6 +42,7 @@ __all__ = [
     "main_term_bruteforce",
     "main_term_closed",
     "ham_term",
+    "check_six_state",
     "six_slot_main_term",
 ]
 
@@ -123,13 +124,17 @@ def difference_basis(n):
     return basis
 
 
-def _check_gradient(g, n):
-    g = np.asarray(g, dtype=float)
-    if g.shape != (n,):
-        raise InputError(f"gradient must have shape ({n},), got {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise InputError("gradient has non-finite entries")
-    return g
+def _finite_vector(x, size, name):
+    """x as a float array of shape (size,) with finite entries."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a numeric {size}-vector") from exc
+    if arr.shape != (size,):
+        raise InputError(f"{name} must be a {size}-vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{name} has non-finite entries")
+    return arr
 
 
 def main_term_bruteforce(g, n, norm=None):
@@ -154,7 +159,7 @@ def main_term_bruteforce(g, n, norm=None):
             f"n = {n} exceeds the brute-force cap {MAX_BRUTEFORCE_N}; "
             "use main_term_closed instead"
         )
-    g = _check_gradient(g, n)
+    g = _finite_vector(g, n, "gradient")
     if norm is None:
         norm = normalizer(n)
     perms = _signed_permutations(n)
@@ -177,7 +182,7 @@ def main_term_closed(g, n):
     """
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
-    g = _check_gradient(g, n)
+    g = _finite_vector(g, n, "gradient")
     return g - g.mean()
 
 
@@ -202,7 +207,7 @@ def ham_term(g, subset, n):
         raise SizeError(
             f"n = {n} exceeds the brute-force cap {MAX_BRUTEFORCE_N}"
         )
-    g = _check_gradient(g, n)
+    g = _finite_vector(g, n, "gradient")
     subset = tuple(int(s) for s in subset)
     if len(subset) != n - 3:
         raise InputError(
@@ -232,6 +237,16 @@ def ham_term(g, subset, n):
 _H_SLOTS = ((0, 1), (2, 3), (4, 5))
 
 
+def check_six_state(s):
+    """Validate a six-variable state: finite, each pair summing to 1 (1e-9)."""
+    s = _finite_vector(s, 6, "six-variable state")
+    for i, (a, b) in enumerate(_H_SLOTS):
+        total = s[a] + s[b]
+        if abs(total - 1.0) > 1e-9:
+            raise InputError(f"pair {i} must sum to 1, got {total!r}")
+    return s
+
+
 def six_slot_main_term(g3, p6, norm=0.125):
     """Rank-6 double contraction driving three coupled two-level pairs.
 
@@ -241,8 +256,8 @@ def six_slot_main_term(g3, p6, norm=0.125):
         Gradient of the entropy with respect to the three pair
         differences (p1-p2, p3-p4, p5-p6).
     p6 : sequence of 6 floats
-        Six-variable state; each pair must sum to 1 (checked to 1e-9).
-        Only validated here, the contraction itself depends on g3 alone.
+        Six-variable state, validated by check_six_state; the
+        contraction itself depends on g3 alone.
     norm : float
         Normalization constant attached to both epsilon factors.  The
         default 1/8 makes the pairwise differences of the output equal
@@ -258,19 +273,8 @@ def six_slot_main_term(g3, p6, norm=0.125):
     per output slot, out_1 = 8 * norm**2 * (dS/dp1 - dS/dp2), and the
     default norm = 1/8 yields d(p1 - p2)/dt = g3[0].
     """
-    g3 = np.asarray(g3, dtype=float)
-    if g3.shape != (3,):
-        raise InputError(f"g3 must have shape (3,), got {g3.shape}")
-    if not np.all(np.isfinite(g3)):
-        raise InputError("g3 has non-finite entries")
-    p6 = np.asarray(p6, dtype=float)
-    if p6.shape != (6,):
-        raise InputError(f"p6 must have shape (6,), got {p6.shape}")
-    for a, b in _H_SLOTS:
-        if abs(p6[a] + p6[b] - 1.0) > 1e-9:
-            raise InputError(
-                f"pair ({a}, {b}) of p6 must sum to 1, got {p6[a] + p6[b]!r}"
-            )
+    g3 = _finite_vector(g3, 3, "g3")
+    check_six_state(p6)
 
     # Per-slot entropy gradient under the pair constraints.
     gs = np.empty(6)

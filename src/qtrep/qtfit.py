@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import FitNonConvergenceError, InputError
 from .multilinear import difference_basis, normalizer
-from .pme import TransitionMatrix, _as_vector, build_generator
+from .pme import _as_transition_matrix, _as_vector, build_generator
+from .relaxation import _as_rates
 
 __all__ = [
     "QuadraticEntropy",
@@ -50,7 +51,6 @@ __all__ = [
     "ham_subsets",
     "qt_rhs",
     "flow_matrix",
-    "entropy_value",
     "two_state_entropy",
     "three_state_kappa_r",
     "fit",
@@ -219,11 +219,6 @@ def flow_matrix(rep):
     return op @ rep.entropy.q
 
 
-def entropy_value(rep, p):
-    """Entropy of the representation at state p."""
-    return rep.entropy.value(p)
-
-
 def two_state_entropy(w):
     """Diagonal entropy reproducing the two-state master equation.
 
@@ -233,8 +228,7 @@ def two_state_entropy(w):
     the p1 slot; the straight one fails the verification with the two
     rates interchanged.
     """
-    if not isinstance(w, TransitionMatrix):
-        w = TransitionMatrix(w)
+    w = _as_transition_matrix(w)
     if w.n != 2:
         raise InputError(f"two_state_entropy needs n = 2, got n = {w.n}")
     return QuadraticEntropy(np.diag([-w.w[1, 0], -w.w[0, 1]]))
@@ -251,14 +245,7 @@ def three_state_kappa_r(rates):
     with a non-zero opposite group returns (inf, -1.0); all six rates
     zero is rejected.
     """
-    if hasattr(rates, "as_tuple"):
-        rates = rates.as_tuple()
-    vals = [float(v) for v in rates]
-    if len(vals) != 6:
-        raise InputError(f"need 6 rates, got {len(vals)}")
-    if any(not math.isfinite(v) or v < 0.0 for v in vals):
-        raise InputError("rates must be finite and non-negative")
-    a, b, c, d, e, f = vals
+    a, b, c, d, e, f = _as_rates(rates).as_tuple()
     forward = a + d + e
     backward = b + c + f
     if forward == 0.0:
@@ -336,7 +323,10 @@ def _gauss_newton_step(gen, r, q, norm, subsets):
     op = _flow_operator(n, norm, r, subsets)
     jac = np.concatenate([(norm * norm) * (hams @ q), op @ basis])
     jac = jac.reshape(len(jac), n * n).T
-    scale = np.linalg.norm(jac, axis=0)
+    # Entries past 1e154 overflow the column norm to inf; those columns
+    # then take no step, and the residual check in fit reports the misfit.
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(jac, axis=0)
     scale[scale == 0.0] = 1.0
     step = np.linalg.lstsq(jac / scale, (gen - op @ q).ravel(), rcond=None)[0]
     step /= scale
@@ -364,6 +354,9 @@ def fit(w):
 
     Raises
     ------
+    InputError
+        If the rates are so close to the float limit that the solve
+        overflows.
     FitNonConvergenceError
         If the flow residual lies above ACCEPT_TOL = 1e-8, as it does
         when roundoff on very stiff rates exceeds it.  The error carries
@@ -374,8 +367,7 @@ def fit(w):
     The closed form of the module docstring followed by one
     Gauss-Newton step; there is no size cap on n.
     """
-    if not isinstance(w, TransitionMatrix):
-        w = TransitionMatrix(w)
+    w = _as_transition_matrix(w)
     n = w.n
     gen = build_generator(w)
     if n == 2:
@@ -386,8 +378,14 @@ def fit(w):
     else:
         norm = normalizer(n)
         subsets = ham_subsets(n)
-        r, q = _closed_form(gen)
-        r, q = _gauss_newton_step(gen, r, q, norm, subsets)
+        # Rates within a few factors of the float limit overflow the
+        # solve itself: that is input out of range, not a misfit.
+        try:
+            with np.errstate(over="raise"):
+                r, q = _closed_form(gen)
+                r, q = _gauss_newton_step(gen, r, q, norm, subsets)
+        except FloatingPointError as exc:
+            raise InputError(f"rate matrix too large to fit: {exc}") from exc
         rep = QTRepresentation(
             entropy=QuadraticEntropy(q), r=r, subsets=subsets, norm=norm,
             residual=0.0,

@@ -183,10 +183,12 @@ class ScanGrid:
             ranges = tuple(self.ranges)
             if len(ranges) == 2 and np.isscalar(ranges[0]):
                 ranges = (ranges,) * 6
-            ranges = tuple((float(lo), float(hi)) for lo, hi in ranges)
+            # + 0.0 turns -0.0 into 0.0: numpy rejects a high of -0.0
+            # over a low of 0.0.
+            ranges = tuple((float(lo) + 0.0, float(hi) + 0.0) for lo, hi in ranges)
         except InputError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed ranges: {exc}") from exc
         if len(ranges) != 6:
             raise InputError(f"need 1 or 6 ranges, got {len(ranges)}")

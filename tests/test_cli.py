@@ -1,6 +1,7 @@
 """CLI contract: schemas, exit codes, determinism, atomic output."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -376,3 +377,95 @@ class TestAtomicWrites:
         cfg = write_config(tmp_path / "c.json", {"W": chain3, "out": str(out)})
         assert run(["qt-fit", "--config", cfg]) == 0
         assert "stale" not in (tmp_path / "rep.json").read_text()
+
+
+LINDBLAD_CHANNEL = {"dissipators": [{"A": [1, 0, 0], "B": [0, 1, 0]}]}
+
+
+class TestBoundary:
+    """Configs outside the supported cases: one error line, no output."""
+
+    @pytest.mark.parametrize(
+        "command, cfg, code, message",
+        [
+            ("pme-solve",
+             {"W": [[0, 1], [2, 0]], "p0": [1, 0], "t_end": 1e308, "dt": 1e-10},
+             2, "error: t_end / dt = inf steps exceeds the budget of 1000000 steps; raise dt"),
+            ("pme-solve",
+             {"W": [[0, 1e300], [1e300, 0]], "p0": [1, 0], "t_end": 1.0},
+             2, "error: t_end / dt = 1e+303 steps exceeds the budget of 1000000 steps; raise dt"),
+            ("lindblad",
+             {"channel": LINDBLAD_CHANNEL, "P0": [3, 0, 0], "t_end": 0.01},
+             2, "error: P0 must lie in the Bloch ball, got |P0| = 3.0"),
+            ("composite", {"a": 1e-200, "c": 1e-200}, 2,
+             "error: rates a=1e-200 and c=1e-200 must be > 0, with a finite sum "
+             "and a finite, positive product"),
+            ("composite", {"a": 1e200, "c": 1e200}, 2,
+             "error: rates a=1e+200 and c=1e+200 must be > 0, with a finite sum "
+             "and a finite, positive product"),
+            ("composite", {"a": 1e308, "c": 1e308}, 2,
+             "error: rates a=1e+308 and c=1e+308 must be > 0, with a finite sum "
+             "and a finite, positive product"),
+            ("qt-fit", {"W": [[0, 1e300, 1e300], [1e300, 0, 1e300], [1e300, 1e300, 0]]},
+             3, "error: fit residual 3.965e+284 above 1e-08"),
+            ("lindblad",
+             {"channel": {"dissipators": [{"A": [1e300, 0, 0], "B": [0, 1, 0]}]},
+              "P0": [0.1, 0, 0], "t_end": 1.0},
+             2, "error: channel rate scale |h| + sum(A**2 + B**2) is not finite"),
+            ("qt-fit", {"W": [[0, 1], [2, 0]], "precision": cli.MAX_PRECISION + 1},
+             2, f"error: precision must be <= {cli.MAX_PRECISION}, got 768"),
+            ("composite", {"a": 10**400, "c": 1.0}, 2, "error: a must be finite"),
+        ],
+    )
+    def test_rejected_with_one_line(self, tmp_path, capfd, command, cfg, code, message):
+        out = tmp_path / "r"
+        config = write_config(tmp_path / "c.json", {**cfg, "out": str(out)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", config]) == code
+        assert capfd.readouterr().err == message + "\n"
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == (["c.json"] if code == 2 else ["c.json", "r.json"])
+
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[" * 100000)
+        assert run(["qt-fit", "--config", cfg]) == 2
+        assert len(error_lines(capsys)) == 1
+
+    def test_stride_past_row_count_matches_row_count(self, tmp_path):
+        texts = []
+        for stride in (51, 10**400):
+            out = tmp_path / f"s{len(texts)}"
+            cfg = write_config(
+                tmp_path / "c.json",
+                {"W": [[0, 1], [2, 0]], "p0": [1, 0], "t_end": 0.5, "dt": 0.01,
+                 "stride": stride, "out": str(out)},
+            )
+            assert run(["pme-solve", "--config", cfg]) == 0
+            texts.append((tmp_path / f"{out.name}.csv").read_text())
+        assert texts[0] == texts[1]
+        assert len(texts[0].splitlines()) == 3
+
+
+class TestHelp:
+    def test_description_from_table(self):
+        parser = cli.build_parser()
+        sub = parser._subparsers._group_actions[0].choices["pme-solve"]
+        assert sub.description == (
+            "Integrate a master equation and report its stationary state.\n"
+            "Config: {W: NxN rate matrix, p0: length-N probabilities, t_end: "
+            "number, dt: number (default 1e-3 / max rate), stride: int "
+            "(default 1), out: path base}. Common keys: seed (int, default 0), "
+            "precision (int, default 17).\n"
+            "Writes <out>.csv (t, y1..yN, entropy, sum_drift) and <out>.json."
+        )
+
+    def test_every_key_in_help(self):
+        choices = cli.build_parser()._subparsers._group_actions[0].choices
+        assert list(choices) == list(cli._COMMANDS)
+        for name, command in cli._COMMANDS.items():
+            text = choices[name].description
+            assert text.splitlines()[0] == command.summary
+            for key in [*command.keys, *cli._COMMON_KEYS]:
+                assert key in text, (name, key)

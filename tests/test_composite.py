@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,16 @@ class TestSystem:
     def test_with_lambda_star(self):
         system = cp.CompositeSystem.with_lambda_star(3.0, 5.0)
         assert system.lam == pytest.approx(4.0 * 8.0 / 15.0, rel=1e-14)
+
+    @pytest.mark.parametrize("rate", [1e-200, 1e200, 1e308])
+    def test_lambda_star_rejects_out_of_range_pairs(self, rate):
+        # a * c underflows to 0, a * c overflows, a + c overflows
+        with pytest.raises(InputError, match=re.escape(f"rates a={rate!r} and c={rate!r}")):
+            cp.lambda_star(rate, rate)
+
+    def test_lambda_star_near_the_range_ends(self):
+        assert cp.lambda_star(1e154, 1e154) == pytest.approx(8e-154, rel=1e-14)
+        assert cp.lambda_star(1e-154, 1e-154) == pytest.approx(8e154, rel=1e-14)
 
     def test_bad_rates_rejected(self):
         with pytest.raises(InputError):

@@ -73,12 +73,29 @@ class TestIntegrate:
         traj = dynamics.integrate(decay_rhs(1.0), np.array([1.0]), 0.1, 0.05)
         assert traj.entropy is None and traj.entropy_delta is None
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_detected(self):
+        # The overflowing step raises DivergenceError and no numpy warning.
         # dy/dt = y**2 blows up at t = 1
         with pytest.raises(DivergenceError) as err:
             dynamics.integrate(lambda y: y * y, np.array([1.0]), 2.0, 0.01)
         assert err.value.step > 0
+
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            return -y
+
+        assert dynamics.integrate(rhs, np.array([1.0]), 1.0, 0.1).times.size == 11
+        calls.clear()
+        with pytest.raises(InputError, match="11 steps exceeds the budget of 10 steps; raise dt"):
+            dynamics.integrate(rhs, np.array([1.0]), 1.1, 0.1)
+        with pytest.raises(InputError, match="inf steps"):
+            dynamics.integrate(rhs, np.array([1.0]), 1e308, 1e-10)
+        assert calls == []
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(InputError):

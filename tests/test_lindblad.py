@@ -28,6 +28,11 @@ class TestChannel:
         with pytest.raises(InputError):
             lb.LindbladChannel.from_dict({"dissipators": [{"A": [1, 0], "B": [0, 1, 0]}]})
 
+    def test_non_numeric_vector_rejected(self):
+        for bad in ([0, [], 0], "x", {"a": 1}, [10**400, 0, 0]):
+            with pytest.raises(InputError, match="B\\[0\\] must be a numeric 3-vector"):
+                lb.LindbladChannel(h=np.zeros(3), dissipators=(([1, 0, 0], bad),))
+
     def test_unknown_dissipator_key_rejected(self):
         with pytest.raises(InputError):
             lb.LindbladChannel.from_dict(
@@ -165,6 +170,9 @@ class TestSixVariableForm:
         s[2] += 1e-6
         with pytest.raises(InputError):
             lb.check_six_state(s)
+        a, b = unit_pair(80)
+        with pytest.raises(InputError, match="pair 1 must sum to 1"):
+            lb.qt_six_rhs(a, b, s)
 
 
 class TestGradientFormGate:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qtrep import pme, qtfit
-from qtrep.errors import InputError
+from qtrep.errors import FitNonConvergenceError, InputError
 from qtrep.multilinear import ham_term
 from qtrep.relaxation import ThreeStateRates
 
@@ -192,6 +192,18 @@ class TestFitRoundTrip:
         np.testing.assert_allclose(
             qtfit.flow_matrix(rep), pme.build_generator(w), rtol=0, atol=1e-8
         )
+
+    @pytest.mark.filterwarnings("error")
+    def test_rates_near_the_float_limit(self):
+        # The Sylvester operator overflows: out of range, not a misfit.
+        with pytest.raises(InputError, match="rate matrix too large to fit: overflow"):
+            qtfit.fit([[0, 3, 5], [1, 0, 1e308], [2, 4, 0]])
+        # Rates of 1e300 solve, and their roundoff tops the absolute tolerance.
+        w = np.full((3, 3), 1e300)
+        np.fill_diagonal(w, 0.0)
+        with pytest.raises(FitNonConvergenceError) as err:
+            qtfit.fit(w)
+        assert math.isfinite(err.value.residual)
 
     def test_entropy_production_nonnegative(self):
         # main term produces sum of squares, ham terms conserve entropy

@@ -118,6 +118,13 @@ class TestClassify:
 
 
 class TestScan:
+    def test_signed_zero_and_huge_range_ends(self):
+        grid = relaxation.ScanGrid(ranges=(0.0, -0.0), samples=4)
+        assert math.copysign(1.0, grid.ranges[0][1]) == 1.0
+        np.testing.assert_array_equal(relaxation.scan(grid, seed=1).rates, 0.0)
+        with pytest.raises(InputError, match="malformed ranges"):
+            relaxation.ScanGrid(ranges=(0.0, 10**400), samples=4)
+
     def test_deterministic(self):
         grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=100)
         r1 = relaxation.scan(grid, seed=9)

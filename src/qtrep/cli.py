@@ -188,13 +188,21 @@ def _trajectory_csv(traj, cfg):
     return _jsonio.csv_text(header, columns, cfg["precision"])
 
 
+def _default_dt(dt, scale, name):
+    """dt when given, else 1e-3 / scale (1e-3 when the scale is zero)."""
+    if dt is None:
+        dt = 1e-3 / scale if scale > 0 else 1e-3
+        if not math.isfinite(dt):
+            _fail(f"{name} {scale!r} is too small for the default dt = 1e-3 / {name}; set dt")
+    return dt
+
+
 def _cmd_pme_solve(cfg):
     w = pme.TransitionMatrix(cfg["W"])
     if cfg["p0"].size != w.n:
         _fail(f"p0 must have length {w.n}, got {cfg['p0'].size}")
     p0 = pme.ProbabilityState(cfg["p0"])
-    max_rate = float(np.max(w.w))
-    dt = cfg["dt"] or (1e-3 / max_rate if max_rate > 0 else 1e-3)
+    dt = _default_dt(cfg["dt"], float(np.max(w.w)), "max rate")
 
     gen = pme.build_generator(w)
     flags = pme.classify_w(w)
@@ -247,12 +255,14 @@ def _cmd_relax_scan(cfg):
     header = ["a", "b", "c", "d", "e", "f", "xi", "disc", "omega", "u", "v", "monotonic"]
     columns = [*result.rates.T, result.xi, result.disc, result.omega, result.u,
                result.v, result.monotonic]
+    # Built first: it rejects an infinite |omega|, on which omega_bins warns.
+    csv = _jsonio.csv_text(header, columns, cfg["precision"])
     summary = {
         "samples": grid.samples,
         "oscillatory_fraction": result.oscillatory_fraction,
         "omega_bins": result.omega_bins(grid.bins),
     }
-    _write_outputs(cfg, summary, _jsonio.csv_text(header, columns, cfg["precision"]))
+    _write_outputs(cfg, summary, csv)
 
 
 def _cmd_lindblad(cfg):
@@ -265,7 +275,7 @@ def _cmd_lindblad(cfg):
         )
     if not math.isfinite(rate_scale):
         _fail("channel rate scale |h| + sum(A**2 + B**2) is not finite")
-    dt = cfg["dt"] or (1e-3 / rate_scale if rate_scale > 0 else 1e-3)
+    dt = _default_dt(cfg["dt"], rate_scale, "rate scale")
 
     entropy = None
     report = {"dt": dt}

@@ -70,6 +70,11 @@ class CompositeSystem:
             object.__setattr__(self, name, value)
         if self.boltzmann_k <= 0.0:
             raise InputError(f"boltzmann_k must be > 0, got {self.boltzmann_k!r}")
+        if not math.isfinite(q_parameter(self)):
+            raise InputError(
+                f"k={self.boltzmann_k!r} with a={self.a!r} and c={self.c!r} "
+                "overflows q = 1 + k (a + c) / 4"
+            )
 
     @classmethod
     def with_lambda_star(cls, a, c, boltzmann_k=1.0):

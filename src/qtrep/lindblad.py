@@ -30,7 +30,7 @@ from .errors import (
     GradientFormUnavailableError,
     InputError,
 )
-from .multilinear import _finite_vector, check_six_state, six_slot_main_term
+from .multilinear import _finite_vector, six_slot_main_term
 
 __all__ = [
     "LindbladChannel",
@@ -40,7 +40,6 @@ __all__ = [
     "gradient_rhs",
     "embed_six",
     "extract_bloch",
-    "check_six_state",
     "qt_six_rhs",
     "require_gradient_form",
 ]

@@ -86,15 +86,10 @@ def levi_civita_sign(indices):
 @lru_cache(maxsize=None)
 def _signed_permutations(n):
     """All permutations of range(n) with their signs, cached per n."""
-    out = []
-    for perm in itertools.permutations(range(n)):
-        inversions = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    inversions += 1
-        out.append((-1.0 if inversions & 1 else 1.0, perm))
-    return tuple(out)
+    return tuple(
+        (float(levi_civita_sign(perm)), perm)
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def normalizer(n):
@@ -135,6 +130,18 @@ def _finite_vector(x, size, name):
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} has non-finite entries")
     return arr
+
+
+def _check_subset(subset, n):
+    """subset as a tuple of n - 3 distinct indices into difference_basis(n)."""
+    subset = tuple(int(s) for s in subset)
+    if len(subset) != n - 3 or len(set(subset)) != len(subset) or not all(
+        0 <= s < n - 1 for s in subset
+    ):
+        raise InputError(
+            f"subset {subset} is not n - 3 = {n - 3} distinct indices in 0..{n - 2}"
+        )
+    return subset
 
 
 def main_term_bruteforce(g, n, norm=None):
@@ -208,17 +215,7 @@ def ham_term(g, subset, n):
             f"n = {n} exceeds the brute-force cap {MAX_BRUTEFORCE_N}"
         )
     g = _finite_vector(g, n, "gradient")
-    subset = tuple(int(s) for s in subset)
-    if len(subset) != n - 3:
-        raise InputError(
-            f"subset must have size n - 3 = {n - 3}, got {len(subset)}"
-        )
-    if len(set(subset)) != len(subset):
-        raise InputError(f"subset indices must be distinct, got {subset}")
-    for s in subset:
-        if s < 0 or s >= n - 1:
-            raise InputError(f"subset index {s} out of range 0..{n - 2}")
-    vecs = difference_basis(n)[list(subset)]
+    vecs = difference_basis(n)[list(_check_subset(subset, n))]
     out = np.zeros(n)
     for sign, p in _signed_permutations(n):
         term = sign * g[p[2]]

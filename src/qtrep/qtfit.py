@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FitNonConvergenceError, InputError
-from .multilinear import difference_basis, normalizer
+from .multilinear import _check_subset, difference_basis, normalizer
 from .pme import _as_transition_matrix, _as_vector, build_generator
 from .relaxation import _as_rates
 
@@ -109,20 +109,11 @@ class QTRepresentation:
 
     def __post_init__(self):
         r = np.array(self.r, dtype=float, ndmin=1)
-        subsets = tuple(tuple(int(i) for i in s) for s in self.subsets)
+        subsets = tuple(_check_subset(s, self.entropy.n) for s in self.subsets)
         if r.size != len(subsets):
             raise InputError(
                 f"got {r.size} coefficients for {len(subsets)} subsets"
             )
-        n = self.entropy.n
-        for s in subsets:
-            if len(s) != n - 3 or len(set(s)) != len(s) or not all(
-                0 <= i < n - 1 for i in s
-            ):
-                raise InputError(
-                    f"subset {s} is not n - 3 = {n - 3} distinct indices "
-                    f"in 0..{n - 2}"
-                )
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "subsets", subsets)

@@ -42,6 +42,10 @@ __all__ = [
 # Samples with |disc| below this (relative to xi**2) sit on the
 # monotonic/oscillatory boundary and are flagged instead of trusted.
 BOUNDARY_BAND = 1e-9
+# Largest scan.  Every sample and its CSV row are held in memory, so
+# the budget bounds memory as well as time.
+MAX_SAMPLES = 10**6
+MAX_BINS = 10**4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,20 +94,10 @@ class RelaxationReport:
     boundary: bool
 
     def to_json_dict(self):
-        return {
-            "xi": self.xi,
-            "eta": self.eta,
-            "disc": self.disc,
-            "k": self.k,
-            "l": self.l,
-            "m": self.m,
-            "omega": self.omega,
-            "u": self.u,
-            "v": self.v,
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "monotonic": self.monotonic,
-            "boundary": self.boundary,
-        }
+        # Keys in field order; each root becomes a [real, imag] pair.
+        doc = dataclasses.asdict(self)
+        doc["eigenvalues"] = [[z.real, z.imag] for z in self.eigenvalues]
+        return doc
 
 
 def _as_rates(rates):
@@ -115,6 +109,39 @@ def _as_rates(rates):
     return ThreeStateRates(*vals)
 
 
+def _invariants(a, b, c, d, e, f):
+    """Secular coefficients and rate combinations of the three-state chain.
+
+    Uses only + - *, so the rates may be Python floats or equal-length
+    column arrays; secular, classify and scan all take their values
+    from here.
+    """
+    xi = a + b + c + d + e + f
+    eta = c + d + f
+    constant = eta * (a + b + e) - (e - c) * (f - a)
+    l = f - a
+    m = b - d
+    return {
+        "xi": xi,
+        "eta": eta,
+        "constant": constant,
+        "disc": xi * xi - 4.0 * constant,
+        "k": e - c,
+        "l": l,
+        "m": m,
+        "omega": (a + d + e) - (b + c + f),
+        "u": l + m,
+        "v": l - m,
+    }
+
+
+def _roots(xi, disc):
+    root_disc = cmath.sqrt(disc)
+    roots = [(-xi + root_disc) / 2.0, (-xi - root_disc) / 2.0]
+    roots.sort(key=lambda z: (-z.real, -z.imag))
+    return roots[0], roots[1]
+
+
 def secular(rates):
     """Coefficients and roots of the non-zero spectral quadratic.
 
@@ -122,14 +149,8 @@ def secular(rates):
     lam**2 + xi lam + constant and roots are its two solutions sorted by
     descending real part, then descending imaginary part.
     """
-    r = _as_rates(rates)
-    xi = r.a + r.b + r.c + r.d + r.e + r.f
-    eta = r.c + r.d + r.f
-    constant = eta * (r.a + r.b + r.e) - (r.e - r.c) * (r.f - r.a)
-    root_disc = cmath.sqrt(xi * xi - 4.0 * constant)
-    roots = [(-xi + root_disc) / 2.0, (-xi - root_disc) / 2.0]
-    roots.sort(key=lambda z: (-z.real, -z.imag))
-    return xi, constant, (roots[0], roots[1])
+    inv = _invariants(*_as_rates(rates).as_tuple())
+    return inv["xi"], inv["constant"], _roots(inv["xi"], inv["disc"])
 
 
 def classify(rates):
@@ -139,26 +160,12 @@ def classify(rates):
     |disc| < 1e-9 * max(1, xi**2) where the classification is not
     numerically trustworthy.
     """
-    r = _as_rates(rates)
-    xi, constant, roots = secular(r)
-    disc = xi * xi - 4.0 * constant
-    k = r.e - r.c
-    l = r.f - r.a
-    m = r.b - r.d
-    omega = (r.a + r.d + r.e) - (r.b + r.c + r.f)
-    u = l + m
-    v = l - m
+    inv = _invariants(*_as_rates(rates).as_tuple())
+    del inv["constant"]  # a secular coefficient, not part of the report
+    xi, disc = inv["xi"], inv["disc"]
     return RelaxationReport(
-        xi=xi,
-        eta=r.c + r.d + r.f,
-        disc=disc,
-        k=k,
-        l=l,
-        m=m,
-        omega=omega,
-        u=u,
-        v=v,
-        eigenvalues=roots,
+        **inv,
+        eigenvalues=_roots(xi, disc),
         monotonic=disc >= 0.0,
         boundary=abs(disc) < BOUNDARY_BAND * max(1.0, xi * xi),
     )
@@ -171,6 +178,7 @@ class ScanGrid:
     ranges is either one (lo, hi) pair applied to all six rates or six
     pairs, one per rate.  With constrain_omega_zero the (b, c, f) group
     is rescaled after sampling so the cyclic imbalance vanishes.
+    samples and bins may not exceed MAX_SAMPLES and MAX_BINS.
     """
 
     ranges: tuple
@@ -186,8 +194,6 @@ class ScanGrid:
             # + 0.0 turns -0.0 into 0.0: numpy rejects a high of -0.0
             # over a low of 0.0.
             ranges = tuple((float(lo) + 0.0, float(hi) + 0.0) for lo, hi in ranges)
-        except InputError:
-            raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed ranges: {exc}") from exc
         if len(ranges) != 6:
@@ -196,12 +202,13 @@ class ScanGrid:
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi < lo:
                 raise InputError(f"bad range ({lo!r}, {hi!r})")
         object.__setattr__(self, "ranges", ranges)
-        if int(self.samples) <= 0:
-            raise InputError(f"samples must be positive, got {self.samples}")
-        object.__setattr__(self, "samples", int(self.samples))
-        if int(self.bins) <= 0:
-            raise InputError(f"bins must be positive, got {self.bins}")
-        object.__setattr__(self, "bins", int(self.bins))
+        for name, budget in (("samples", MAX_SAMPLES), ("bins", MAX_BINS)):
+            value = int(getattr(self, name))
+            if value <= 0:
+                raise InputError(f"{name} must be positive, got {value}")
+            if value > budget:
+                raise InputError(f"{name} = {value} exceeds the budget of {budget} {name}")
+            object.__setattr__(self, name, value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,23 +238,24 @@ class ScanResult:
         if top == 0.0:
             top = 1.0
         edges = np.linspace(0.0, top, bins + 1)
-        out = []
-        for i in range(bins):
-            if i == bins - 1:
-                mask = (abs_omega >= edges[i]) & (abs_omega <= edges[i + 1])
-            else:
-                mask = (abs_omega >= edges[i]) & (abs_omega < edges[i + 1])
-            count = int(mask.sum())
-            frac = None if count == 0 else float(1.0 - self.monotonic[mask].mean())
-            out.append(
-                {
-                    "lo": float(edges[i]),
-                    "hi": float(edges[i + 1]),
-                    "count": count,
-                    "oscillatory_fraction": frac,
-                }
-            )
-        return out
+        # Bins are [lo, hi) except the last, which also takes its top
+        # edge: a sample falls in the last bin whose lo it reaches, if it
+        # is not above the top edge.  A NaN |omega| falls in none.
+        index = np.searchsorted(edges[:-1], abs_omega, side="right") - 1
+        kept = (index >= 0) & (abs_omega <= edges[-1])
+        counts = np.bincount(index[kept], minlength=bins)
+        monotone = np.bincount(index[kept], weights=self.monotonic[kept], minlength=bins)
+        return [
+            {
+                "lo": float(edges[i]),
+                "hi": float(edges[i + 1]),
+                "count": int(counts[i]),
+                "oscillatory_fraction": (
+                    None if counts[i] == 0 else float(1.0 - monotone[i] / counts[i])
+                ),
+            }
+            for i in range(bins)
+        ]
 
 
 def scan(grid, seed=0):
@@ -276,17 +284,9 @@ def scan(grid, seed=0):
             if np.any(~safe):
                 rates[np.ix_(~safe, [0, 3, 4])] = 0.0
 
-        a, b, c, d, e, f = (rates[:, i] for i in range(6))
-        xi = rates.sum(axis=1)
-        eta = c + d + f
-        constant = eta * (a + b + e) - (e - c) * (f - a)
-        disc = xi * xi - 4.0 * constant
-        omega = (a + d + e) - (b + c + f)
-        l = f - a
-        m = b - d
-        u = l + m
-        v = l - m
-        monotonic = disc >= 0.0
+        inv = _invariants(*rates.T)
+        monotonic = inv["disc"] >= 0.0
     return ScanResult(
-        rates=rates, xi=xi, disc=disc, omega=omega, u=u, v=v, monotonic=monotonic
+        rates=rates, xi=inv["xi"], disc=inv["disc"], omega=inv["omega"],
+        u=inv["u"], v=inv["v"], monotonic=monotonic,
     )

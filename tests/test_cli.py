@@ -415,6 +415,26 @@ class TestBoundary:
             ("qt-fit", {"W": [[0, 1], [2, 0]], "precision": cli.MAX_PRECISION + 1},
              2, f"error: precision must be <= {cli.MAX_PRECISION}, got 768"),
             ("composite", {"a": 10**400, "c": 1.0}, 2, "error: a must be finite"),
+            ("composite", {"a": 1e154, "c": 1e154, "k": 1e300}, 2,
+             "error: k=1e+300 with a=1e+154 and c=1e+154 overflows q = 1 + k (a + c) / 4"),
+            ("pme-solve", {"W": [[0, 1e-320], [1e-320, 0]], "p0": [1, 0], "t_end": 1.0}, 2,
+             "error: max rate 1e-320 is too small for the default dt = 1e-3 / max rate; "
+             "set dt"),
+            ("lindblad",
+             {"channel": {"dissipators": [{"A": [1e-160, 0, 0], "B": [0, 0, 0]}]},
+              "P0": [0.1, 0, 0], "t_end": 1.0, "gradient_check": False},
+             2, "error: rate scale 1e-320 is too small for the default dt = 1e-3 / "
+             "rate scale; set dt"),
+            ("relax-scan", {"samples": 2**63}, 2,
+             "error: samples = 9223372036854775808 exceeds the budget of 1000000 samples"),
+            ("relax-scan", {"samples": 10**9}, 2,
+             "error: samples = 1000000000 exceeds the budget of 1000000 samples"),
+            ("relax-scan", {"samples": 10, "bins": 10**9}, 2,
+             "error: bins = 1000000000 exceeds the budget of 10000 bins"),
+            ("relax-scan",
+             {"samples": 5, "ranges": [[1e308, 1.7e308], [0, 1], [0, 1], [1e308, 1.7e308],
+                                       [1e308, 1.7e308], [0, 1]]},
+             2, "error: cannot serialize non-finite value inf"),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capfd, command, cfg, code, message):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtrep import dynamics, pme
+from qtrep import dynamics, lindblad, pme
 from qtrep.errors import DivergenceError, InconclusiveError, InputError
 
 
@@ -102,6 +102,86 @@ class TestIntegrate:
             dynamics.integrate(decay_rhs(1.0), np.array([1.0]), -1.0, 0.1)
         with pytest.raises(InputError):
             dynamics.integrate(decay_rhs(1.0), np.array([1.0]), 1.0, 0.0)
+
+
+def reference_integrate(rhs, y0, t_end, dt, entropy=None):
+    """Per-step recorder: monitors evaluated as each step is accepted."""
+    y = np.array(y0, dtype=float)
+    n_full = int(t_end / dt)
+    remainder = t_end - n_full * dt
+    if remainder <= 1e-12 * t_end and n_full > 0:
+        remainder = 0.0
+    steps = n_full + (1 if remainder > 0.0 else 0)
+    times, states = [0.0], [y.copy()]
+    sum0 = math.fsum(y.tolist())
+    drift = [0.0]
+    s_values = s_delta = None
+    if entropy is not None:
+        s_values, s_delta = [float(entropy(y))], [0.0]
+    for step in range(1, steps + 1):
+        h = dt if step <= n_full else remainder
+        y = dynamics._rk4_step(rhs, y, h)
+        t = step * dt if step <= n_full else t_end
+        times.append(min(t, t_end))
+        states.append(y.copy())
+        drift.append(abs(math.fsum(y.tolist()) - sum0))
+        if entropy is not None:
+            value = float(entropy(y))
+            s_delta.append(value - s_values[-1])
+            s_values.append(value)
+    times[-1] = t_end
+    arrays = [times, states, drift, s_values, s_delta]
+    return [None if a is None else np.array(a) for a in arrays]
+
+
+def pme_case(n, seed, t_end, dt):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 3.0, (n, n))
+    p0 = rng.dirichlet(np.ones(n))
+    p0[[0, n // 2]] = 0.0
+    gen = pme.build_generator(w)
+    entropy = lambda y: pme.bs_entropy(np.clip(y, 0.0, 1.0))
+    return (lambda y: gen @ y), p0 / p0.sum(), t_end, dt, entropy
+
+
+def lindblad_case():
+    a, b = np.array([0.5, 0.1, -0.3]), np.array([0.2, -0.4, 0.6])
+    channel = lindblad.LindbladChannel(h=np.zeros(3), dissipators=((a, b),))
+    return (
+        lambda y: lindblad.bloch_rhs(channel, y),
+        np.array([0.3, -0.2, 0.1]),
+        0.77,
+        0.01,
+        lambda y: lindblad.bloch_entropy(a, b, y),
+    )
+
+
+class TestRecorder:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pme_case(9, 1, 1.0, 1 / 64),  # every step full length
+            pme_case(9, 2, 1.3, 0.0137),  # truncated last step
+            pme_case(4, 3, 0.5, 0.3),
+            pme_case(3, 5, 0.9, 0.03),  # 30 steps end 1.1e-16 short of t_end
+            lindblad_case(),
+        ],
+    )
+    def test_matches_per_step_reference_bitwise(self, case):
+        traj = dynamics.integrate(*case)
+        want = reference_integrate(*case)
+        got = [traj.times, traj.states, traj.sum_drift, traj.entropy, traj.entropy_delta]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_without_entropy(self):
+        rhs, y0, t_end, dt, _ = pme_case(5, 4, 1.0, 0.07)
+        traj = dynamics.integrate(rhs, y0, t_end, dt)
+        want = reference_integrate(rhs, y0, t_end, dt)
+        assert traj.entropy is None and traj.entropy_delta is None
+        for g, w in zip([traj.times, traj.states, traj.sum_drift], want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestMonotonicityWitness:

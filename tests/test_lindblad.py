@@ -9,6 +9,7 @@ from qtrep.errors import (
     GradientFormUnavailableError,
     InputError,
 )
+from qtrep.multilinear import check_six_state
 
 
 def unit_pair(seed):
@@ -150,7 +151,7 @@ class TestSixVariableForm:
     def test_embedding_round_trip(self):
         p = np.array([0.3, -0.2, 0.7])
         s = lb.embed_six(p)
-        lb.check_six_state(s)
+        check_six_state(s)
         np.testing.assert_allclose(lb.extract_bloch(s), p, atol=1e-14)
         np.testing.assert_allclose(s[0::2] + s[1::2], 1.0, atol=1e-14)
 
@@ -169,7 +170,7 @@ class TestSixVariableForm:
         s = lb.embed_six(np.zeros(3))
         s[2] += 1e-6
         with pytest.raises(InputError):
-            lb.check_six_state(s)
+            check_six_state(s)
         a, b = unit_pair(80)
         with pytest.raises(InputError, match="pair 1 must sum to 1"):
             lb.qt_six_rhs(a, b, s)

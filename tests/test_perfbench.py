@@ -1,8 +1,9 @@
-"""Smoke tests of the benchmark harness on the fit and scan workloads.
+"""Smoke tests of the benchmark harness on each of its workloads.
 
 The harness rebuilds every fitted flow from the written q and r and
 checks it against the generator, independently of qtfit's own residual,
-and recomputes every column of every scan CSV from its rates.
+recomputes every column of every scan CSV from its rates, and checks
+each trajectory's stationary state, final state and CSV rows.
 """
 
 import json
@@ -31,5 +32,11 @@ def test_fit_workload_tiny_run_is_correct():
 
 def test_scan_workload_tiny_run_is_correct():
     summary = run_tiny("scan")
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+
+
+def test_trajectory_workload_tiny_run_is_correct():
+    summary = run_tiny("trajectory")
     assert summary["correct"] is True
     assert summary["failed"] == 0

@@ -133,15 +133,16 @@ class TestScan:
         np.testing.assert_array_equal(r1.monotonic, r2.monotonic)
 
     def test_matches_classify_rowwise(self):
+        # One kernel serves both paths, so the values agree exactly.
         grid = relaxation.ScanGrid(ranges=(0.0, 2.0), samples=50)
         result = relaxation.scan(grid, seed=1)
-        for i in range(20):
+        for i in range(50):
             rep = relaxation.classify(result.rates[i])
-            assert result.xi[i] == pytest.approx(rep.xi, rel=1e-12)
-            assert result.disc[i] == pytest.approx(rep.disc, rel=1e-12, abs=1e-12)
-            assert result.omega[i] == pytest.approx(rep.omega, rel=1e-12, abs=1e-12)
-            assert result.u[i] == pytest.approx(rep.u, rel=1e-12, abs=1e-12)
-            assert result.v[i] == pytest.approx(rep.v, rel=1e-12, abs=1e-12)
+            assert result.xi[i] == rep.xi
+            assert result.disc[i] == rep.disc
+            assert result.omega[i] == rep.omega
+            assert result.u[i] == rep.u
+            assert result.v[i] == rep.v
             assert bool(result.monotonic[i]) == rep.monotonic
 
     def test_omega_zero_constraint(self):
@@ -168,6 +169,61 @@ class TestScan:
         assert len(bins) == 7
         assert sum(b["count"] for b in bins) == 300
 
+    @staticmethod
+    def _bins_oracle(omega, monotonic, bins):
+        # One mask per bin: [lo, hi) for every bin but the last, which
+        # is [lo, hi].
+        abs_omega = np.abs(omega)
+        top = float(abs_omega.max())
+        if top == 0.0:
+            top = 1.0
+        edges = np.linspace(0.0, top, bins + 1)
+        out = []
+        for i in range(bins):
+            if i == bins - 1:
+                mask = (abs_omega >= edges[i]) & (abs_omega <= edges[i + 1])
+            else:
+                mask = (abs_omega >= edges[i]) & (abs_omega < edges[i + 1])
+            count = int(mask.sum())
+            frac = None if count == 0 else float(1.0 - monotonic[mask].mean())
+            out.append((float(edges[i]), float(edges[i + 1]), count, frac))
+        return out
+
+    @pytest.mark.parametrize("case", ["scan", "edges", "zero", "nan", "inf"])
+    @pytest.mark.parametrize("bins", [1, 3, 7, 97])
+    def test_omega_bins_match_per_bin_masks(self, case, bins):
+        rng = np.random.default_rng(bins)
+        if case == "scan":
+            grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=2000)
+            result = relaxation.scan(grid, seed=bins)
+            omega, monotonic = result.omega, result.monotonic
+        else:
+            # Every edge of the bins, both signs, plus interior points.
+            edges = np.linspace(0.0, 0.9, bins + 1)
+            omega = np.concatenate([edges, -edges, rng.uniform(-0.9, 0.9, 50)])
+            if case == "zero":
+                omega = np.zeros(40)
+            elif case == "nan":
+                omega[[3, 7]] = np.nan
+            elif case == "inf":
+                omega[[2, 5]] = [np.inf, -np.inf]
+            monotonic = rng.uniform(size=omega.size) < 0.6
+        result = relaxation.ScanResult(
+            rates=None, xi=None, disc=None, omega=omega, u=None, v=None,
+            monotonic=monotonic,
+        )
+        # np.linspace warns on an infinite top edge.
+        with np.errstate(invalid="ignore"):
+            want = self._bins_oracle(omega, monotonic, bins)
+            got = [
+                (b["lo"], b["hi"], b["count"], b["oscillatory_fraction"])
+                for b in result.omega_bins(bins)
+            ]
+        np.testing.assert_array_equal([g[:2] for g in got], [w[:2] for w in want])
+        assert [g[2:] for g in got] == [w[2:] for w in want]
+        if case in ("scan", "edges", "zero"):
+            assert sum(g[2] for g in got) == omega.size
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(InputError):
             relaxation.ScanGrid(ranges=((0.0, 1.0), (0.0, 1.0)), samples=10)
@@ -179,3 +235,13 @@ class TestScan:
     def test_bad_samples_rejected(self):
         with pytest.raises(InputError):
             relaxation.ScanGrid(ranges=(0.0, 1.0), samples=0)
+
+    def test_budget(self):
+        grid = relaxation.ScanGrid(
+            ranges=(0.0, 1.0), samples=relaxation.MAX_SAMPLES, bins=relaxation.MAX_BINS
+        )
+        assert (grid.samples, grid.bins) == (10**6, 10**4)
+        with pytest.raises(InputError, match="samples = 1000001 exceeds the budget"):
+            relaxation.ScanGrid(ranges=(0.0, 1.0), samples=10**6 + 1)
+        with pytest.raises(InputError, match="bins = 10001 exceeds the budget"):
+            relaxation.ScanGrid(ranges=(0.0, 1.0), samples=1, bins=10**4 + 1)

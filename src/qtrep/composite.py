@@ -94,7 +94,9 @@ def lambda_star(a, c):
             f"rates a={a!r} and c={c!r} must be > 0, with a finite sum and a "
             "finite, positive product"
         )
-    return 4.0 * total / product
+    # Dividing first keeps 4 * total from overflowing; the bits are
+    # the same wherever the product-first form is finite.
+    return 4.0 * (total / product)
 
 
 def product_state(p1, q1):
@@ -123,11 +125,15 @@ def composite_generator(system):
     )
 
 
+def _balanced(w):
+    """Balanced components (V_A . w, V_B . w, V_C . w) of joint state w."""
+    w = multilinear._finite_vector(w, 4, "composite state")
+    return float(_V_A @ w), float(_V_B @ w), float(_V_C @ w)
+
+
 def subsystem_entropies(system, w):
     """Marginal entropies (S_A, S_B) at joint state w."""
-    w = multilinear._finite_vector(w, 4, "composite state")
-    d_a = float(_V_A @ w)
-    d_b = float(_V_B @ w)
+    d_a, d_b, _ = _balanced(w)
     return (
         -(system.a / 4.0) * d_a * d_a,
         -(system.c / 4.0) * d_b * d_b,
@@ -147,10 +153,7 @@ def composite_entropy(system, w):
     This expanded form is what the flow machinery differentiates; it
     agrees with the literal product expression on product states.
     """
-    w = multilinear._finite_vector(w, 4, "composite state")
-    d_a = float(_V_A @ w)
-    d_b = float(_V_B @ w)
-    d_c = float(_V_C @ w)
+    d_a, d_b, d_c = _balanced(w)
     return (
         -(system.a / 4.0) * d_a * d_a
         - (system.c / 4.0) * d_b * d_b
@@ -160,10 +163,7 @@ def composite_entropy(system, w):
 
 def entropy_gradient(system, w):
     """Gradient of the expanded composite entropy; sums to zero."""
-    w = multilinear._finite_vector(w, 4, "composite state")
-    d_a = float(_V_A @ w)
-    d_b = float(_V_B @ w)
-    d_c = float(_V_C @ w)
+    d_a, d_b, d_c = _balanced(w)
     return (
         -(system.a / 2.0) * d_a * _V_A
         - (system.c / 2.0) * d_b * _V_B

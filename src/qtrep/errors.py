@@ -6,6 +6,18 @@ results (non-converged fits, diverged integrations) derive from QtrepError
 directly and expose their payload as attributes.
 """
 
+__all__ = [
+    "QtrepError",
+    "InputError",
+    "SizeError",
+    "DegenerateChainError",
+    "DegenerateChannelError",
+    "GradientFormUnavailableError",
+    "FitNonConvergenceError",
+    "DivergenceError",
+    "InconclusiveError",
+]
+
 
 class QtrepError(Exception):
     """Base class for all package-specific errors."""

@@ -144,9 +144,7 @@ def embed_six(p):
 
 def extract_bloch(s):
     """Pair differences (p1-p2, p3-p4, p5-p6) of a six-variable state."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (6,):
-        raise InputError(f"six-variable state must have shape (6,), got {s.shape}")
+    s = _finite_vector(s, 6, "six-variable state")
     return s[0::2] - s[1::2]
 
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateChainError, InputError
+from .multilinear import _finite_vector
 
 __all__ = [
     "TransitionMatrix",
@@ -86,6 +87,10 @@ class ProbabilityState:
     def n(self):
         return self.p.size
 
+    def __array__(self, dtype=None, copy=None):
+        # Vector checks take a state wherever they take an array.
+        return np.array(self.p, dtype=dtype, copy=copy)
+
 
 @dataclasses.dataclass(frozen=True)
 class Spectrum:
@@ -107,15 +112,6 @@ def _as_transition_matrix(w):
     return TransitionMatrix(w)
 
 
-def _as_vector(p, n):
-    if isinstance(p, ProbabilityState):
-        p = p.p
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (n,):
-        raise InputError(f"state must have shape ({n},), got {arr.shape}")
-    return arr
-
-
 def build_generator(w):
     """Generator matrix L with L[i,k] = w[i,k] and zero column sums.
 
@@ -133,7 +129,7 @@ def build_generator(w):
 def pme_rhs(w, p):
     """Right-hand side dp/dt = L p of the master equation."""
     w = _as_transition_matrix(w)
-    return build_generator(w) @ _as_vector(p, w.n)
+    return build_generator(w) @ _finite_vector(p, w.n, "state")
 
 
 def stationary_state(w):
@@ -197,7 +193,7 @@ def classify_w(w):
 
 def bs_entropy(p):
     """Boltzmann-Shannon entropy -sum p ln p, with 0 ln 0 = 0."""
-    arr = np.asarray(p, dtype=float) if not isinstance(p, ProbabilityState) else p.p
+    arr = np.asarray(p, dtype=float)
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-9):
         raise InputError("entries must lie in [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)

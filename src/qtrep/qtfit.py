@@ -41,8 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FitNonConvergenceError, InputError
-from .multilinear import _check_subset, difference_basis, normalizer
-from .pme import _as_transition_matrix, _as_vector, build_generator
+from .multilinear import _check_subset, _finite_vector, difference_basis, normalizer
+from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
 
 __all__ = [
@@ -84,11 +84,11 @@ class QuadraticEntropy:
         return self.q.shape[0]
 
     def value(self, p):
-        p = _as_vector(p, self.n)
+        p = _finite_vector(p, self.n, "state")
         return 0.5 * float(p @ self.q @ p)
 
     def gradient(self, p):
-        return self.q @ _as_vector(p, self.n)
+        return self.q @ _finite_vector(p, self.n, "state")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,7 +201,7 @@ def _flow_operator(n, norm, r, subsets):
 
 def qt_rhs(rep, p):
     """Right-hand side of the represented flow at state p."""
-    return flow_matrix(rep) @ _as_vector(p, rep.n)
+    return flow_matrix(rep) @ _finite_vector(p, rep.n, "state")
 
 
 def flow_matrix(rep):

@@ -435,6 +435,9 @@ class TestBoundary:
              {"samples": 5, "ranges": [[1e308, 1.7e308], [0, 1], [0, 1], [1e308, 1.7e308],
                                        [1e308, 1.7e308], [0, 1]]},
              2, "error: cannot serialize non-finite value inf"),
+            ("composite", {"a": 1e308, "c": 1e-10}, 2,
+             "error: generator kernel has dimension 4, expected 1 (reducible or fully "
+             "disconnected chain)"),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capfd, command, cfg, code, message):

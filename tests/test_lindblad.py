@@ -175,6 +175,11 @@ class TestSixVariableForm:
         with pytest.raises(InputError, match="pair 1 must sum to 1"):
             lb.qt_six_rhs(a, b, s)
 
+    @pytest.mark.parametrize("s", [[np.nan, 1, 0.5, 0.5, 0.5, 0.5], np.full(5, 0.5)])
+    def test_extract_rejects_bad_state(self, s):
+        with pytest.raises(InputError, match="six-variable state"):
+            lb.extract_bloch(s)
+
 
 class TestGradientFormGate:
     def test_accepts_single_dissipator_no_field(self):

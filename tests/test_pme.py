@@ -91,6 +91,19 @@ class TestGenerator:
             pme.pme_rhs(w, p), pme.build_generator(w) @ p, atol=0
         )
 
+    @pytest.mark.parametrize(
+        "p", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5], [[0.2, 0.3, 0.5]], "abc"]
+    )
+    def test_rhs_rejects_bad_state(self, p):
+        with pytest.raises(InputError):
+            pme.pme_rhs(random_rates(3, seed=1), p)
+
+    def test_rhs_accepts_probability_state(self):
+        w = random_rates(3, seed=2)
+        ps = pme.ProbabilityState([0.2, 0.3, 0.5])
+        assert pme.pme_rhs(w, ps).tobytes() == pme.pme_rhs(w, ps.p).tobytes()
+        assert pme.bs_entropy(ps) == pme.bs_entropy(ps.p)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_rhs_conserves_probability(self, seed):

@@ -138,6 +138,23 @@ class TestFitRoundTrip:
                     qtfit.qt_rhs(rep, p), pme.pme_rhs(w, p), atol=1e-8
                 )
 
+    @pytest.mark.parametrize(
+        "p", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5], [[0.2, 0.3, 0.5]], "abc"]
+    )
+    def test_bad_state_rejected(self, p):
+        rep = qtfit.fit(random_chain(3, seed=4))
+        for evaluate in (lambda p: qtfit.qt_rhs(rep, p), rep.entropy.value,
+                         rep.entropy.gradient):
+            with pytest.raises(InputError):
+                evaluate(p)
+
+    def test_probability_state_accepted(self):
+        rep = qtfit.fit(random_chain(3, seed=4))
+        ps = pme.ProbabilityState([0.2, 0.3, 0.5])
+        assert qtfit.qt_rhs(rep, ps).tobytes() == qtfit.qt_rhs(rep, ps.p).tobytes()
+        assert rep.entropy.value(ps) == rep.entropy.value(ps.p)
+        assert rep.entropy.gradient(ps).tobytes() == rep.entropy.gradient(ps.p).tobytes()
+
     def test_flow_matrix_agrees_with_rhs(self):
         w = random_chain(4, seed=5)
         rep = qtfit.fit(w)

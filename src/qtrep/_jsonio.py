@@ -33,25 +33,21 @@ def format_float(value, precision=DEFAULT_PRECISION):
     return format(value, f".{precision}g")
 
 
-def _render(obj, precision, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _render(obj, precision, level):
+    pad = "  " * level
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(key))}: "
-            f"{_render(value, precision, indent, level + 1)}"
+            f"{inner}{json.dumps(str(key))}: {_render(value, precision, level + 1)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [
-            f"{inner}{_render(value, precision, indent, level + 1)}"
-            for value in obj
-        ]
+        parts = [f"{inner}{_render(value, precision, level + 1)}" for value in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -66,9 +62,9 @@ def _render(obj, precision, indent, level):
     raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, precision=DEFAULT_PRECISION, indent=2):
-    """Deterministic JSON text with fixed-precision floats."""
-    return _render(obj, precision, indent, 0) + "\n"
+def dumps(obj, precision=DEFAULT_PRECISION):
+    """Deterministic JSON text, indented by two spaces, with fixed-precision floats."""
+    return _render(obj, precision, 0) + "\n"
 
 
 def atomic_write_text(path, text):

@@ -5,7 +5,7 @@ entry in the _COMMANDS table (unknown keys are rejected), computes, and
 writes results atomically.  The same table builds each subcommand's
 --help text.  Outputs are byte-identical for identical configs and
 seeds.  Exit codes: 0 success, 2 invalid input, 3 fit residual above
-1e-8.
+1e-8 * max(1, max|L|), L the generator of the rates.
 """
 
 from __future__ import annotations
@@ -366,8 +366,8 @@ _COMMANDS = {
         "The fit is the closed-form Sylvester solve, for any N; it draws "
         "no random numbers, so seed has no effect.  Writes <out>.json "
         "with fields n, q, r, subsets, norm, residual.  Exit code 3 if the "
-        "flow residual is above 1e-8 (the representation is still "
-        "written).",
+        "flow residual is above 1e-8 * max(1, max|L|), L the generator "
+        "(the representation is still written).",
     ),
     "relax-classify": _Command(
         _cmd_relax_classify, "Classify the relaxation character of a three-state chain.",

@@ -52,10 +52,19 @@ class Trajectory:
 
 
 def _rk4_step(rhs, y, h):
+    """One RK4 step from a finite y, or the non-finite stage rhs rejected."""
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
+    stage = y + 0.5 * h * k1
+    try:
+        k2 = rhs(stage)
+        stage = y + 0.5 * h * k2
+        k3 = rhs(stage)
+        stage = y + h * k3
+        k4 = rhs(stage)
+    except InputError:
+        if np.all(np.isfinite(stage)):
+            raise
+        return stage
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -79,7 +88,8 @@ def integrate(rhs, y0, t_end, dt, entropy=None):
     InputError
         When t_end / dt exceeds MAX_STEPS, before the first step.
     DivergenceError
-        When a step produces a non-finite state; carries the step index.
+        When a step produces a non-finite state, or rhs raises InputError
+        on a non-finite stage of it; carries the step index.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise InputError(f"t_end must be positive and finite, got {t_end!r}")

@@ -44,7 +44,7 @@ class DegenerateChainError(InputError):
 
 
 class DegenerateChannelError(InputError):
-    """Dissipator with A = B = 0, no stationary direction defined."""
+    """Dissipator with A x B = 0 (A, B parallel or zero): no single stationary state."""
 
 
 class GradientFormUnavailableError(InputError):
@@ -60,10 +60,10 @@ class FitNonConvergenceError(QtrepError):
     residual : float, the residual of that representation
     """
 
-    def __init__(self, message, best, residual):
+    def __init__(self, message, best):
         super().__init__(message)
         self.best = best
-        self.residual = residual
+        self.residual = best.residual
 
 
 class DivergenceError(QtrepError):

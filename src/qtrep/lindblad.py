@@ -30,7 +30,7 @@ from .errors import (
     GradientFormUnavailableError,
     InputError,
 )
-from .multilinear import _finite_vector, six_slot_main_term
+from .multilinear import _finite_vector, check_six_state, six_slot_main_term
 
 __all__ = [
     "LindbladChannel",
@@ -98,13 +98,16 @@ def bloch_rhs(channel, p):
 
 
 def stationary_bloch(a, b):
-    """Stationary Bloch vector 2 (A x B) / (A**2 + B**2)."""
+    """Stationary Bloch vector 2 (A x B) / (A**2 + B**2), for A x B != 0."""
     a = _finite_vector(a, 3, "A")
     b = _finite_vector(b, 3, "B")
-    weight = float(a @ a + b @ b)
-    if weight == 0.0:
-        raise DegenerateChannelError("A = B = 0 has no stationary direction")
-    return 2.0 * np.cross(a, b) / weight
+    cross = np.cross(a, b)
+    # A x B != 0 needs some a_i b_j != 0, so the weight below is positive.
+    if not np.any(cross):
+        raise DegenerateChannelError(
+            "A x B = 0 (A and B parallel or zero): no unique stationary state"
+        )
+    return 2.0 * cross / float(a @ a + b @ b)
 
 
 def bloch_entropy(a, b, p):
@@ -155,10 +158,10 @@ def qt_six_rhs(a, b, s):
     the pair-difference variables.  Pairs move oppositely, so each pair
     sum is conserved and the extracted differences obey the gradient
     flow: extract_bloch(qt_six_rhs(a, b, embed_six(P))) equals
-    gradient_rhs(a, b, P).  six_slot_main_term validates s.
+    gradient_rhs(a, b, P).  s is validated once, by check_six_state.
     """
-    g3 = gradient_rhs(a, b, extract_bloch(s))
-    return six_slot_main_term(g3, s)
+    s = check_six_state(s)
+    return six_slot_main_term(gradient_rhs(a, b, s[0::2] - s[1::2]))
 
 
 def require_gradient_form(channel):

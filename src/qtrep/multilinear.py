@@ -232,6 +232,7 @@ def ham_term(g, subset, n):
 # indicators below and the entropy enters through its gradient over the
 # three pair differences.
 _H_SLOTS = ((0, 1), (2, 3), (4, 5))
+_SIX_NORM = 0.125  # on both epsilon factors; see six_slot_main_term
 
 
 def check_six_state(s):
@@ -244,34 +245,18 @@ def check_six_state(s):
     return s
 
 
-def six_slot_main_term(g3, p6, norm=0.125):
+def six_slot_main_term(g3):
     """Rank-6 double contraction driving three coupled two-level pairs.
 
-    Parameters
-    ----------
-    g3 : sequence of 3 floats
-        Gradient of the entropy with respect to the three pair
-        differences (p1-p2, p3-p4, p5-p6).
-    p6 : sequence of 6 floats
-        Six-variable state, validated by check_six_state; the
-        contraction itself depends on g3 alone.
-    norm : float
-        Normalization constant attached to both epsilon factors.  The
-        default 1/8 makes the pairwise differences of the output equal
-        g3 exactly, i.e. the contraction reproduces the gradient flow
-        in the difference variables.
-
-    Notes
-    -----
-    The entropy is a function of the pair differences with each pair
-    constrained to sum to one, so the per-slot gradient is twice the
-    difference gradient: dS/dp1 = -dS/dp2 = 2 * g3[0], and so on.  With
-    that convention the inner contraction reduces to four equal entries
-    per output slot, out_1 = 8 * norm**2 * (dS/dp1 - dS/dp2), and the
-    default norm = 1/8 yields d(p1 - p2)/dt = g3[0].
+    g3 is the entropy gradient over the three pair differences (p1-p2,
+    p3-p4, p5-p6); the contraction depends on it alone.  Each pair sums
+    to one, so the per-slot gradient is dS/dp1 = -dS/dp2 = 2 * g3[0],
+    and so on.  The inner contraction then reduces to four equal entries
+    per output slot, out_1 = 8 * norm**2 * (dS/dp1 - dS/dp2), with norm
+    on both epsilon factors.  norm is fixed at 1/8, which makes
+    d(p1 - p2)/dt = g3[0]: the gradient flow in the difference variables.
     """
     g3 = _finite_vector(g3, 3, "g3")
-    check_six_state(p6)
 
     # Per-slot entropy gradient under the pair constraints.
     gs = np.empty(6)
@@ -284,10 +269,10 @@ def six_slot_main_term(g3, p6, norm=0.125):
     for sign, p in perms:
         if p[3] in in1 and p[4] in in2 and p[5] in in3:
             inner[p[0], p[1]] += sign * gs[p[2]]
-    inner *= norm
+    inner *= _SIX_NORM
     out = np.zeros(6)
     for sign, p in perms:
         if p[1] in in1 and p[2] in in2 and p[3] in in3:
             out[p[0]] += sign * inner[p[4], p[5]]
-    out *= norm
+    out *= _SIX_NORM
     return out

@@ -192,10 +192,11 @@ def classify_w(w):
 
 
 def bs_entropy(p):
-    """Boltzmann-Shannon entropy -sum p ln p, with 0 ln 0 = 0."""
+    """Boltzmann-Shannon entropy -sum p ln p of a vector in [0, 1], 0 ln 0 = 0."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-9):
-        raise InputError("entries must lie in [0, 1]")
+    # NaN fails both comparisons, so the range test also checks finiteness.
+    if arr.ndim != 1 or arr.size == 0 or not ((arr >= -1e-12) & (arr <= 1.0 + 1e-9)).all():
+        raise InputError("p must be a non-empty vector with entries in [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     mask = arr > 0.0
     return float(-(arr[mask] * np.log(arr[mask])).sum())

@@ -56,8 +56,8 @@ __all__ = [
     "fit",
 ]
 
-# A fit whose flow residual lies above ACCEPT_TOL raises
-# FitNonConvergenceError (CLI exit code 3).
+# A flow residual above ACCEPT_TOL * max(1, max|L|) raises FitNonConvergenceError
+# (CLI exit 3); relative, so scaling the rates keeps roundoff a pass.
 ACCEPT_TOL = 1e-8
 
 
@@ -296,7 +296,7 @@ def _closed_form(gen):
     return r, q
 
 
-def _gauss_newton_step(gen, r, q, norm, subsets):
+def _gauss_newton_step(gen, r, q):
     """One linearised least-squares correction of (r, q).
 
     The flow mismatch (P + norm**2 sum_a r_a ham_a) q - L is bilinear in
@@ -305,6 +305,8 @@ def _gauss_newton_step(gen, r, q, norm, subsets):
     the r columns scale with norm**2.
     """
     n = gen.shape[0]
+    norm = normalizer(n)
+    subsets = ham_subsets(n)
     rows, cols = np.triu_indices(n)
     rows, cols = rows[:-1], cols[:-1]
     basis = np.zeros((rows.size, n, n))
@@ -349,9 +351,9 @@ def fit(w):
         If the rates are so close to the float limit that the solve
         overflows.
     FitNonConvergenceError
-        If the flow residual lies above ACCEPT_TOL = 1e-8, as it does
-        when roundoff on very stiff rates exceeds it.  The error carries
-        the representation found.
+        If the flow residual lies above ACCEPT_TOL * max(1, max|L|),
+        ACCEPT_TOL = 1e-8, L the generator.  The error carries the
+        representation found, with its absolute residual.
 
     Notes
     -----
@@ -374,7 +376,7 @@ def fit(w):
         try:
             with np.errstate(over="raise"):
                 r, q = _closed_form(gen)
-                r, q = _gauss_newton_step(gen, r, q, norm, subsets)
+                r, q = _gauss_newton_step(gen, r, q)
         except FloatingPointError as exc:
             raise InputError(f"rate matrix too large to fit: {exc}") from exc
         rep = QTRepresentation(
@@ -383,8 +385,10 @@ def fit(w):
         )
     resid = _residual_metric(flow_matrix(rep) - gen, n)
     rep = dataclasses.replace(rep, residual=resid)
-    if not resid <= ACCEPT_TOL:
+    tol = ACCEPT_TOL * max(1.0, float(np.max(np.abs(gen))))
+    if not resid <= tol:
         raise FitNonConvergenceError(
-            f"fit residual {resid:.3e} above {ACCEPT_TOL:.0e}", rep, resid
+            f"fit residual {resid:.3e} above {tol:.3e} = {ACCEPT_TOL:.0e} * max(1, max|L|)",
+            rep,
         )
     return rep

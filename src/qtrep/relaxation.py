@@ -227,7 +227,7 @@ class ScanResult:
     def oscillatory_fraction(self):
         return float(1.0 - self.monotonic.mean())
 
-    def omega_bins(self, bins=10):
+    def omega_bins(self, bins):
         """Oscillatory fraction binned over |omega|.
 
         Returns a list of dicts with the bin edges, the sample count and

@@ -2,11 +2,12 @@
 
 For every subcommand a draw keeps or drops each key of its table entry,
 gives each kept key a valid value or a broken one (wrong type or shape,
-NaN/Infinity tokens, +-1e+-300, 0, negative values, scaled or truncated
-copies of the valid value) and may add unknown keys.  Whatever the
-config, the run must end with exit 0, 2 or 3; any non-zero exit prints
-exactly one ``error:`` line and nothing else on stderr, numpy raises no
-warning, and exit 2 leaves no output file.
+NaN/Infinity tokens, +-1e+-300, 0, negative values, the large integers
+2**31, 2**63 and 10**400, scaled or truncated copies of the valid value)
+and may add unknown keys.  Whatever the config, the run must end within
+MAX_SECONDS with exit 0, 2 or 3; any non-zero exit prints exactly one
+``error:`` line and nothing else on stderr, numpy raises no warning, and
+exit 2 leaves no output file.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import io
 import json
 import os
 import tempfile
+import time
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings
@@ -38,9 +40,12 @@ VALID = {
 VALID_COMMON = {"seed": 3, "precision": 9}
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 1e-300,
-           -1e-300, 0, 0.0, -1, -2.5, 1e308]
+           -1e-300, 0, 0.0, -1, -2.5, 1e308, 2**31, 2**63, 10**400]
 WRONG = [None, True, "x", [], {}, [1.0, 2.0], [[1.0]], [[1.0, 2.0], [3.0]], {"h": 1}]
 UNKNOWN = ["typo", "Out", "seeds", "dt_max"]
+# Wall-time bound per config.  Valid runs take milliseconds; the step,
+# sample and bin budgets must stop any config long before this.
+MAX_SECONDS = 10.0
 
 
 def _is_number(value):
@@ -130,7 +135,9 @@ def run_config(name, cfg):
 
 
 def check_contract(name, cfg):
+    start = time.perf_counter()
     code, _, err, files = run_config(name, cfg)
+    assert time.perf_counter() - start < MAX_SECONDS
     assert code in (0, 2, 3)
     if code != 0:
         lines = err.splitlines()

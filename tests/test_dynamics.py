@@ -81,6 +81,26 @@ class TestIntegrate:
             dynamics.integrate(lambda y: y * y, np.array([1.0]), 2.0, 0.01)
         assert err.value.step > 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejected_overflowed_stage_is_divergence(self):
+        # bloch_rhs rejects a non-finite P; an RK4 stage overflows before
+        # the state does, and that is a divergence, not bad input.
+        channel = lindblad.LindbladChannel(
+            h=np.zeros(3), dissipators=(([30.0, 0, 0], [0, 30.0, 0]),))
+        rhs = lambda y: lindblad.bloch_rhs(channel, y)
+        with pytest.raises(DivergenceError, match=r"step 30 \(t = 15.0\)") as err:
+            dynamics.integrate(rhs, np.array([0.3, -0.2, 0.1]), 50.0, 0.5)
+        assert err.value.step == 30
+
+    def test_input_error_on_finite_stage_propagates(self):
+        def rhs(y):
+            if y[0] < 0.5:
+                raise InputError("y below 0.5")
+            return -y
+
+        with pytest.raises(InputError, match="y below 0.5"):
+            dynamics.integrate(rhs, np.array([1.0]), 2.0, 0.1)
+
     def test_step_budget(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
         calls = []

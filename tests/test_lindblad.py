@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtrep import lindblad as lb
+from qtrep import multilinear as ml
 from qtrep.errors import (
     DegenerateChannelError,
     GradientFormUnavailableError,
@@ -106,6 +107,27 @@ class TestStationary:
         with pytest.raises(DegenerateChannelError):
             lb.stationary_bloch(np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("a, b", [
+        ([1, 0, 0], [2, 0, 0]),
+        ([0.3, -0.4, 1.2], [-0.6, 0.8, -2.4]),
+        ([0, 0, 0], [0, 1, 0]),
+        ([1, 0, 0], [0, 0, 0]),
+    ])
+    def test_parallel_or_zero_pair_rejected(self, a, b):
+        with pytest.raises(DegenerateChannelError, match="A x B = 0"):
+            lb.stationary_bloch(np.array(a, dtype=float), np.array(b, dtype=float))
+
+    def test_parallel_pair_has_no_single_stationary_state(self):
+        # The component along A is conserved: every point of that line is
+        # stationary, so no formula can name one P_st.
+        ch = lb.LindbladChannel(h=np.zeros(3), dissipators=(([1.0, 0, 0], [2.0, 0, 0]),))
+        for x in (-0.5, 0.0, 0.5):
+            np.testing.assert_array_equal(lb.bloch_rhs(ch, np.array([x, 0, 0])), 0.0)
+
+    def test_tiny_cross_product_accepted(self):
+        a, b = np.array([1.0, 0, 0]), np.array([1.0, 1e-300, 0])
+        np.testing.assert_array_equal(lb.stationary_bloch(a, b), [0.0, 0.0, 1e-300])
+
 
 class TestGradientIdentity:
     def test_single_dissipator_flow_is_gradient(self):
@@ -174,6 +196,23 @@ class TestSixVariableForm:
         a, b = unit_pair(80)
         with pytest.raises(InputError, match="pair 1 must sum to 1"):
             lb.qt_six_rhs(a, b, s)
+        s = lb.embed_six(np.zeros(3))
+        s[0] += 1e-6
+        with pytest.raises(InputError, match="pair 0 must sum to 1"):
+            lb.qt_six_rhs(a, b, s)
+
+    @pytest.mark.parametrize("s", [[np.nan, 1, 0.5, 0.5, 0.5, 0.5], np.full(5, 0.5),
+                                   np.full(7, 0.5)])
+    def test_qt_six_rhs_rejects_bad_state(self, s):
+        a, b = unit_pair(81)
+        with pytest.raises(InputError, match="six-variable state"):
+            lb.qt_six_rhs(a, b, s)
+
+    def test_qt_six_rhs_is_kernel_at_gradient(self):
+        a, b = unit_pair(82)
+        s = lb.embed_six(np.array([0.1, -0.4, 0.3]))
+        g3 = lb.gradient_rhs(a, b, lb.extract_bloch(s))
+        assert lb.qt_six_rhs(a, b, s).tobytes() == ml.six_slot_main_term(g3).tobytes()
 
     @pytest.mark.parametrize("s", [[np.nan, 1, 0.5, 0.5, 0.5, 0.5], np.full(5, 0.5)])
     def test_extract_rejects_bad_state(self, s):

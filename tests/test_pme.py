@@ -208,6 +208,17 @@ class TestBsEntropy:
         with pytest.raises(InputError):
             pme.bs_entropy([1.5, -0.5])
 
+    @pytest.mark.parametrize(
+        "p", [[np.nan, 0.5, 0.5], [np.inf, 0.0], [0.5, -np.inf]])
+    def test_non_finite_rejected(self, p):
+        with pytest.raises(InputError, match=r"entries in \[0, 1\]"):
+            pme.bs_entropy(p)
+
+    @pytest.mark.parametrize("p", [[], [[0.5, 0.5], [0.5, 0.5]], 0.5])
+    def test_non_vector_rejected(self, p):
+        with pytest.raises(InputError, match="non-empty vector"):
+            pme.bs_entropy(p)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_bounds(self, seed):

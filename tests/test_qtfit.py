@@ -215,12 +215,40 @@ class TestFitRoundTrip:
         # The Sylvester operator overflows: out of range, not a misfit.
         with pytest.raises(InputError, match="rate matrix too large to fit: overflow"):
             qtfit.fit([[0, 3, 5], [1, 0, 1e308], [2, 4, 0]])
-        # Rates of 1e300 solve, and their roundoff tops the absolute tolerance.
+        # Rates of 1e300 solve; their roundoff tops 1e-8 in absolute terms
+        # but not relative to max|L| = 2e300.
         w = np.full((3, 3), 1e300)
         np.fill_diagonal(w, 0.0)
-        with pytest.raises(FitNonConvergenceError) as err:
+        rep = qtfit.fit(w)
+        assert math.isfinite(rep.residual)
+        assert qtfit.ACCEPT_TOL < rep.residual <= qtfit.ACCEPT_TOL * 2e300
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e300])
+    def test_tolerance_is_relative_to_the_generator(self, scale):
+        # Scaling every rate scales the flow: the fit stays accepted and
+        # its residual, the absolute mismatch, scales along.
+        w = random_chain(4, seed=60).w * scale
+        rep = qtfit.fit(w)
+        gen_max = float(np.max(np.abs(pme.build_generator(w))))
+        assert rep.residual <= qtfit.ACCEPT_TOL * max(1.0, gen_max)
+        assert rep.residual <= 1e-13 * gen_max
+
+    def test_misfit_raises_with_the_representation(self, monkeypatch):
+        # Shift the corrected coefficient by one: a real misfit, not roundoff.
+        step = qtfit._gauss_newton_step
+
+        def shifted_step(gen, r, q):
+            r, q = step(gen, r, q)
+            return r + 1.0, q
+
+        monkeypatch.setattr(qtfit, "_gauss_newton_step", shifted_step)
+        w = random_chain(3, seed=61)
+        tol = qtfit.ACCEPT_TOL * float(np.max(np.abs(pme.build_generator(w))))
+        with pytest.raises(FitNonConvergenceError,
+                           match=rf"above {tol:.3e} = 1e-08 \* max\(1, max\|L\|\)$") as err:
             qtfit.fit(w)
-        assert math.isfinite(err.value.residual)
+        assert err.value.residual == err.value.best.residual > 1e-2
+        assert err.value.best.n == 3
 
     def test_entropy_production_nonnegative(self):
         # main term produces sum of squares, ham terms conserve entropy

@@ -164,6 +164,15 @@ class TestSixSlotMainTerm:
         out = ml.six_slot_main_term(g3)
         np.testing.assert_allclose(out[0::2] + out[1::2], 0.0, atol=1e-12)
 
+    def test_bad_pair_sum_rejected(self):
+        # the six-slot state is checked by check_six_state, once, before the
+        # kernel is formed from its gradient
+        p6 = np.full(6, 0.5)
+        ml.check_six_state(p6)
+        p6[0] += 1e-6
+        with pytest.raises(InputError, match="pair 0 must sum to 1"):
+            ml.check_six_state(p6)
+
     def test_bad_shapes_rejected(self):
         for g3 in (np.zeros(2), np.zeros(4), [0.0, np.nan, 0.0]):
             with pytest.raises(InputError, match="g3"):

@@ -270,9 +270,7 @@ def _cmd_lindblad(cfg):
     if not channel.dissipators:
         _fail("channel needs at least one dissipator")
     with np.errstate(over="ignore"):
-        rate_scale = float(np.linalg.norm(channel.h)) + sum(
-            float(a @ a + b @ b) for a, b in channel.dissipators
-        )
+        rate_scale = float(np.linalg.norm(channel.h)) + sum(channel.weights)
     if not math.isfinite(rate_scale):
         _fail("channel rate scale |h| + sum(A**2 + B**2) is not finite")
     dt = _default_dt(cfg["dt"], rate_scale, "rate scale")
@@ -280,9 +278,8 @@ def _cmd_lindblad(cfg):
     entropy = None
     report = {"dt": dt}
     if cfg["gradient_check"]:
-        a, b = lindblad.require_gradient_form(channel)
-        entropy = lambda y: lindblad.bloch_entropy(a, b, y)
-        p_st = lindblad.stationary_bloch(a, b)
+        p_st = lindblad.stationary_bloch(channel)
+        entropy = lambda y: lindblad.bloch_entropy(channel, y)
         rng = np.random.default_rng(cfg["seed"])
         grad_resid = 0.0
         six_resid = 0.0
@@ -293,10 +290,10 @@ def _cmd_lindblad(cfg):
                 continue
             sample = direction / norm * rng.uniform(0.0, 1.0)
             flow = lindblad.bloch_rhs(channel, sample)
-            grad = lindblad.gradient_rhs(a, b, sample)
+            grad = lindblad.gradient_rhs(channel, sample)
             grad_resid = max(grad_resid, float(np.max(np.abs(flow - grad))))
             six = lindblad.extract_bloch(
-                lindblad.qt_six_rhs(a, b, lindblad.embed_six(sample))
+                lindblad.qt_six_rhs(channel, lindblad.embed_six(sample))
             )
             six_resid = max(six_resid, float(np.max(np.abs(six - grad))))
         report.update(
@@ -336,7 +333,7 @@ def _cmd_composite(cfg):
         "k": k,
         "lambda": system.lam,
         "q": q_value,
-        "tsallis_coupling": (1.0 - q_value) / k,
+        "tsallis_coupling": -(a + c) / 4.0,
         "gradient_residual": residual,
         "stationary": [float(v) for v in stationary.p],
     }

@@ -47,24 +47,34 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class LindbladChannel:
-    """Field vector plus a tuple of (A, B) dissipator pairs."""
+    """Field vector plus a tuple of (A, B) dissipator pairs.
+
+    Each pair is validated once, here, which also derives its read-only
+    source 2 (A x B) and its weight |A|**2 + |B|**2.
+    """
 
     h: np.ndarray
     dissipators: tuple
+    sources: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    weights: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = _finite_vector(self.h, 3, "h")
-        h.setflags(write=False)
+        try:
+            entries = tuple(enumerate(self.dissipators))
+        except TypeError as exc:
+            raise InputError("dissipators must be a sequence of (A, B) pairs") from exc
+        pairs = tuple(_checked_pair(idx, pair) for idx, pair in entries)
+        # An overflow is left to the caller's rate-scale check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sources = tuple(2.0 * np.cross(a, b) for a, b in pairs)
+            weights = tuple(float(a @ a + b @ b) for a, b in pairs)
+        for vec in (h, *sum(pairs, ()), *sources):
+            vec.setflags(write=False)
         object.__setattr__(self, "h", h)
-        pairs = []
-        for idx, pair in enumerate(self.dissipators):
-            a, b = pair
-            a = _finite_vector(a, 3, f"A[{idx}]")
-            b = _finite_vector(b, 3, f"B[{idx}]")
-            a.setflags(write=False)
-            b.setflags(write=False)
-            pairs.append((a, b))
-        object.__setattr__(self, "dissipators", tuple(pairs))
+        object.__setattr__(self, "dissipators", pairs)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_dict(cls, data):
@@ -86,54 +96,56 @@ class LindbladChannel:
         return cls(h=h, dissipators=tuple(dissipators))
 
 
+def _checked_pair(idx, pair):
+    """Dissipator idx as a pair of finite 3-vectors (A, B)."""
+    try:
+        # A dict entry would unpack into its keys.
+        a, b = () if isinstance(pair, dict) else pair
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"dissipator {idx} must be an (A, B) pair") from exc
+    return _finite_vector(a, 3, f"A[{idx}]"), _finite_vector(b, 3, f"B[{idx}]")
+
+
 def bloch_rhs(channel, p):
     """dP/dt for the full channel at Bloch vector p."""
     p = _finite_vector(p, 3, "P")
     out = np.cross(channel.h, p)
-    for a, b in channel.dissipators:
-        out += 2.0 * np.cross(a, b)
+    for (a, b), source in zip(channel.dissipators, channel.sources):
+        out += source
         out -= np.cross(a, np.cross(p, a))
         out -= np.cross(b, np.cross(p, b))
     return out
 
 
-def stationary_bloch(a, b):
+def stationary_bloch(channel):
     """Stationary Bloch vector 2 (A x B) / (A**2 + B**2), for A x B != 0."""
-    a = _finite_vector(a, 3, "A")
-    b = _finite_vector(b, 3, "B")
-    cross = np.cross(a, b)
+    require_gradient_form(channel)
+    source = channel.sources[0]
     # A x B != 0 needs some a_i b_j != 0, so the weight below is positive.
-    if not np.any(cross):
+    if not np.any(source):
         raise DegenerateChannelError(
             "A x B = 0 (A and B parallel or zero): no unique stationary state"
         )
-    return 2.0 * cross / float(a @ a + b @ b)
+    return source / channel.weights[0]
 
 
-def bloch_entropy(a, b, p):
+def bloch_entropy(channel, p):
     """Entropy whose gradient flow is the single-dissipator channel."""
-    a = _finite_vector(a, 3, "A")
-    b = _finite_vector(b, 3, "B")
+    a, b = require_gradient_form(channel)
     p = _finite_vector(p, 3, "P")
     return float(
-        2.0 * np.cross(a, b) @ p
-        - (p @ p) * (a @ a + b @ b) / 2.0
+        channel.sources[0] @ p
+        - (p @ p) * channel.weights[0] / 2.0
         + (a @ p) ** 2 / 2.0
         + (b @ p) ** 2 / 2.0
     )
 
 
-def gradient_rhs(a, b, p):
+def gradient_rhs(channel, p):
     """Analytic gradient of bloch_entropy with respect to P."""
-    a = _finite_vector(a, 3, "A")
-    b = _finite_vector(b, 3, "B")
+    a, b = require_gradient_form(channel)
     p = _finite_vector(p, 3, "P")
-    return (
-        2.0 * np.cross(a, b)
-        - p * (a @ a + b @ b)
-        + a * (a @ p)
-        + b * (b @ p)
-    )
+    return channel.sources[0] - p * channel.weights[0] + a * (a @ p) + b * (b @ p)
 
 
 def embed_six(p):
@@ -151,17 +163,17 @@ def extract_bloch(s):
     return s[0::2] - s[1::2]
 
 
-def qt_six_rhs(a, b, s):
+def qt_six_rhs(channel, s):
     """Six-variable flow of the single-dissipator channel.
 
     Evaluates the rank-6 contraction at the entropy gradient taken in
     the pair-difference variables.  Pairs move oppositely, so each pair
     sum is conserved and the extracted differences obey the gradient
-    flow: extract_bloch(qt_six_rhs(a, b, embed_six(P))) equals
-    gradient_rhs(a, b, P).  s is validated once, by check_six_state.
+    flow: extract_bloch(qt_six_rhs(channel, embed_six(P))) equals
+    gradient_rhs(channel, P).  s is validated once, by check_six_state.
     """
     s = check_six_state(s)
-    return six_slot_main_term(gradient_rhs(a, b, s[0::2] - s[1::2]))
+    return six_slot_main_term(gradient_rhs(channel, s[0::2] - s[1::2]))
 
 
 def require_gradient_form(channel):

@@ -137,7 +137,9 @@ def stationary_state(w):
 
     The kernel of L is taken from the SVD with relative threshold 1e-10.
     A kernel dimension other than one, or kernel entries below -1e-10,
-    raise DegenerateChainError with the detected dimension.
+    raise DegenerateChainError with the detected dimension.  A dimension
+    above one means a reducible chain, or an irreducible one whose rates
+    span so many decades that the threshold cannot tell them from zero.
     """
     w = _as_transition_matrix(w)
     gen = build_generator(w)
@@ -146,8 +148,9 @@ def stationary_state(w):
     kernel_dim = int(np.sum(svals <= _KERNEL_RTOL * scale))
     if kernel_dim != 1:
         raise DegenerateChainError(
-            f"generator kernel has dimension {kernel_dim}, expected 1 "
-            "(reducible or fully disconnected chain)",
+            f"generator kernel has dimension {kernel_dim} at relative SVD threshold "
+            f"{_KERNEL_RTOL:g}, expected 1 (reducible chain, or rates too far apart "
+            "to resolve)",
             kernel_dim,
         )
     vec = vt[-1]

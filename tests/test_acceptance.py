@@ -173,7 +173,7 @@ def test_criterion_07_lindblad_gradient_identity():
         b = rng.standard_normal(3)
         p = ball_point(rng)
         ch = lb.LindbladChannel(h=np.zeros(3), dissipators=((a, b),))
-        grad = lb.gradient_rhs(a, b, p)
+        grad = lb.gradient_rhs(ch, p)
         worst_flow = max(worst_flow,
                          float(np.max(np.abs(lb.bloch_rhs(ch, p) - grad))))
         step = 1e-5
@@ -181,7 +181,7 @@ def test_criterion_07_lindblad_gradient_identity():
             up, dn = p.copy(), p.copy()
             up[i] += step
             dn[i] -= step
-            fd = (lb.bloch_entropy(a, b, up) - lb.bloch_entropy(a, b, dn)) / (2 * step)
+            fd = (lb.bloch_entropy(ch, up) - lb.bloch_entropy(ch, dn)) / (2 * step)
             worst_fd = max(worst_fd, abs(fd - grad[i]))
 
     worst_pure = 0.0
@@ -189,8 +189,9 @@ def test_criterion_07_lindblad_gradient_identity():
         a = rng.standard_normal(3)
         b = np.cross(a, rng.standard_normal(3))
         b *= np.linalg.norm(a) / np.linalg.norm(b)
+        ch = lb.LindbladChannel(h=np.zeros(3), dissipators=((a, b),))
         worst_pure = max(worst_pure,
-                         abs(np.linalg.norm(lb.stationary_bloch(a, b)) - 1.0))
+                         abs(np.linalg.norm(lb.stationary_bloch(ch)) - 1.0))
 
     ok = worst_flow < 1e-12 and worst_fd < 1e-6 and worst_pure < 1e-12
     report(7, "dissipator flow is the entropy gradient", ok,
@@ -205,8 +206,9 @@ def test_criterion_08_six_variable_embedding():
         a = rng.standard_normal(3)
         b = rng.standard_normal(3)
         p = ball_point(rng)
-        grad = lb.gradient_rhs(a, b, p)
-        six = lb.qt_six_rhs(a, b, lb.embed_six(p))
+        ch = lb.LindbladChannel(h=np.zeros(3), dissipators=((a, b),))
+        grad = lb.gradient_rhs(ch, p)
+        six = lb.qt_six_rhs(ch, lb.embed_six(p))
         worst = max(worst, float(np.max(np.abs(lb.extract_bloch(six) - grad))))
     report(8, "six-variable contraction equals gradient flow (tol 1e-10)",
            worst < 1e-10, f"max err {worst:.2e} over 100 inputs")
@@ -272,13 +274,14 @@ def test_criterion_10_conservation_and_entropy_production():
         gen = np.random.default_rng(seed)
         a = gen.standard_normal(3)
         b = gen.standard_normal(3)
+        ch = lb.LindbladChannel(h=np.zeros(3), dissipators=((a, b),))
         y0 = lb.embed_six(ball_point(gen, radius=0.8))
         runs.append((
             f"six-variable channel {seed}",
             dynamics.integrate(
-                lambda y, a=a, b=b: lb.qt_six_rhs(a, b, y),
+                lambda y, ch=ch: lb.qt_six_rhs(ch, y),
                 y0, 4.0, 2e-3,
-                entropy=lambda y, a=a, b=b: lb.bloch_entropy(a, b, lb.extract_bloch(y)),
+                entropy=lambda y, ch=ch: lb.bloch_entropy(ch, lb.extract_bloch(y)),
             ),
             4.0,
         ))

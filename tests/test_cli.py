@@ -351,6 +351,17 @@ class TestComposite:
         cfg = write_config(tmp_path / "c.json", {"a": -1.0, "c": 2.0})
         assert run(["composite", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("a, c, k, expected", [
+        (1.0, 1.0, 1e-300, -0.5),  # (1 - q) / k read 0: q rounds to 1
+        (1.0, 1.0, 1e-10, -0.5),  # (1 - q) / k read -0.5000000413701855
+        (1e-12, 3e-12, 1.0, -1e-12),  # (1 - q) / k read -1.000088900582341e-12
+        (0.37, 2.9, 1.0, -0.8175),  # (1 - q) / k read -0.8174999999999999
+    ])
+    def test_tsallis_coupling_exact(self, tmp_path, capsys, a, c, k, expected):
+        cfg = write_config(tmp_path / "c.json", {"a": a, "c": c, "k": k})
+        assert run(["composite", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["tsallis_coupling"] == expected
+
 
 class TestOutPath:
     def test_missing_directory_relax_scan(self, tmp_path, capsys):
@@ -459,8 +470,8 @@ class TestBoundary:
                                        [1e308, 1.7e308], [0, 1]]},
              2, "error: cannot serialize non-finite value inf"),
             ("composite", {"a": 1e308, "c": 1e-10}, 2,
-             "error: generator kernel has dimension 4, expected 1 (reducible or fully "
-             "disconnected chain)"),
+             "error: generator kernel has dimension 4 at relative SVD threshold 1e-10, "
+             "expected 1 (reducible chain, or rates too far apart to resolve)"),
             ("lindblad",
              {"channel": {"dissipators": [{"A": [1, 0, 0], "B": [2, 0, 0]}]},
               "P0": [0.3, -0.2, 0.1], "t_end": 1.0},

@@ -172,7 +172,7 @@ def lindblad_case():
         np.array([0.3, -0.2, 0.1]),
         0.77,
         0.01,
-        lambda y: lindblad.bloch_entropy(a, b, y),
+        lambda y: lindblad.bloch_entropy(channel, y),
     )
 
 

@@ -142,6 +142,20 @@ class TestStationaryState:
         with pytest.raises(DegenerateChainError):
             pme.stationary_state(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("w", [
+        # reducible: two closed classes {0, 1} and {2}
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        # irreducible, every rate positive, but 1e-12 is below the threshold
+        [[0.0, 1.0, 1e-12], [1.0, 0.0, 1e-12], [1e-12, 1e-12, 0.0]],
+    ], ids=["reducible", "stiff-irreducible"])
+    def test_kernel_message_names_both_causes(self, w):
+        with pytest.raises(DegenerateChainError, match=(
+            r"dimension 2 at relative SVD threshold 1e-10, expected 1 "
+            r"\(reducible chain, or rates too far apart to resolve\)"
+        )) as err:
+            pme.stationary_state(w)
+        assert err.value.kernel_dim == 2
+
 
 class TestSpectrum:
     def test_all_to_all_three_state(self):

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import _jsonio, composite, dynamics, lindblad, pme, qtfit, relaxation
-from .errors import FitNonConvergenceError, InputError, QtrepError
+from .errors import FitNonConvergenceError, InputError, QtrepError, _finite_array
 
 # No double has more significant digits; higher precisions add nothing.
 MAX_PRECISION = 767
@@ -78,25 +78,12 @@ def _out(key, value):
     return value
 
 
-def _array(ndim, length=None):
-    kind = "matrix" if ndim == 2 else "vector"
-
-    def read(key, value):
-        try:
-            arr = np.array(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            _fail(f"{key} must be a numeric {kind}")
-        if arr.ndim != ndim:
-            _fail(f"{key} must be a {kind}, got array of dimension {arr.ndim}")
-        if length is not None and arr.size != length:
-            _fail(f"{key} must have length {length}, got {arr.size}")
-        return arr
-
-    return read
+def _finite(*shape):
+    return lambda key, value: _finite_array(value, key, shape)
 
 
 def _bloch_vector(key, value):
-    arr = _array(1, 3)(key, value)
+    arr = _finite_array(value, key, (3,))
     norm = math.hypot(*arr)  # no overflow, unlike the sum of squares
     if norm > 1.0 + BLOCH_TOL:
         _fail(f"{key} must lie in the Bloch ball, got |{key}| = {norm!r}")
@@ -348,8 +335,8 @@ _COMMANDS = {
     "pme-solve": _Command(
         _cmd_pme_solve, "Integrate a master equation and report its stationary state.",
         {
-            "W": (_array(2), _REQUIRED, "NxN rate matrix"),
-            "p0": (_array(1), _REQUIRED, "length-N probabilities"),
+            "W": (_finite(None, None), _REQUIRED, "NxN rate matrix"),
+            "p0": (_finite(None), _REQUIRED, "length-N probabilities"),
             "t_end": (_positive, _REQUIRED, "number"),
             "dt": (_positive, None, "number (default 1e-3 / max rate)"),
             "stride": _STRIDE,
@@ -359,7 +346,7 @@ _COMMANDS = {
     ),
     "qt-fit": _Command(
         _cmd_qt_fit, "Fit a quadratic-entropy representation to a rate matrix.",
-        {"W": (_array(2), _REQUIRED, "NxN rate matrix"), "out": _OUT},
+        {"W": (_finite(None, None), _REQUIRED, "NxN rate matrix"), "out": _OUT},
         "The fit is the closed-form Sylvester solve, for any N; it draws "
         "no random numbers, so seed has no effect.  Writes <out>.json "
         "with fields n, q, r, subsets, norm, residual.  Exit code 3 if the "
@@ -368,7 +355,7 @@ _COMMANDS = {
     ),
     "relax-classify": _Command(
         _cmd_relax_classify, "Classify the relaxation character of a three-state chain.",
-        {"rates": (_array(1, 6), _REQUIRED, "[a, b, c, d, e, f]"), "out": _OPTIONAL_OUT},
+        {"rates": (_finite(6), _REQUIRED, "[a, b, c, d, e, f]"), "out": _OPTIONAL_OUT},
     ),
     "relax-scan": _Command(
         _cmd_relax_scan, "Sample rate space and classify each sample.",

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import multilinear
-from .errors import InputError
+from .errors import InputError, _finite_array
 
 __all__ = [
     "CompositeSystem",
@@ -58,18 +58,11 @@ class CompositeSystem:
     boltzmann_k: float = 1.0
 
     def __post_init__(self):
-        for name in ("a", "c"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise InputError(f"rate {name} must be finite and > 0, got {value!r}")
+        for name in ("a", "c", "lam", "boltzmann_k"):
+            value = float(_finite_array(getattr(self, name), name, ()))
+            if value <= 0.0 and name != "lam":
+                raise InputError(f"{name} must be > 0, got {value!r}")
             object.__setattr__(self, name, value)
-        for name in ("lam", "boltzmann_k"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.boltzmann_k <= 0.0:
-            raise InputError(f"boltzmann_k must be > 0, got {self.boltzmann_k!r}")
         if not math.isfinite(q_parameter(self)):
             raise InputError(
                 f"k={self.boltzmann_k!r} with a={self.a!r} and c={self.c!r} "
@@ -83,8 +76,8 @@ class CompositeSystem:
 
 def lambda_star(a, c):
     """Coupling 4 (a + c)/(a c) that makes the joint flow a gradient."""
-    a = float(a)
-    c = float(c)
+    a = float(_finite_array(a, "a", ()))
+    c = float(_finite_array(c, "c", ()))
     total = a + c
     product = a * c
     # Finite rates near the float limits still overflow the sum or the
@@ -101,8 +94,8 @@ def lambda_star(a, c):
 
 def product_state(p1, q1):
     """Product state (p1 q1, p1 q2, p2 q1, p2 q2) from marginals."""
-    p1 = float(p1)
-    q1 = float(q1)
+    p1 = float(_finite_array(p1, "p1", ()))
+    q1 = float(_finite_array(q1, "q1", ()))
     for value in (p1, q1):
         if value < -1e-12 or value > 1.0 + 1e-12:
             raise InputError(f"marginal probability {value!r} outside [0, 1]")
@@ -127,7 +120,7 @@ def composite_generator(system):
 
 def _balanced(w):
     """Balanced components (V_A . w, V_B . w, V_C . w) of joint state w."""
-    w = multilinear._finite_vector(w, 4, "composite state")
+    w = _finite_array(w, "composite state", (4,))
     return float(_V_A @ w), float(_V_B @ w), float(_V_C @ w)
 
 

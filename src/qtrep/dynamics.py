@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, InconclusiveError, InputError
+from .errors import DivergenceError, InconclusiveError, InputError, _finite_array
 
 __all__ = ["Trajectory", "integrate", "monotonicity_witness"]
 
@@ -31,7 +31,7 @@ WITNESS_CONVERGENCE = 1e-6
 MAX_STEPS = 10**6
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded states and monitors of one integration run.
 
@@ -95,11 +95,9 @@ def integrate(rhs, y0, t_end, dt, entropy=None):
         raise InputError(f"t_end must be positive and finite, got {t_end!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InputError(f"dt must be positive and finite, got {dt!r}")
-    y = np.array(y0, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise InputError(f"y0 must be a non-empty vector, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise InputError("y0 has non-finite entries")
+    y = _finite_array(y0, "y0", (None,))
+    if y.size == 0:
+        raise InputError("y0 must be a non-empty vector")
 
     if t_end / dt > MAX_STEPS:
         raise InputError(
@@ -154,12 +152,7 @@ def monotonicity_witness(trajectory, stationary):
     have converged (final distance below 1e-6 in every component);
     otherwise raises InconclusiveError.
     """
-    st = np.asarray(stationary, dtype=float)
-    if st.shape != trajectory.states.shape[1:]:
-        raise InputError(
-            f"stationary shape {st.shape} does not match states "
-            f"{trajectory.states.shape[1:]}"
-        )
+    st = _finite_array(stationary, "stationary", trajectory.states.shape[1:])
     dist = np.abs(trajectory.states - st)
     final_gap = float(dist[-1].max())
     if final_gap >= WITNESS_CONVERGENCE:

@@ -1,10 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one array converter.
 
 Everything raised on bad user input derives from InputError (a ValueError),
-so callers can catch one type at API boundaries.  Errors that carry partial
-results (non-converged fits, diverged integrations) derive from QtrepError
-directly and expose their payload as attributes.
+so callers can catch one type at API boundaries.  That holds for array
+input too: every record and reader turns outside input into a float array
+through _finite_array, which raises InputError naming the value.  Errors
+that carry partial results (non-converged fits, diverged integrations)
+derive from QtrepError directly and expose their payload as attributes.
 """
+
+import numpy as np
 
 __all__ = [
     "QtrepError",
@@ -76,3 +80,30 @@ class DivergenceError(QtrepError):
 
 class InconclusiveError(QtrepError):
     """Trajectory did not settle close enough to judge monotonicity."""
+
+
+def _finite_array(x, name, shape):
+    """x copied into a float array of the given shape, every entry finite.
+
+    shape has at most two axes; a None allows any size along its axis,
+    and () asks for a scalar.  Raises InputError naming name when x is
+    not numeric, has another shape, or holds a NaN or an infinity.
+    """
+    try:
+        arr = np.array(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a numeric {_describe(shape)}") from exc
+    if arr.shape != shape and (arr.ndim != len(shape) or any(
+        want not in (None, got) for want, got in zip(shape, arr.shape)
+    )):
+        raise InputError(f"{name} must be a {_describe(shape)}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} has non-finite entries")
+    return arr
+
+
+def _describe(shape):
+    """The kind of array shape asks for: 'scalar', '3-vector', 'vector' or 'matrix'."""
+    if len(shape) == 1:
+        return "vector" if shape[0] is None else f"{shape[0]}-vector"
+    return "matrix" if shape else "scalar"

@@ -29,8 +29,9 @@ from .errors import (
     DegenerateChannelError,
     GradientFormUnavailableError,
     InputError,
+    _finite_array,
 )
-from .multilinear import _finite_vector, check_six_state, six_slot_main_term
+from .multilinear import check_six_state, six_slot_main_term
 
 __all__ = [
     "LindbladChannel",
@@ -45,12 +46,13 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class LindbladChannel:
     """Field vector plus a tuple of (A, B) dissipator pairs.
 
     Each pair is validated once, here, which also derives its read-only
-    source 2 (A x B) and its weight |A|**2 + |B|**2.
+    source 2 (A x B) and its weight |A|**2 + |B|**2.  The vectors are
+    read-only copies; the caller's arrays stay as they were.
     """
 
     h: np.ndarray
@@ -59,7 +61,7 @@ class LindbladChannel:
     weights: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = _finite_vector(self.h, 3, "h")
+        h = _finite_array(self.h, "h", (3,))
         try:
             entries = tuple(enumerate(self.dissipators))
         except TypeError as exc:
@@ -103,12 +105,12 @@ def _checked_pair(idx, pair):
         a, b = () if isinstance(pair, dict) else pair
     except (TypeError, ValueError) as exc:
         raise InputError(f"dissipator {idx} must be an (A, B) pair") from exc
-    return _finite_vector(a, 3, f"A[{idx}]"), _finite_vector(b, 3, f"B[{idx}]")
+    return _finite_array(a, f"A[{idx}]", (3,)), _finite_array(b, f"B[{idx}]", (3,))
 
 
 def bloch_rhs(channel, p):
     """dP/dt for the full channel at Bloch vector p."""
-    p = _finite_vector(p, 3, "P")
+    p = _finite_array(p, "P", (3,))
     out = np.cross(channel.h, p)
     for (a, b), source in zip(channel.dissipators, channel.sources):
         out += source
@@ -132,7 +134,7 @@ def stationary_bloch(channel):
 def bloch_entropy(channel, p):
     """Entropy whose gradient flow is the single-dissipator channel."""
     a, b = require_gradient_form(channel)
-    p = _finite_vector(p, 3, "P")
+    p = _finite_array(p, "P", (3,))
     return float(
         channel.sources[0] @ p
         - (p @ p) * channel.weights[0] / 2.0
@@ -144,13 +146,13 @@ def bloch_entropy(channel, p):
 def gradient_rhs(channel, p):
     """Analytic gradient of bloch_entropy with respect to P."""
     a, b = require_gradient_form(channel)
-    p = _finite_vector(p, 3, "P")
+    p = _finite_array(p, "P", (3,))
     return channel.sources[0] - p * channel.weights[0] + a * (a @ p) + b * (b @ p)
 
 
 def embed_six(p):
     """Six-variable embedding p_k = (1 +/- P_i) / 2, pairs summing to 1."""
-    p = _finite_vector(p, 3, "P")
+    p = _finite_array(p, "P", (3,))
     out = np.empty(6)
     out[0::2] = (1.0 + p) / 2.0
     out[1::2] = (1.0 - p) / 2.0
@@ -159,7 +161,7 @@ def embed_six(p):
 
 def extract_bloch(s):
     """Pair differences (p1-p2, p3-p4, p5-p6) of a six-variable state."""
-    s = _finite_vector(s, 6, "six-variable state")
+    s = _finite_array(s, "six-variable state", (6,))
     return s[0::2] - s[1::2]
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, SizeError
+from .errors import InputError, SizeError, _finite_array
 
 # Brute-force permutation sums cost O(N!) and exist to cross-check the
 # closed forms, not to be fast.  Above this cap the factorial cost and
@@ -119,19 +119,6 @@ def difference_basis(n):
     return basis
 
 
-def _finite_vector(x, size, name):
-    """x as a float array of shape (size,) with finite entries."""
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name} must be a numeric {size}-vector") from exc
-    if arr.shape != (size,):
-        raise InputError(f"{name} must be a {size}-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} has non-finite entries")
-    return arr
-
-
 def _check_subset(subset, n):
     """subset as a tuple of n - 3 distinct indices into difference_basis(n)."""
     subset = tuple(int(s) for s in subset)
@@ -166,7 +153,7 @@ def main_term_bruteforce(g, n, norm=None):
             f"n = {n} exceeds the brute-force cap {MAX_BRUTEFORCE_N}; "
             "use main_term_closed instead"
         )
-    g = _finite_vector(g, n, "gradient")
+    g = _finite_array(g, "gradient", (n,))
     if norm is None:
         norm = normalizer(n)
     perms = _signed_permutations(n)
@@ -189,7 +176,7 @@ def main_term_closed(g, n):
     """
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
-    g = _finite_vector(g, n, "gradient")
+    g = _finite_array(g, "gradient", (n,))
     return g - g.mean()
 
 
@@ -214,7 +201,7 @@ def ham_term(g, subset, n):
         raise SizeError(
             f"n = {n} exceeds the brute-force cap {MAX_BRUTEFORCE_N}"
         )
-    g = _finite_vector(g, n, "gradient")
+    g = _finite_array(g, "gradient", (n,))
     vecs = difference_basis(n)[list(_check_subset(subset, n))]
     out = np.zeros(n)
     for sign, p in _signed_permutations(n):
@@ -237,7 +224,7 @@ _SIX_NORM = 0.125  # on both epsilon factors; see six_slot_main_term
 
 def check_six_state(s):
     """Validate a six-variable state: finite, each pair summing to 1 (1e-9)."""
-    s = _finite_vector(s, 6, "six-variable state")
+    s = _finite_array(s, "six-variable state", (6,))
     for i, (a, b) in enumerate(_H_SLOTS):
         total = s[a] + s[b]
         if abs(total - 1.0) > 1e-9:
@@ -256,7 +243,7 @@ def six_slot_main_term(g3):
     on both epsilon factors.  norm is fixed at 1/8, which makes
     d(p1 - p2)/dt = g3[0]: the gradient flow in the difference variables.
     """
-    g3 = _finite_vector(g3, 3, "g3")
+    g3 = _finite_array(g3, "g3", (3,))
 
     # Per-slot entropy gradient under the pair constraints.
     gs = np.empty(6)

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateChainError, InputError
-from .multilinear import _finite_vector
+from .errors import DegenerateChainError, InputError, _finite_array
 
 __all__ = [
     "TransitionMatrix",
@@ -35,20 +34,18 @@ _KERNEL_RTOL = 1e-10
 _CLASSIFY_ATOL = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Non-negative off-diagonal rate matrix, diagonal ignored."""
 
     w: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.w, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = _finite_array(self.w, "rate matrix", (None, None))
+        if arr.shape[0] != arr.shape[1]:
             raise InputError(f"rate matrix must be square, got {arr.shape}")
         if arr.shape[0] < 2:
             raise InputError("need at least two states")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("rate matrix has non-finite entries")
         np.fill_diagonal(arr, 0.0)
         if np.any(arr < 0.0):
             raise InputError("off-diagonal rates must be non-negative")
@@ -63,18 +60,16 @@ class TransitionMatrix:
         return self.w.shape[0]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ProbabilityState:
     """Probability vector: entries >= -1e-12, sum within 1e-9 of one."""
 
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.p, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
+        arr = _finite_array(self.p, "state", (None,))
+        if arr.size < 2:
             raise InputError(f"state must be a vector of length >= 2, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("state has non-finite entries")
         if np.any(arr < -1e-12):
             raise InputError(f"state has negative entries: min = {arr.min()!r}")
         total = math.fsum(arr.tolist())
@@ -92,7 +87,7 @@ class ProbabilityState:
         return np.array(self.p, dtype=dtype, copy=copy)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Spectrum:
     """Generator eigenvalues sorted by descending real part."""
 
@@ -129,7 +124,7 @@ def build_generator(w):
 def pme_rhs(w, p):
     """Right-hand side dp/dt = L p of the master equation."""
     w = _as_transition_matrix(w)
-    return build_generator(w) @ _finite_vector(p, w.n, "state")
+    return build_generator(w) @ _finite_array(p, "state", (w.n,))
 
 
 def stationary_state(w):

@@ -40,8 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FitNonConvergenceError, InputError
-from .multilinear import _check_subset, _finite_vector, difference_basis, normalizer
+from .errors import FitNonConvergenceError, InputError, _finite_array
+from .multilinear import _check_subset, difference_basis, normalizer
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
 
@@ -61,18 +61,16 @@ __all__ = [
 ACCEPT_TOL = 1e-8
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class QuadraticEntropy:
     """Entropy S(p) = p q p / 2 with symmetric coefficient matrix q."""
 
     q: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.q, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = _finite_array(self.q, "q", (None, None))
+        if arr.shape[0] != arr.shape[1]:
             raise InputError(f"q must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("q has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(arr))))
         if np.max(np.abs(arr - arr.T)) > 1e-14 * scale:
             raise InputError("q must be symmetric to 1e-14")
@@ -84,21 +82,22 @@ class QuadraticEntropy:
         return self.q.shape[0]
 
     def value(self, p):
-        p = _finite_vector(p, self.n, "state")
+        p = _finite_array(p, "state", (self.n,))
         return 0.5 * float(p @ self.q @ p)
 
     def gradient(self, p):
-        return self.q @ _finite_vector(p, self.n, "state")
+        return self.q @ _finite_array(p, "state", (self.n,))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class QTRepresentation:
     """Fitted representation: entropy, ham coefficients, normalization.
 
     subsets holds the 0-based tangent-basis index tuples in the same
-    order as the coefficients r.  residual is the worst absolute
-    mismatch of the represented flow against the target generator over
-    the tangent basis directions and the simplex centroid.
+    order as the coefficients r.  norm is positive and finite.  residual
+    is the worst absolute mismatch of the represented flow against the
+    target generator over the tangent basis directions and the simplex
+    centroid, finite and non-negative.
     """
 
     entropy: QuadraticEntropy
@@ -108,15 +107,21 @@ class QTRepresentation:
     residual: float
 
     def __post_init__(self):
-        r = np.array(self.r, dtype=float, ndmin=1)
+        r = _finite_array(self.r, "r", (None,))
         subsets = tuple(_check_subset(s, self.entropy.n) for s in self.subsets)
         if r.size != len(subsets):
             raise InputError(
                 f"got {r.size} coefficients for {len(subsets)} subsets"
             )
+        norm = float(_finite_array(self.norm, "norm", ()))
+        residual = float(_finite_array(self.residual, "residual", ()))
+        if norm <= 0.0 or residual < 0.0:
+            raise InputError(f"need norm > 0 and residual >= 0, got {norm!r} and {residual!r}")
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "residual", residual)
 
     @property
     def n(self):
@@ -136,13 +141,13 @@ class QTRepresentation:
     def from_json_dict(cls, data):
         try:
             n = int(data["n"])
-            entropy = QuadraticEntropy(np.array(data["q"], dtype=float))
+            entropy = QuadraticEntropy(data["q"])
             rep = cls(
                 entropy=entropy,
-                r=np.array(data["r"], dtype=float, ndmin=1),
+                r=data["r"],
                 subsets=tuple(tuple(s) for s in data["subsets"]),
-                norm=float(data["norm"]),
-                residual=float(data["residual"]),
+                norm=data["norm"],
+                residual=data["residual"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad representation document: {exc}") from exc
@@ -201,7 +206,7 @@ def _flow_operator(n, norm, r, subsets):
 
 def qt_rhs(rep, p):
     """Right-hand side of the represented flow at state p."""
-    return flow_matrix(rep) @ _finite_vector(p, rep.n, "state")
+    return flow_matrix(rep) @ _finite_array(p, "state", (rep.n,))
 
 
 def flow_matrix(rep):

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _finite_array
 from .pme import TransitionMatrix
 
 __all__ = [
@@ -58,9 +58,9 @@ class ThreeStateRates:
     f: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "e", "f"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
+        values = _finite_array(self.as_tuple(), "rates", (6,)).tolist()
+        for name, value in zip(("a", "b", "c", "d", "e", "f"), values):
+            if value < 0.0:
                 raise InputError(f"rate {name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
 
@@ -103,10 +103,7 @@ class RelaxationReport:
 def _as_rates(rates):
     if isinstance(rates, ThreeStateRates):
         return rates
-    vals = tuple(float(v) for v in rates)
-    if len(vals) != 6:
-        raise InputError(f"need 6 rates, got {len(vals)}")
-    return ThreeStateRates(*vals)
+    return ThreeStateRates(*_finite_array(rates, "rates", (6,)))
 
 
 def _invariants(a, b, c, d, e, f):
@@ -211,7 +208,7 @@ class ScanGrid:
             object.__setattr__(self, name, value)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ScanResult:
     """Vectorized classification of a sampled rate region."""
 

@@ -476,6 +476,9 @@ class TestBoundary:
              {"channel": {"dissipators": [{"A": [1, 0, 0], "B": [2, 0, 0]}]},
               "P0": [0.3, -0.2, 0.1], "t_end": 1.0},
              2, "error: A x B = 0 (A and B parallel or zero): no unique stationary state"),
+            ("lindblad",
+             {"channel": LINDBLAD_CHANNEL, "P0": [float("nan"), 0, 0], "t_end": 0.01},
+             2, "error: P0 has non-finite entries"),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capfd, command, cfg, code, message):

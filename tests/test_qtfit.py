@@ -289,3 +289,18 @@ class TestSerialization:
     def test_missing_key_rejected(self):
         with pytest.raises(InputError):
             qtfit.QTRepresentation.from_json_dict({"n": 3})
+
+    @pytest.mark.parametrize("key, value", [
+        ("norm", math.nan), ("norm", math.inf), ("norm", 0.0), ("norm", -1.0), ("norm", "x"),
+        ("residual", math.nan), ("residual", math.inf), ("residual", -1.0), ("residual", "x"),
+    ])
+    def test_bad_norm_or_residual_rejected(self, key, value):
+        doc = qtfit.fit(random_chain(3, seed=53)).to_json_dict()
+        with pytest.raises(InputError, match=key):
+            qtfit.QTRepresentation.from_json_dict({**doc, key: value})
+        rep = qtfit.QTRepresentation.from_json_dict(doc)
+        with pytest.raises(InputError, match=key):
+            qtfit.QTRepresentation(
+                entropy=rep.entropy, r=rep.r, subsets=rep.subsets,
+                **{"norm": rep.norm, "residual": rep.residual, key: value},
+            )

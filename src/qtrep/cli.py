@@ -162,16 +162,13 @@ def _write_outputs(cfg, document, csv=None):
     _jsonio.atomic_write_text(out + ".json", text)
 
 
-def _trajectory_csv(traj, cfg):
+def _trajectory_csv(traj, entropy, cfg):
+    """CSV of the recorded rows; entropy is their column, or None for NaN."""
     dim = traj.states.shape[1]
     header = ["t"] + [f"y{i + 1}" for i in range(dim)] + ["entropy", "sum_drift"]
-    count = traj.times.size
-    # A stride past the row count picks the same rows as the row count.
-    rows = np.arange(0, count, min(cfg["stride"], count))
-    if rows[-1] != count - 1:
-        rows = np.append(rows, count - 1)
-    entropy = np.full(rows.size, np.nan) if traj.entropy is None else traj.entropy[rows]
-    columns = [traj.times[rows], *traj.states[rows].T, entropy, traj.sum_drift[rows]]
+    if entropy is None:
+        entropy = np.full(traj.times.size, np.nan)
+    columns = [traj.times, *traj.states.T, entropy, traj.sum_drift]
     return _jsonio.csv_text(header, columns, cfg["precision"])
 
 
@@ -194,13 +191,10 @@ def _cmd_pme_solve(cfg):
     gen = pme.build_generator(w)
     flags = pme.classify_w(w)
     spec = pme.spectrum(w)
-    traj = dynamics.integrate(
-        lambda y: gen @ y,
-        p0.p,
-        cfg["t_end"],
-        dt,
-        entropy=lambda y: pme.bs_entropy(np.clip(y, 0.0, 1.0)),
-    )
+    traj = dynamics.integrate(lambda y: gen @ y, p0.p, cfg["t_end"], dt, stride=cfg["stride"])
+    # integrate checked every recorded row finite, so the rows monitor
+    # skips bs_entropy's per-row validation.
+    entropy = pme._bs_entropy_rows(np.clip(traj.states, 0.0, 1.0))
     stationary = pme.stationary_state(w)
     report = {
         "n": w.n,
@@ -212,7 +206,7 @@ def _cmd_pme_solve(cfg):
         "doubly_stochastic": flags.doubly_stochastic,
         "final_state": [float(v) for v in traj.final_state],
     }
-    _write_outputs(cfg, report, _trajectory_csv(traj, cfg))
+    _write_outputs(cfg, report, _trajectory_csv(traj, entropy, cfg))
 
 
 def _cmd_qt_fit(cfg):
@@ -262,11 +256,9 @@ def _cmd_lindblad(cfg):
         _fail("channel rate scale |h| + sum(A**2 + B**2) is not finite")
     dt = _default_dt(cfg["dt"], rate_scale, "rate scale")
 
-    entropy = None
     report = {"dt": dt}
     if cfg["gradient_check"]:
         p_st = lindblad.stationary_bloch(channel)
-        entropy = lambda y: lindblad.bloch_entropy(channel, y)
         rng = np.random.default_rng(cfg["seed"])
         grad_resid = 0.0
         six_resid = 0.0
@@ -294,10 +286,13 @@ def _cmd_lindblad(cfg):
 
     traj = dynamics.integrate(
         lambda y: lindblad.bloch_rhs(channel, y), cfg["P0"], cfg["t_end"], dt,
-        entropy=entropy,
+        stride=cfg["stride"],
     )
+    entropy = None
+    if cfg["gradient_check"]:
+        entropy = lindblad._bloch_entropy_rows(channel, traj.states)
     report["P_final"] = [float(v) for v in traj.final_state]
-    _write_outputs(cfg, report, _trajectory_csv(traj, cfg))
+    _write_outputs(cfg, report, _trajectory_csv(traj, entropy, cfg))
 
 
 def _cmd_composite(cfg):

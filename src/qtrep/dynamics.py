@@ -1,10 +1,11 @@
 """Fixed-step classical Runge-Kutta integration with monitors.
 
-One integrator serves every flow in the package.  It records each
-accepted state in one array; after the run it derives from each state
-the drift of the component sum (the conserved energy of the
-probability flows) and, when an entropy callable is supplied, the
-entropy value and its per-step increment.
+One integrator serves every flow in the package.  It records the
+initial state, every stride-th accepted state and the final one in one
+array; after the run it derives from each recorded state the drift of
+the component sum (the conserved energy of the probability flows) and,
+when an entropy callable is supplied, the entropy value and its
+increment since the previous recorded state.
 The step size is constant except for the final step, which is truncated
 so the last recorded time is exactly t_end.
 """
@@ -26,8 +27,8 @@ WITNESS_TOL = 1e-9
 # A trajectory must end this close to the claimed stationary state for
 # the witness to mean anything.
 WITNESS_CONVERGENCE = 1e-6
-# Most steps one integration may take.  Every state is kept, so this
-# bounds memory as well as time: 1e5 steps at n = 8 add about 12 MB.
+# Most steps one integration may take; this bounds time.  Memory grows
+# with the recorded rows, (steps / stride + 2) of them at most.
 MAX_STEPS = 10**6
 
 
@@ -35,9 +36,10 @@ MAX_STEPS = 10**6
 class Trajectory:
     """Recorded states and monitors of one integration run.
 
-    sum_drift[k] is |sum(y_k) - sum(y_0)|.  entropy and entropy_delta
-    are None unless an entropy callable was supplied; entropy_delta[0]
-    is zero by convention.
+    Row k holds the k-th recorded state.  sum_drift[k] is
+    |sum(y_k) - sum(y_0)|.  entropy and entropy_delta are None unless an
+    entropy callable was supplied; entropy_delta[k] is entropy[k] -
+    entropy[k - 1], and entropy_delta[0] is zero by convention.
     """
 
     times: np.ndarray
@@ -68,7 +70,7 @@ def _rk4_step(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs, y0, t_end, dt, entropy=None):
+def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     """Integrate dy/dt = rhs(y) from 0 to t_end with fixed step dt.
 
     Parameters
@@ -82,11 +84,18 @@ def integrate(rhs, y0, t_end, dt, entropy=None):
         shortened to land on t_end exactly.
     entropy : callable, optional
         Scalar monitor evaluated at every recorded state.
+    stride : int, optional
+        Record the states after steps 0, stride, 2 * stride, ... and
+        the final state, whatever its step index; the default 1 records
+        every step.  A stride above the step count records the initial
+        and the final state only.  Unrecorded states are not kept, so
+        memory grows with the recorded rows, not with t_end / dt.
 
     Raises
     ------
     InputError
-        When t_end / dt exceeds MAX_STEPS, before the first step.
+        When t_end / dt exceeds MAX_STEPS or stride is not a positive
+        integer, before the first step.
     DivergenceError
         When a step produces a non-finite state, or rhs raises InputError
         on a non-finite stage of it; carries the step index.
@@ -95,6 +104,8 @@ def integrate(rhs, y0, t_end, dt, entropy=None):
         raise InputError(f"t_end must be positive and finite, got {t_end!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InputError(f"dt must be positive and finite, got {dt!r}")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise InputError(f"stride must be a positive integer, got {stride!r}")
     y = _finite_array(y0, "y0", (None,))
     if y.size == 0:
         raise InputError("y0 must be a non-empty vector")
@@ -111,21 +122,27 @@ def integrate(rhs, y0, t_end, dt, entropy=None):
         remainder = 0.0
     steps = n_full + (1 if remainder > 0.0 else 0)
 
-    states = np.empty((steps + 1, y.size))
+    recorded = np.arange(0, steps + 1, min(stride, steps))
+    if recorded[-1] != steps:
+        recorded = np.append(recorded, steps)
+    states = np.empty((recorded.size, y.size))
     states[0] = y
+    row = 1
     # A step that overflows is caught by the finiteness check, which
     # raises DivergenceError; numpy's warning would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             h = dt if step <= n_full else remainder
             y = _rk4_step(rhs, y, h)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise DivergenceError(
                     f"non-finite state at step {step} (t = {step * dt!r})", step
                 )
-            states[step] = y
+            if step % stride == 0 or step == steps:
+                states[row] = y
+                row += 1
         # Only the last step can pass t_end, and it ends there exactly.
-        times = np.arange(steps + 1) * dt
+        times = recorded * dt
         times[-1] = t_end
         # Row by row: each monitor gets the same argument a per-step
         # call would, and the state array is never copied whole.

@@ -88,9 +88,16 @@ def _finite_array(x, name, shape):
     shape has at most two axes; a None allows any size along its axis,
     and () asks for a scalar.  Raises InputError naming name when x is
     not numeric, has another shape, or holds a NaN or an infinity.
+    Strings and complex numbers are not numeric here: numpy would parse
+    the one and drop the imaginary part of the other.
     """
     try:
-        arr = np.array(x, dtype=float)
+        raw = np.asarray(x)
+        if raw.dtype.kind in "USc" or (raw.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes, complex, np.complexfloating)) for v in raw.flat
+        )):
+            raise TypeError("string or complex entries")
+        arr = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be a numeric {_describe(shape)}") from exc
     if arr.shape != shape and (arr.ndim != len(shape) or any(

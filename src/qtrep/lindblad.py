@@ -52,13 +52,16 @@ class LindbladChannel:
 
     Each pair is validated once, here, which also derives its read-only
     source 2 (A x B) and its weight |A|**2 + |B|**2.  The vectors are
-    read-only copies; the caller's arrays stay as they were.
+    read-only copies; the caller's arrays stay as they were.  bloch_rhs
+    reads h and each (A, B, source) triple as Python floats, kept in
+    _floats.
     """
 
     h: np.ndarray
     dissipators: tuple
     sources: tuple = dataclasses.field(init=False, repr=False, compare=False)
     weights: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _floats: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = _finite_array(self.h, "h", (3,))
@@ -77,6 +80,11 @@ class LindbladChannel:
         object.__setattr__(self, "dissipators", pairs)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_floats", (
+            tuple(h.tolist()),
+            tuple((tuple(a.tolist()), tuple(b.tolist()), tuple(source.tolist()))
+                  for (a, b), source in zip(pairs, sources)),
+        ))
 
     @classmethod
     def from_dict(cls, data):
@@ -108,15 +116,30 @@ def _checked_pair(idx, pair):
     return _finite_array(a, f"A[{idx}]", (3,)), _finite_array(b, f"B[{idx}]", (3,))
 
 
+def _cross(u, v):
+    """u x v of two 3-tuples of floats, in np.cross's operation order."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+
+
 def bloch_rhs(channel, p):
-    """dP/dt for the full channel at Bloch vector p."""
-    p = _finite_array(p, "P", (3,))
-    out = np.cross(channel.h, p)
-    for (a, b), source in zip(channel.dissipators, channel.sources):
-        out += source
-        out -= np.cross(a, np.cross(p, a))
-        out -= np.cross(b, np.cross(p, b))
-    return out
+    """dP/dt for the full channel at Bloch vector p.
+
+    Evaluated on Python floats: np.cross on 3-vectors costs far more than
+    its arithmetic.  Every operation is the one numpy performs, in the
+    same order, so the result is the same to the bit.
+    """
+    p = tuple(_finite_array(p, "P", (3,)).tolist())
+    h, terms = channel._floats
+    o0, o1, o2 = _cross(h, p)
+    for a, b, (s0, s1, s2) in terms:
+        x0, x1, x2 = _cross(a, _cross(p, a))
+        y0, y1, y2 = _cross(b, _cross(p, b))
+        o0 = o0 + s0 - x0 - y0
+        o1 = o1 + s1 - x1 - y1
+        o2 = o2 + s2 - x2 - y2
+    return np.array((o0, o1, o2))
 
 
 def stationary_bloch(channel):
@@ -133,14 +156,22 @@ def stationary_bloch(channel):
 
 def bloch_entropy(channel, p):
     """Entropy whose gradient flow is the single-dissipator channel."""
+    require_gradient_form(channel)
+    return float(_bloch_entropy_rows(channel, [_finite_array(p, "P", (3,))])[0])
+
+
+def _bloch_entropy_rows(channel, rows):
+    """bloch_entropy at each finite row, the channel gated once.
+
+    Each row keeps its own 3-vector dot products: a matmul over the rows
+    would regroup the sums and move the last bits.
+    """
     a, b = require_gradient_form(channel)
-    p = _finite_array(p, "P", (3,))
-    return float(
-        channel.sources[0] @ p
-        - (p @ p) * channel.weights[0] / 2.0
-        + (a @ p) ** 2 / 2.0
-        + (b @ p) ** 2 / 2.0
-    )
+    source, weight = channel.sources[0], channel.weights[0]
+    return np.array([
+        source @ p - (p @ p) * weight / 2.0 + (a @ p) ** 2 / 2.0 + (b @ p) ** 2 / 2.0
+        for p in rows
+    ])
 
 
 def gradient_rhs(channel, p):

@@ -250,16 +250,36 @@ def six_slot_main_term(g3):
     gs[0::2] = 2.0 * g3
     gs[1::2] = -2.0 * g3
 
-    perms = _signed_permutations(6)
-    in1, in2, in3 = _H_SLOTS
+    (s1, i0, i1, i2), (s2, o0, o4, o5) = _six_slot_table()
+    # np.add.at adds in index order, as the permutation loop did.
     inner = np.zeros((6, 6))
-    for sign, p in perms:
-        if p[3] in in1 and p[4] in in2 and p[5] in in3:
-            inner[p[0], p[1]] += sign * gs[p[2]]
+    np.add.at(inner, (i0, i1), s1 * gs[i2])
     inner *= _SIX_NORM
     out = np.zeros(6)
-    for sign, p in perms:
-        if p[1] in in1 and p[2] in in2 and p[3] in in3:
-            out[p[0]] += sign * inner[p[4], p[5]]
+    np.add.at(out, o0, s2 * inner[o4, o5])
     out *= _SIX_NORM
     return out
+
+
+@lru_cache(maxsize=None)
+def _six_slot_table():
+    """Signs and indices of the 48 permutations each kernel pass keeps.
+
+    The inner pass keeps permutations p with p[3], p[4], p[5] in the
+    three energy slots and adds sign * gs[p[2]] to inner[p[0], p[1]];
+    the outer pass keeps p[1], p[2], p[3] in the slots and adds
+    sign * inner[p[4], p[5]] to out[p[0]].  Rows are in permutation
+    order, so the sums accumulate in the order of the full loop.
+    """
+    in1, in2, in3 = _H_SLOTS
+
+    def columns(first):
+        kept = [(sign, p) for sign, p in _signed_permutations(6)
+                if p[first] in in1 and p[first + 1] in in2 and p[first + 2] in in3]
+        signs = np.array([sign for sign, _ in kept])
+        perms = np.array([p for _, p in kept])
+        return signs, perms
+
+    s1, p1 = columns(3)
+    s2, p2 = columns(1)
+    return (s1, p1[:, 0], p1[:, 1], p1[:, 2]), (s2, p2[:, 0], p2[:, 4], p2[:, 5])

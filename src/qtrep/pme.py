@@ -198,3 +198,21 @@ def bs_entropy(p):
     arr = np.clip(arr, 0.0, 1.0)
     mask = arr > 0.0
     return float(-(arr[mask] * np.log(arr[mask])).sum())
+
+
+def _bs_entropy_rows(rows):
+    """bs_entropy of each row of a finite array with entries in [0, 1].
+
+    Rows with every entry positive are summed in one vectorized pass,
+    which groups each row's sum as bs_entropy does.  A row with a zero
+    entry keeps bs_entropy's masked sum: dropping entries regroups
+    numpy's summation, so the vectorized pass would move its last bits.
+    """
+    out = np.empty(rows.shape[0])
+    positive = (rows > 0.0).all(axis=1)
+    full = rows[positive]
+    out[positive] = -(full * np.log(full)).sum(axis=1)
+    for k in np.flatnonzero(~positive):
+        row = rows[k][rows[k] > 0.0]
+        out[k] = -(row * np.log(row)).sum()
+    return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qtrep import cli, qtfit
+from qtrep.errors import InputError
 
 
 def write_config(path, payload):
@@ -479,6 +480,10 @@ class TestBoundary:
             ("lindblad",
              {"channel": LINDBLAD_CHANNEL, "P0": [float("nan"), 0, 0], "t_end": 0.01},
              2, "error: P0 has non-finite entries"),
+            ("qt-fit", {"W": [["0", "3"], ["1", "0"]]}, 2,
+             "error: W must be a numeric matrix"),
+            ("pme-solve", {"W": [[0, 1], [2, 0]], "p0": ["1", 0], "t_end": 1.0}, 2,
+             "error: p0 must be a numeric vector"),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capfd, command, cfg, code, message):
@@ -490,6 +495,18 @@ class TestBoundary:
         assert capfd.readouterr().err == message + "\n"
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == (["c.json"] if code == 2 else ["c.json", "r.json"])
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("W", [[0, 1 + 2j], [1, 0]], "matrix"),
+        ("W", np.array([[0, 2j], [1, 0]], dtype=object), "matrix"),
+        ("p0", [0.5, 0.5 + 0j], "vector"),
+    ])
+    def test_complex_array_rejected_by_reader(self, key, value, kind):
+        # JSON has no complex numbers; a config reader still gets one
+        # only through a library caller, and must not truncate it.
+        read = cli._COMMANDS["pme-solve"].keys[key][0]
+        with pytest.raises(InputError, match=rf"^{key} must be a numeric {kind}$"):
+            read(key, value)
 
     def test_deeply_nested_json_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -176,17 +176,17 @@ def lindblad_case():
     )
 
 
+RECORDER_CASES = [
+    pme_case(9, 1, 1.0, 1 / 64),  # every step full length
+    pme_case(9, 2, 1.3, 0.0137),  # truncated last step
+    pme_case(4, 3, 0.5, 0.3),
+    pme_case(3, 5, 0.9, 0.03),  # 30 steps end 1.1e-16 short of t_end
+    lindblad_case(),
+]
+
+
 class TestRecorder:
-    @pytest.mark.parametrize(
-        "case",
-        [
-            pme_case(9, 1, 1.0, 1 / 64),  # every step full length
-            pme_case(9, 2, 1.3, 0.0137),  # truncated last step
-            pme_case(4, 3, 0.5, 0.3),
-            pme_case(3, 5, 0.9, 0.03),  # 30 steps end 1.1e-16 short of t_end
-            lindblad_case(),
-        ],
-    )
+    @pytest.mark.parametrize("case", RECORDER_CASES)
     def test_matches_per_step_reference_bitwise(self, case):
         traj = dynamics.integrate(*case)
         want = reference_integrate(*case)
@@ -202,6 +202,44 @@ class TestRecorder:
         assert traj.entropy is None and traj.entropy_delta is None
         for g, w in zip([traj.times, traj.states, traj.sum_drift], want):
             assert g.tobytes() == w.tobytes()
+
+
+def smallest_divisor(steps):
+    return next(d for d in range(2, steps + 1) if steps % d == 0)
+
+
+class TestThinning:
+    """stride = k keeps exactly the rows 0, k, 2k, ... and the last row.
+
+    The second case ends on a truncated step (95 steps): its smallest
+    divisor 5 records it as a multiple of the stride, 7 only as the
+    appended final row.
+    """
+
+    @pytest.mark.parametrize("stride", [1, 7, "divisor", "past"])
+    @pytest.mark.parametrize("case", RECORDER_CASES)
+    def test_rows_of_the_full_record_bitwise(self, case, stride):
+        full = dynamics.integrate(*case)
+        steps = full.times.size - 1
+        stride = {"divisor": smallest_divisor(steps), "past": steps + 5}.get(stride, stride)
+        thin = dynamics.integrate(*case, stride=stride)
+        rows = list(range(0, steps + 1, stride))
+        if rows[-1] != steps:
+            rows.append(steps)
+        assert thin.times[-1] == case[2]
+        for got, want in zip(
+            [thin.times, thin.states, thin.sum_drift, thin.entropy],
+            [full.times, full.states, full.sum_drift, full.entropy],
+        ):
+            assert got.shape == want[rows].shape
+            assert got.tobytes() == want[rows].tobytes()
+        delta = np.diff(thin.entropy, prepend=thin.entropy[0])
+        assert thin.entropy_delta.tobytes() == delta.tobytes()
+
+    @pytest.mark.parametrize("stride", [0, -1, 1.5, True, "2", None])
+    def test_bad_stride_rejected(self, stride):
+        with pytest.raises(InputError, match="stride must be a positive integer"):
+            dynamics.integrate(decay_rhs(1.0), np.array([1.0]), 1.0, 0.1, stride=stride)
 
 
 class TestMonotonicityWitness:

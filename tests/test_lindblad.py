@@ -148,12 +148,14 @@ class TestBitwiseAgainstLiteralFormulas:
     """The channel's stored constants reproduce the per-call formulas bit for bit."""
 
     def test_bloch_rhs(self):
+        # bloch_rhs works on Python floats; literal_bloch_rhs is np.cross.
         rng = np.random.default_rng(910)
-        for _ in range(300):
+        for _ in range(3000):
             pairs = tuple(random_pair(rng) for _ in range(rng.integers(1, 4)))
-            h = rng.standard_normal(3) if rng.uniform() < 0.5 else np.zeros(3)
+            h = random_pair(rng)[0] if rng.uniform() < 0.5 else np.zeros(3)
             ch = lb.LindbladChannel(h=h, dissipators=pairs)
-            p = rng.uniform(-1.0, 1.0, 3)
+            direction = rng.standard_normal(3)
+            p = direction / np.linalg.norm(direction) * rng.uniform() ** (1 / 3)
             assert bits(lb.bloch_rhs(ch, p)) == bits(literal_bloch_rhs(ch, p))
 
     def test_gradient_form_functions(self):

@@ -178,6 +178,33 @@ class TestSixSlotMainTerm:
             with pytest.raises(InputError, match="g3"):
                 ml.six_slot_main_term(g3)
 
+    def test_table_matches_permutation_loops_bitwise(self):
+        rng = np.random.default_rng(13)
+        for _ in range(3000):
+            g3 = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+            got = ml.six_slot_main_term(g3)
+            assert got.tobytes() == literal_six_slot_main_term(g3).tobytes()
+
+
+def literal_six_slot_main_term(g3):
+    """The kernel as two loops over all 720 signed permutations."""
+    gs = np.empty(6)
+    gs[0::2] = 2.0 * g3
+    gs[1::2] = -2.0 * g3
+    in1, in2, in3 = (0, 1), (2, 3), (4, 5)
+    perms = ml._signed_permutations(6)
+    inner = np.zeros((6, 6))
+    for sign, p in perms:
+        if p[3] in in1 and p[4] in in2 and p[5] in in3:
+            inner[p[0], p[1]] += sign * gs[p[2]]
+    inner *= 0.125
+    out = np.zeros(6)
+    for sign, p in perms:
+        if p[1] in in1 and p[2] in in2 and p[3] in in3:
+            out[p[0]] += sign * inner[p[4], p[5]]
+    out *= 0.125
+    return out
+
 
 @settings(max_examples=25, deadline=None)
 @given(

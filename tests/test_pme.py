@@ -212,6 +212,24 @@ class TestClassify:
 
 
 class TestBsEntropy:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_rows_monitor_matches_bs_entropy_bitwise(self, n):
+        # Rows with exact zeros take the masked sum, the rest the batched
+        # one; both must give bs_entropy's bits.
+        rng = np.random.default_rng(n)
+        rows = rng.dirichlet(np.ones(n), 400) * 10.0 ** rng.uniform(-3.0, 0.0, (400, n))
+        pick = rng.uniform(size=rows.shape)
+        rows[pick < 0.05] = 0.0
+        rows[(pick >= 0.05) & (pick < 0.08)] = 1.0
+        rows[(pick >= 0.08) & (pick < 0.11)] = 5e-324 * rng.integers(1, 2**20)
+        rows[(pick >= 0.11) & (pick < 0.13)] = -1e-14
+        rows[(pick >= 0.13) & (pick < 0.15)] = 1.0 + 1e-12
+        rows[0] = 0.0
+        rows[1] = 1.0
+        got = pme._bs_entropy_rows(np.clip(rows, 0.0, 1.0))
+        want = np.array([pme.bs_entropy(np.clip(row, 0.0, 1.0)) for row in rows])
+        assert got.tobytes() == want.tobytes()
+
     def test_uniform_is_log_n(self):
         assert pme.bs_entropy(np.full(4, 0.25)) == pytest.approx(math.log(4), rel=1e-14)
 

@@ -96,6 +96,13 @@ def _first_entry(shape, value):
 BAD = {
     "string": lambda shape: "abc",
     "non-numeric entry": lambda shape: _first_entry(shape, "x"),
+    # numpy would parse these strings and drop these imaginary parts.
+    "numeric string entry": lambda shape: _first_entry(shape, "3"),
+    "bytes entry": lambda shape: _first_entry(shape, b"3"),
+    "complex entry": lambda shape: _first_entry(shape, 1 + 2j),
+    "string in object array": lambda shape: np.array(_first_entry(shape, "3"), dtype=object),
+    "complex in object array":
+        lambda shape: np.array(_first_entry(shape, np.complex128(2j)), dtype=object),
     "ragged": lambda shape: _first_entry(shape, [0.0]),
     "nan": lambda shape: _first_entry(shape, math.nan),
     "inf": lambda shape: _first_entry(shape, -math.inf),

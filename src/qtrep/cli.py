@@ -78,8 +78,8 @@ def _out(key, value):
     return value
 
 
-def _finite(*shape):
-    return lambda key, value: _finite_array(value, key, shape)
+def _finite(*shapes):
+    return lambda key, value: _finite_array(value, key, list(shapes))
 
 
 def _bloch_vector(key, value):
@@ -93,10 +93,6 @@ def _bloch_vector(key, value):
 def _object(key, value):
     if not isinstance(value, dict):
         _fail(f"missing or malformed key: {key}")
-    return value
-
-
-def _raw(key, value):
     return value
 
 
@@ -162,12 +158,11 @@ def _write_outputs(cfg, document, csv=None):
     _jsonio.atomic_write_text(out + ".json", text)
 
 
-def _trajectory_csv(traj, entropy, cfg):
-    """CSV of the recorded rows; entropy is their column, or None for NaN."""
+def _trajectory_csv(traj, cfg):
+    """CSV of the recorded rows; the entropy column is NaN without a monitor."""
     dim = traj.states.shape[1]
     header = ["t"] + [f"y{i + 1}" for i in range(dim)] + ["entropy", "sum_drift"]
-    if entropy is None:
-        entropy = np.full(traj.times.size, np.nan)
+    entropy = np.full(traj.times.size, np.nan) if traj.entropy is None else traj.entropy
     columns = [traj.times, *traj.states.T, entropy, traj.sum_drift]
     return _jsonio.csv_text(header, columns, cfg["precision"])
 
@@ -191,11 +186,13 @@ def _cmd_pme_solve(cfg):
     gen = pme.build_generator(w)
     flags = pme.classify_w(w)
     spec = pme.spectrum(w)
-    traj = dynamics.integrate(lambda y: gen @ y, p0.p, cfg["t_end"], dt, stride=cfg["stride"])
-    # integrate checked every recorded row finite, so the rows monitor
-    # skips bs_entropy's per-row validation.
-    entropy = pme._bs_entropy_rows(np.clip(traj.states, 0.0, 1.0))
+    # Before integrating: a chain without a unique stationary state fails
+    # at once, not after every step.
     stationary = pme.stationary_state(w)
+    traj = dynamics.integrate(
+        lambda y: gen @ y, p0.p, cfg["t_end"], dt,
+        entropy=lambda rows: pme.bs_entropy(np.clip(rows, 0.0, 1.0)), stride=cfg["stride"],
+    )
     report = {
         "n": w.n,
         "dt": dt,
@@ -206,7 +203,7 @@ def _cmd_pme_solve(cfg):
         "doubly_stochastic": flags.doubly_stochastic,
         "final_state": [float(v) for v in traj.final_state],
     }
-    _write_outputs(cfg, report, _trajectory_csv(traj, entropy, cfg))
+    _write_outputs(cfg, report, _trajectory_csv(traj, cfg))
 
 
 def _cmd_qt_fit(cfg):
@@ -257,8 +254,10 @@ def _cmd_lindblad(cfg):
     dt = _default_dt(cfg["dt"], rate_scale, "rate scale")
 
     report = {"dt": dt}
+    entropy = None
     if cfg["gradient_check"]:
         p_st = lindblad.stationary_bloch(channel)
+        entropy = lambda rows: lindblad.bloch_entropy(channel, rows)
         rng = np.random.default_rng(cfg["seed"])
         grad_resid = 0.0
         six_resid = 0.0
@@ -286,13 +285,10 @@ def _cmd_lindblad(cfg):
 
     traj = dynamics.integrate(
         lambda y: lindblad.bloch_rhs(channel, y), cfg["P0"], cfg["t_end"], dt,
-        stride=cfg["stride"],
+        entropy=entropy, stride=cfg["stride"],
     )
-    entropy = None
-    if cfg["gradient_check"]:
-        entropy = lindblad._bloch_entropy_rows(channel, traj.states)
     report["P_final"] = [float(v) for v in traj.final_state]
-    _write_outputs(cfg, report, _trajectory_csv(traj, entropy, cfg))
+    _write_outputs(cfg, report, _trajectory_csv(traj, cfg))
 
 
 def _cmd_composite(cfg):
@@ -330,8 +326,8 @@ _COMMANDS = {
     "pme-solve": _Command(
         _cmd_pme_solve, "Integrate a master equation and report its stationary state.",
         {
-            "W": (_finite(None, None), _REQUIRED, "NxN rate matrix"),
-            "p0": (_finite(None), _REQUIRED, "length-N probabilities"),
+            "W": (_finite((None, None)), _REQUIRED, "NxN rate matrix"),
+            "p0": (_finite((None,)), _REQUIRED, "length-N probabilities"),
             "t_end": (_positive, _REQUIRED, "number"),
             "dt": (_positive, None, "number (default 1e-3 / max rate)"),
             "stride": _STRIDE,
@@ -341,7 +337,7 @@ _COMMANDS = {
     ),
     "qt-fit": _Command(
         _cmd_qt_fit, "Fit a quadratic-entropy representation to a rate matrix.",
-        {"W": (_finite(None, None), _REQUIRED, "NxN rate matrix"), "out": _OUT},
+        {"W": (_finite((None, None)), _REQUIRED, "NxN rate matrix"), "out": _OUT},
         "The fit is the closed-form Sylvester solve, for any N; it draws "
         "no random numbers, so seed has no effect.  Writes <out>.json "
         "with fields n, q, r, subsets, norm, residual.  Exit code 3 if the "
@@ -350,13 +346,14 @@ _COMMANDS = {
     ),
     "relax-classify": _Command(
         _cmd_relax_classify, "Classify the relaxation character of a three-state chain.",
-        {"rates": (_finite(6), _REQUIRED, "[a, b, c, d, e, f]"), "out": _OPTIONAL_OUT},
+        {"rates": (_finite((6,)), _REQUIRED, "[a, b, c, d, e, f]"), "out": _OPTIONAL_OUT},
     ),
     "relax-scan": _Command(
         _cmd_relax_scan, "Sample rate space and classify each sample.",
         {
             "samples": (_integer(1), _REQUIRED, "int"),
-            "ranges": (_raw, (0.0, 1.0), "[lo, hi] or six pairs (default [0, 1])"),
+            "ranges": (_finite((2,), (6, 2)), (0.0, 1.0),
+                       "[lo, hi] or six pairs (default [0, 1])"),
             "constrain_omega_zero": (_boolean, False, "bool (default false)"),
             "bins": (_integer(1), 10, "int (default 10)"),
             "out": _OUT,

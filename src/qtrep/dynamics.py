@@ -2,10 +2,11 @@
 
 One integrator serves every flow in the package.  It records the
 initial state, every stride-th accepted state and the final one in one
-array; after the run it derives from each recorded state the drift of
-the component sum (the conserved energy of the probability flows) and,
-when an entropy callable is supplied, the entropy value and its
-increment since the previous recorded state.
+array.  After the run it derives from each recorded state the drift of
+the component sum (the conserved energy of the probability flows).
+When an entropy callable is supplied, it is called once on the whole
+array of recorded states, and gives each row's entropy; the increments
+between recorded rows follow from those values.
 The step size is constant except for the final step, which is truncated
 so the last recorded time is exactly t_end.
 """
@@ -38,8 +39,9 @@ class Trajectory:
 
     Row k holds the k-th recorded state.  sum_drift[k] is
     |sum(y_k) - sum(y_0)|.  entropy and entropy_delta are None unless an
-    entropy callable was supplied; entropy_delta[k] is entropy[k] -
-    entropy[k - 1], and entropy_delta[0] is zero by convention.
+    entropy callable was supplied; entropy[k] is its value on row k,
+    entropy_delta[k] is entropy[k] - entropy[k - 1], and
+    entropy_delta[0] is zero by convention.
     """
 
     times: np.ndarray
@@ -83,7 +85,10 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
         Horizon and step; both must be positive.  The last step is
         shortened to land on t_end exactly.
     entropy : callable, optional
-        Scalar monitor evaluated at every recorded state.
+        Maps the (rows, dim) array of recorded states to one entropy
+        value per row.  It is called once, after the last step, and must
+        not modify its argument.  pme.bs_entropy and
+        lindblad.bloch_entropy take such an array.
     stride : int, optional
         Record the states after steps 0, stride, 2 * stride, ... and
         the final state, whatever its step index; the default 1 records
@@ -95,10 +100,12 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     ------
     InputError
         When t_end / dt exceeds MAX_STEPS or stride is not a positive
-        integer, before the first step.
+        integer, before the first step; or when entropy does not return
+        one value per recorded row.
     DivergenceError
         When a step produces a non-finite state, or rhs raises InputError
-        on a non-finite stage of it; carries the step index.
+        on a non-finite stage of it; carries the step index.  The time
+        it reports is the one the step reaches, t_end on the last.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise InputError(f"t_end must be positive and finite, got {t_end!r}")
@@ -129,35 +136,32 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     states[0] = y
     row = 1
     # A step that overflows is caught by the finiteness check, which
-    # raises DivergenceError; numpy's warning would only add noise.
+    # raises DivergenceError; an overflowing monitor leaves a non-finite
+    # value in its column.  numpy's warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             h = dt if step <= n_full else remainder
             y = _rk4_step(rhs, y, h)
             if not np.isfinite(y).all():
-                raise DivergenceError(
-                    f"non-finite state at step {step} (t = {step * dt!r})", step
-                )
+                t = step * dt if step <= n_full else t_end
+                raise DivergenceError(f"non-finite state at step {step} (t = {t!r})", step)
             if step % stride == 0 or step == steps:
                 states[row] = y
                 row += 1
         # Only the last step can pass t_end, and it ends there exactly.
         times = recorded * dt
         times[-1] = t_end
-        # Row by row: each monitor gets the same argument a per-step
-        # call would, and the state array is never copied whole.
         sum0 = math.fsum(states[0].tolist())
         drift = np.array([abs(math.fsum(row.tolist()) - sum0) for row in states])
-        s_values = None
+        s_values = s_delta = None
         if entropy is not None:
-            s_values = np.array([float(entropy(row)) for row in states])
+            s_values = np.array(entropy(states), dtype=float)
+            if s_values.shape != times.shape:
+                raise InputError(f"entropy gave shape {s_values.shape}, not {times.shape}")
+            s_delta = np.diff(s_values, prepend=s_values[0])
 
     return Trajectory(
-        times=times,
-        states=states,
-        sum_drift=drift,
-        entropy=s_values,
-        entropy_delta=None if s_values is None else np.diff(s_values, prepend=s_values[0]),
+        times=times, states=states, sum_drift=drift, entropy=s_values, entropy_delta=s_delta
     )
 
 

@@ -86,10 +86,11 @@ def _finite_array(x, name, shape):
     """x copied into a float array of the given shape, every entry finite.
 
     shape has at most two axes; a None allows any size along its axis,
-    and () asks for a scalar.  Raises InputError naming name when x is
-    not numeric, has another shape, or holds a NaN or an infinity.
-    Strings and complex numbers are not numeric here: numpy would parse
-    the one and drop the imaginary part of the other.
+    and () asks for a scalar.  A list of such shapes accepts any of
+    them.  Raises InputError naming name when x is not numeric, has
+    another shape, or holds a NaN or an infinity.  Strings and complex
+    numbers are not numeric here: numpy would parse the one and drop the
+    imaginary part of the other.
     """
     try:
         raw = np.asarray(x)
@@ -100,17 +101,26 @@ def _finite_array(x, name, shape):
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be a numeric {_describe(shape)}") from exc
-    if arr.shape != shape and (arr.ndim != len(shape) or any(
-        want not in (None, got) for want, got in zip(shape, arr.shape)
-    )):
+    if arr.shape != shape and not _fits(arr.shape, shape):
         raise InputError(f"{name} must be a {_describe(shape)}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")
     return arr
 
 
+def _fits(got, shape):
+    """Whether the array shape got is shape, or one of a list of shapes."""
+    if isinstance(shape, list):
+        return any(_fits(got, want) for want in shape)
+    return len(got) == len(shape) and all(want in (None, size) for want, size in zip(shape, got))
+
+
 def _describe(shape):
-    """The kind of array shape asks for: 'scalar', '3-vector', 'vector' or 'matrix'."""
+    """What shape asks for: e.g. 'scalar', '3-vector', 'matrix', '2-vector or 6x2 matrix'."""
+    if isinstance(shape, list):
+        return " or ".join(map(_describe, shape))
     if len(shape) == 1:
         return "vector" if shape[0] is None else f"{shape[0]}-vector"
-    return "matrix" if shape else "scalar"
+    if shape in ((), (None, None)):
+        return "matrix" if shape else "scalar"
+    return "x".join("N" if n is None else str(n) for n in shape) + " matrix"

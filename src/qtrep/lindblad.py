@@ -155,23 +155,20 @@ def stationary_bloch(channel):
 
 
 def bloch_entropy(channel, p):
-    """Entropy whose gradient flow is the single-dissipator channel."""
-    require_gradient_form(channel)
-    return float(_bloch_entropy_rows(channel, [_finite_array(p, "P", (3,))])[0])
+    """Entropy whose gradient flow is the single-dissipator channel.
 
-
-def _bloch_entropy_rows(channel, rows):
-    """bloch_entropy at each finite row, the channel gated once.
-
+    p is one Bloch vector, or a 2-D stack of them for one value per row.
     Each row keeps its own 3-vector dot products: a matmul over the rows
     would regroup the sums and move the last bits.
     """
     a, b = require_gradient_form(channel)
+    p = _finite_array(p, "P", [(3,), (None, 3)])
     source, weight = channel.sources[0], channel.weights[0]
-    return np.array([
-        source @ p - (p @ p) * weight / 2.0 + (a @ p) ** 2 / 2.0 + (b @ p) ** 2 / 2.0
-        for p in rows
+    values = np.array([
+        source @ row - (row @ row) * weight / 2.0 + (a @ row) ** 2 / 2.0 + (b @ row) ** 2 / 2.0
+        for row in p.reshape(-1, 3)
     ])
+    return float(values[0]) if p.ndim == 1 else values
 
 
 def gradient_rhs(channel, p):

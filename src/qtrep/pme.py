@@ -190,24 +190,22 @@ def classify_w(w):
 
 
 def bs_entropy(p):
-    """Boltzmann-Shannon entropy -sum p ln p of a vector in [0, 1], 0 ln 0 = 0."""
-    arr = np.asarray(p, dtype=float)
-    # NaN fails both comparisons, so the range test also checks finiteness.
-    if arr.ndim != 1 or arr.size == 0 or not ((arr >= -1e-12) & (arr <= 1.0 + 1e-9)).all():
-        raise InputError("p must be a non-empty vector with entries in [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    mask = arr > 0.0
-    return float(-(arr[mask] * np.log(arr[mask])).sum())
+    """Boltzmann-Shannon entropy -sum p ln p of a vector in [0, 1], 0 ln 0 = 0.
 
-
-def _bs_entropy_rows(rows):
-    """bs_entropy of each row of a finite array with entries in [0, 1].
-
-    Rows with every entry positive are summed in one vectorized pass,
-    which groups each row's sum as bs_entropy does.  A row with a zero
-    entry keeps bs_entropy's masked sum: dropping entries regroups
-    numpy's summation, so the vectorized pass would move its last bits.
+    A 2-D stack of such vectors gives one value per row, each summed as
+    its row alone would be.  Rows with every entry positive are summed
+    in one vectorized pass, which groups each row's sum as a single
+    vector's; a row with a zero entry takes the masked sum, since
+    dropping entries regroups numpy's summation.
     """
+    message = "p must be a non-empty vector, or a stack of them, with entries in [0, 1]"
+    try:
+        arr = _finite_array(p, "p", [(None,), (None, None)])
+    except InputError as exc:
+        raise InputError(message) from exc
+    if arr.size == 0 or not ((arr >= -1e-12) & (arr <= 1.0 + 1e-9)).all():
+        raise InputError(message)
+    rows = np.clip(arr, 0.0, 1.0).reshape(-1, arr.shape[-1])
     out = np.empty(rows.shape[0])
     positive = (rows > 0.0).all(axis=1)
     full = rows[positive]
@@ -215,4 +213,4 @@ def _bs_entropy_rows(rows):
     for k in np.flatnonzero(~positive):
         row = rows[k][rows[k] > 0.0]
         out[k] = -(row * np.log(row)).sum()
-    return out
+    return float(out[0]) if arr.ndim == 1 else out

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import math
 
 import numpy as np
 
@@ -184,19 +183,12 @@ class ScanGrid:
     bins: int = 10
 
     def __post_init__(self):
-        try:
-            ranges = tuple(self.ranges)
-            if len(ranges) == 2 and np.isscalar(ranges[0]):
-                ranges = (ranges,) * 6
-            # + 0.0 turns -0.0 into 0.0: numpy rejects a high of -0.0
-            # over a low of 0.0.
-            ranges = tuple((float(lo) + 0.0, float(hi) + 0.0) for lo, hi in ranges)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed ranges: {exc}") from exc
-        if len(ranges) != 6:
-            raise InputError(f"need 1 or 6 ranges, got {len(ranges)}")
+        # + 0.0 turns -0.0 into 0.0: numpy rejects a high of -0.0 over a
+        # low of 0.0.
+        pairs = _finite_array(self.ranges, "ranges", [(2,), (6, 2)]) + 0.0
+        ranges = tuple(map(tuple, np.broadcast_to(pairs, (6, 2)).tolist()))
         for lo, hi in ranges:
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi < lo:
+            if lo < 0.0 or hi < lo:
                 raise InputError(f"bad range ({lo!r}, {hi!r})")
         object.__setattr__(self, "ranges", ranges)
         for name, budget in (("samples", MAX_SAMPLES), ("bins", MAX_BINS)):

@@ -241,6 +241,11 @@ def test_criterion_09_composite_coupling():
            f"grad sum {worst_grad_sum:.1e}, min q {min_q:.3f}")
 
 
+def per_row(entropy):
+    """Rows monitor for integrate from an entropy of one state."""
+    return lambda rows: [entropy(y) for y in rows]
+
+
 def test_criterion_10_conservation_and_entropy_production():
     rng = np.random.default_rng(110)
     runs = []
@@ -254,7 +259,7 @@ def test_criterion_10_conservation_and_entropy_production():
         runs.append((
             f"qt flow n={n}",
             dynamics.integrate(lambda y, m=mat: m @ y, p0, 5.0, 1e-3,
-                               entropy=rep.entropy.value),
+                               entropy=per_row(rep.entropy.value)),
             5.0,
         ))
 
@@ -265,7 +270,7 @@ def test_criterion_10_conservation_and_entropy_production():
     runs.append((
         "qt flow cycle",
         dynamics.integrate(lambda y: mat @ y, np.array([1.0, 0.0, 0.0]),
-                           8.0, 1e-3, entropy=rep.entropy.value),
+                           8.0, 1e-3, entropy=per_row(rep.entropy.value)),
         8.0,
     ))
 
@@ -281,7 +286,7 @@ def test_criterion_10_conservation_and_entropy_production():
             dynamics.integrate(
                 lambda y, ch=ch: lb.qt_six_rhs(ch, y),
                 y0, 4.0, 2e-3,
-                entropy=lambda y, ch=ch: lb.bloch_entropy(ch, lb.extract_bloch(y)),
+                entropy=per_row(lambda y, ch=ch: lb.bloch_entropy(ch, lb.extract_bloch(y))),
             ),
             4.0,
         ))
@@ -294,7 +299,7 @@ def test_criterion_10_conservation_and_entropy_production():
             dynamics.integrate(
                 lambda w, s=system: cp.qt_flow(s, w),
                 rng.dirichlet(np.ones(4)), 4.0, 2e-3,
-                entropy=lambda w, s=system: cp.composite_entropy(s, w),
+                entropy=per_row(lambda w, s=system: cp.composite_entropy(s, w)),
             ),
             4.0,
         ))

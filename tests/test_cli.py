@@ -197,6 +197,22 @@ class TestPmeSolve:
         assert error_lines(capsys) == ["error: rate matrix column sums are not finite"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
+    def test_reducible_chain_fails_before_integrating(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.dynamics, "integrate", lambda *a, **k: calls.append(a))
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"W": [[0, 0, 0], [1, 0, 0], [0, 0, 0]], "p0": [1, 0, 0], "t_end": 1000,
+             "dt": 0.001, "out": str(tmp_path / "r")},
+        )
+        assert run(["pme-solve", "--config", cfg]) == 2
+        assert error_lines(capsys) == [
+            "error: generator kernel has dimension 2 at relative SVD threshold 1e-10, "
+            "expected 1 (reducible chain, or rates too far apart to resolve)"
+        ]
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_bad_probability_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -484,6 +500,12 @@ class TestBoundary:
              "error: W must be a numeric matrix"),
             ("pme-solve", {"W": [[0, 1], [2, 0]], "p0": ["1", 0], "t_end": 1.0}, 2,
              "error: p0 must be a numeric vector"),
+            ("relax-scan", {"samples": 4, "ranges": ["0", "1"]}, 2,
+             "error: ranges must be a numeric 2-vector or 6x2 matrix"),
+            ("relax-scan", {"samples": 4, "ranges": [[0, 1], [0, 1]]}, 2,
+             "error: ranges must be a 2-vector or 6x2 matrix, got shape (2, 2)"),
+            ("relax-scan", {"samples": 4, "ranges": [0, float("inf")]}, 2,
+             "error: ranges has non-finite entries"),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capfd, command, cfg, code, message):

@@ -62,7 +62,7 @@ class TestIntegrate:
             np.array([0.5]),
             1.0,
             0.1,
-            entropy=lambda y: float(y[0] ** 2),
+            entropy=lambda rows: rows[:, 0] ** 2,
         )
         assert traj.entropy is not None
         assert traj.entropy[0] == 0.25
@@ -91,6 +91,29 @@ class TestIntegrate:
         with pytest.raises(DivergenceError, match=r"step 30 \(t = 15.0\)") as err:
             dynamics.integrate(rhs, np.array([0.3, -0.2, 0.1]), 50.0, 0.5)
         assert err.value.step == 30
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_on_shortened_last_step_reports_t_end(self):
+        # y[0] is the time; the rhs turns infinite past t = 1.02, which
+        # only the stages of step 11, shortened to land on 1.05, reach.
+        rhs = lambda y: np.array([1.0 if y[0] < 1.02 else np.inf])
+        message = r"^non-finite state at step 11 \(t = 1\.05\)$"
+        with pytest.raises(DivergenceError, match=message) as err:
+            dynamics.integrate(rhs, np.array([0.0]), 1.05, 0.1)
+        assert err.value.step == 11
+
+    def test_entropy_must_give_one_value_per_row(self):
+        with pytest.raises(InputError, match=r"^entropy gave shape \(\), not \(3,\)$"):
+            dynamics.integrate(decay_rhs(1.0), np.array([1.0]), 0.1, 0.05,
+                               entropy=lambda rows: float(rows[0, 0]))
+
+    def test_entropy_called_once_on_the_recorded_rows(self):
+        seen = []
+        traj = dynamics.integrate(decay_rhs(1.0), np.array([1.0, 2.0]), 1.0, 0.1, stride=3,
+                                  entropy=lambda rows: seen.append(rows.copy()) or rows[:, 1])
+        assert len(seen) == 1
+        assert seen[0].tobytes() == traj.states.tobytes()
+        assert traj.entropy.tobytes() == traj.states[:, 1].tobytes()
 
     def test_input_error_on_finite_stage_propagates(self):
         def rhs(y):

@@ -286,6 +286,27 @@ class TestGradientIdentity:
         value = lb.bloch_entropy(single([1.0, 0, 0], [0, 1.0, 0]), np.array([0, 0, 1.0]))
         assert value == pytest.approx(1.0, abs=1e-14)
 
+    def test_entropy_of_a_stack_is_per_row_bitwise(self):
+        a, b = unit_pair(44)
+        ch = single(a, b)
+        rows = np.random.default_rng(45).uniform(-0.6, 0.6, (50, 3))
+        got = lb.bloch_entropy(ch, rows)
+        assert got.shape == (50,)
+        want = np.array([literal_bloch_entropy(a, b, p) for p in rows])
+        assert got.tobytes() == want.tobytes()
+        assert isinstance(lb.bloch_entropy(ch, rows[0]), float)
+
+    @pytest.mark.parametrize("p", [
+        [0.1, [0.2], 0.3], [[0.1, 0.2, 0.3], [0.1, 0.2]],
+        ["0.1", "0.2", "0.3"], [["0.1", "0.2", "0.3"]],
+        [np.nan, 0.0, 0.0], [[0.1, 0.2, 0.3], [0.0, np.nan, 0.0]],
+        np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3)),
+    ], ids=["ragged", "ragged-rows", "strings", "string-rows", "nan", "nan-rows",
+            "length", "row-length", "3-d"])
+    def test_entropy_rejects_bad_states(self, p):
+        with pytest.raises(InputError, match="^P "):
+            lb.bloch_entropy(single(*unit_pair(46)), p)
+
     def test_entropy_increases_along_flow(self):
         ch = single(*unit_pair(42))
         p = np.random.default_rng(43).uniform(-0.5, 0.5, 3)

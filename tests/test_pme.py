@@ -215,7 +215,8 @@ class TestBsEntropy:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_rows_monitor_matches_bs_entropy_bitwise(self, n):
         # Rows with exact zeros take the masked sum, the rest the batched
-        # one; both must give bs_entropy's bits.
+        # one; both must give the bits of the masked sum over one row,
+        # and so must each row passed alone.
         rng = np.random.default_rng(n)
         rows = rng.dirichlet(np.ones(n), 400) * 10.0 ** rng.uniform(-3.0, 0.0, (400, n))
         pick = rng.uniform(size=rows.shape)
@@ -226,9 +227,23 @@ class TestBsEntropy:
         rows[(pick >= 0.13) & (pick < 0.15)] = 1.0 + 1e-12
         rows[0] = 0.0
         rows[1] = 1.0
-        got = pme._bs_entropy_rows(np.clip(rows, 0.0, 1.0))
-        want = np.array([pme.bs_entropy(np.clip(row, 0.0, 1.0)) for row in rows])
+        want = []
+        for row in np.clip(rows, 0.0, 1.0):
+            kept = row[row > 0.0]
+            want.append(float(-(kept * np.log(kept)).sum()))
+        want = np.array(want)
+        got = pme.bs_entropy(rows)
+        assert got.shape == (400,)
         assert got.tobytes() == want.tobytes()
+        one_by_one = np.array([pme.bs_entropy(row) for row in rows])
+        assert one_by_one.tobytes() == want.tobytes()
+
+    def test_stack_gives_one_value_per_row(self):
+        got = pme.bs_entropy([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got.tolist() == [pme.bs_entropy(row)
+                                for row in ([0.5, 0.5], [1.0, 0.0], [0.25, 0.75])]
+        assert isinstance(pme.bs_entropy([0.5, 0.5]), float)
 
     def test_uniform_is_log_n(self):
         assert pme.bs_entropy(np.full(4, 0.25)) == pytest.approx(math.log(4), rel=1e-14)
@@ -246,9 +261,18 @@ class TestBsEntropy:
         with pytest.raises(InputError, match=r"entries in \[0, 1\]"):
             pme.bs_entropy(p)
 
-    @pytest.mark.parametrize("p", [[], [[0.5, 0.5], [0.5, 0.5]], 0.5])
+    @pytest.mark.parametrize("p", [[], np.full((2, 2, 2), 0.25), 0.5, np.empty((0, 3))])
     def test_non_vector_rejected(self, p):
         with pytest.raises(InputError, match="non-empty vector"):
+            pme.bs_entropy(p)
+
+    @pytest.mark.parametrize("p", [
+        [0.5, [0.5]], [[0.5, 0.5], [1.0]],
+        ["0.5", "0.5"], [["0.5", "0.5"], ["1", "0"]],
+        [np.nan, 1.0], [[0.5, 0.5], [np.nan, 1.0]],
+    ], ids=["ragged", "ragged-rows", "strings", "string-rows", "nan", "nan-rows"])
+    def test_ragged_string_and_nan_rejected(self, p):
+        with pytest.raises(InputError, match=r"entries in \[0, 1\]"):
             pme.bs_entropy(p)
 
     @settings(max_examples=20, deadline=None)

@@ -122,7 +122,7 @@ class TestScan:
         grid = relaxation.ScanGrid(ranges=(0.0, -0.0), samples=4)
         assert math.copysign(1.0, grid.ranges[0][1]) == 1.0
         np.testing.assert_array_equal(relaxation.scan(grid, seed=1).rates, 0.0)
-        with pytest.raises(InputError, match="malformed ranges"):
+        with pytest.raises(InputError, match="ranges must be a numeric 2-vector or 6x2 matrix"):
             relaxation.ScanGrid(ranges=(0.0, 10**400), samples=4)
 
     def test_deterministic(self):

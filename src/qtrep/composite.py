@@ -106,16 +106,13 @@ def product_state(p1, q1):
 
 def composite_generator(system):
     """Joint generator, the Kronecker sum of the two flip generators."""
-    a = system.a
-    c = system.c
-    return np.array(
-        [
-            [-(a + c), c, a, 0.0],
-            [c, -(a + c), 0.0, a],
-            [a, 0.0, -(a + c), c],
-            [0.0, a, c, -(a + c)],
-        ]
-    )
+    a, c = system.a, system.c
+    return np.array([
+        [-(a + c), c, a, 0.0],
+        [c, -(a + c), 0.0, a],
+        [a, 0.0, -(a + c), c],
+        [0.0, a, c, -(a + c)],
+    ])
 
 
 def _balanced(w):

@@ -36,10 +36,9 @@ class SizeError(InputError):
 
 
 class DegenerateChainError(InputError):
-    """The rate matrix does not define a unique stationary distribution.
+    """The rate graph has other than one closed class: no unique stationary state.
 
-    kernel_dim holds the numerically detected kernel dimension of the
-    generator (1 when the failure is a negative kernel entry instead).
+    kernel_dim holds the closed-class count, which equals dim ker L.
     """
 
     def __init__(self, message, kernel_dim):

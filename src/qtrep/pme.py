@@ -28,11 +28,6 @@ __all__ = [
     "bs_entropy",
 ]
 
-# Relative threshold for detecting the generator kernel and for the
-# symmetry classifiers.
-_KERNEL_RTOL = 1e-10
-_CLASSIFY_ATOL = 1e-12
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TransitionMatrix:
@@ -102,9 +97,7 @@ class WSymmetryFlags:
 
 
 def _as_transition_matrix(w):
-    if isinstance(w, TransitionMatrix):
-        return w
-    return TransitionMatrix(w)
+    return w if isinstance(w, TransitionMatrix) else TransitionMatrix(w)
 
 
 def build_generator(w):
@@ -116,8 +109,7 @@ def build_generator(w):
     w = _as_transition_matrix(w)
     gen = np.array(w.w)
     for k in range(w.n):
-        column = [gen[i, k] for i in range(w.n) if i != k]
-        gen[k, k] = -math.fsum(column)
+        gen[k, k] = -math.fsum(gen[i, k] for i in range(w.n) if i != k)
     return gen
 
 
@@ -128,38 +120,46 @@ def pme_rhs(w, p):
 
 
 def stationary_state(w):
-    """Unique stationary distribution of the chain.
+    """Unique stationary distribution of the chain; transient states get exactly 0.
 
-    The kernel of L is taken from the SVD with relative threshold 1e-10.
-    A kernel dimension other than one, or kernel entries below -1e-10,
-    raise DegenerateChainError with the detected dimension.  A dimension
-    above one means a reducible chain, or an irreducible one whose rates
-    span so many decades that the threshold cannot tell them from zero.
+    One exists exactly when the rate graph (w > 0) has one closed class;
+    DegenerateChainError reports the class count otherwise.  GTH elimination
+    (Grassmann, Taksar, Heyman, Oper. Res. 33, 1107 (1985)) subtracts nothing,
+    so each entry has a small relative error (O'Cinneide, Numer. Math. 65, 109 (1993)).
     """
     w = _as_transition_matrix(w)
-    gen = build_generator(w)
-    _, svals, vt = np.linalg.svd(gen)
-    scale = svals[0] if svals[0] > 0.0 else 1.0
-    kernel_dim = int(np.sum(svals <= _KERNEL_RTOL * scale))
-    if kernel_dim != 1:
-        raise DegenerateChainError(
-            f"generator kernel has dimension {kernel_dim} at relative SVD threshold "
-            f"{_KERNEL_RTOL:g}, expected 1 (reducible chain, or rates too far apart "
-            "to resolve)",
-            kernel_dim,
-        )
-    vec = vt[-1]
-    total = vec.sum()
-    if total == 0.0:
-        raise DegenerateChainError("kernel vector sums to zero", 1)
-    vec = vec / total
-    if np.any(vec < -1e-10):
-        raise DegenerateChainError(
-            f"kernel vector has negative entries (min {vec.min()!r}); "
-            "chain is numerically degenerate",
-            1,
-        )
-    return ProbabilityState(np.clip(vec, 0.0, None) / np.clip(vec, 0.0, None).sum())
+    reach = (w.w > 0.0).T | np.eye(w.n, dtype=bool)  # reach[k, i]: k leads to i
+    for _ in range(w.n.bit_length()):
+        reach = reach @ reach
+    # Recurrent: reached back from all it reaches; a class counts at its first state.
+    recurrent = (reach <= reach.T).all(axis=1)
+    closed = int(np.sum(recurrent & (reach.argmax(axis=1) == np.arange(w.n))))
+    if closed != 1:
+        raise DegenerateChainError(f"no unique stationary state: {closed} closed classes", closed)
+    states = np.flatnonzero(recurrent)
+    # Halved rates: the same solution, with column sums below half the float limit.
+    rates, exits = w.w[np.ix_(states, states)] / 2.0, np.empty(states.size)
+    for k in range(states.size - 1, 0, -1):  # censor the chain to states 0..k-1
+        exits[k] = max(rates[:k, k].sum(), math.ulp(0.0))  # > 0 but for underflow
+        # rate(i -> j) += rate(i -> k) * rate(k -> j) / exits[k], with fractions and
+        # exponents apart so that no factor under- or overflows before the product.
+        (fo, eo), (fi, ei) = np.frexp(rates[:k, k]), np.frexp(rates[k, :k])
+        fe, ee = math.frexp(exits[k])
+        rates[:k, :k] += np.ldexp(np.outer(fo / fe, fi), np.add.outer(eo - ee, ei))
+    # Balance each state against the ones before it.  p[i] = f * 2**e with an
+    # int exponent, so no entry or product leaves the float range.
+    rows, p = rates.tolist(), [(0.5, 0)]
+    for k in range(1, states.size):
+        terms = [math.frexp(f * r) + (e,) for (f, e), r in zip(p, rows[k]) if f * r]
+        top = max((x + e for _, x, e in terms), default=0) + states.size.bit_length()
+        inflow = math.fsum(math.ldexp(m, x + e - top) for m, x, e in terms)
+        (fa, ea), (fb, eb) = math.frexp(inflow), math.frexp(exits[k])
+        f, e = math.frexp(fa / fb)
+        p.append((f, e + ea - eb + top))
+    top = max(e for f, e in p if f)
+    full = np.zeros(w.n)
+    full[states] = [math.ldexp(f, e - top) for f, e in p]
+    return ProbabilityState(full / math.fsum(full))
 
 
 def spectrum(w):
@@ -173,15 +173,14 @@ def spectrum(w):
 
 
 def classify_w(w):
-    """Symmetry flags of the rate matrix.
+    """Symmetry flags of the rate matrix, within 1e-12 * max(1, max rate).
 
     symmetric means w equal to its transpose; doubly_stochastic means
     equal row and column sums.  Symmetry implies the latter, which the
     return value preserves by construction.
     """
     w = _as_transition_matrix(w)
-    scale = max(1.0, float(np.max(w.w)))
-    tol = _CLASSIFY_ATOL * scale
+    tol = 1e-12 * max(1.0, float(np.max(w.w)))
     symmetric = bool(np.all(np.abs(w.w - w.w.T) <= tol))
     row_sums = w.w.sum(axis=1)
     col_sums = w.w.sum(axis=0)

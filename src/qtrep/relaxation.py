@@ -191,13 +191,18 @@ class ScanGrid:
             if lo < 0.0 or hi < lo:
                 raise InputError(f"bad range ({lo!r}, {hi!r})")
         object.__setattr__(self, "ranges", ranges)
+        flag = self.constrain_omega_zero
+        if not isinstance(flag, (bool, np.bool_)):
+            raise InputError(f"constrain_omega_zero must be a boolean, got {flag!r}")
         for name, budget in (("samples", MAX_SAMPLES), ("bins", MAX_BINS)):
-            value = int(getattr(self, name))
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
             if value <= 0:
                 raise InputError(f"{name} must be positive, got {value}")
             if value > budget:
                 raise InputError(f"{name} = {value} exceeds the budget of {budget} {name}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, int(value))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

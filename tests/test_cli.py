@@ -207,11 +207,24 @@ class TestPmeSolve:
         )
         assert run(["pme-solve", "--config", cfg]) == 2
         assert error_lines(capsys) == [
-            "error: generator kernel has dimension 2 at relative SVD threshold 1e-10, "
-            "expected 1 (reducible chain, or rates too far apart to resolve)"
+            "error: no unique stationary state: 2 closed classes"
         ]
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_stationary_ratio_beyond_float_range(self, tmp_path):
+        # p0 / p1 = 1e-10 / 1e300: its inverse overflows, p0 is subnormal.
+        w = [[0, 1e-10, 0], [1e300, 0, 1], [0, 1, 0]]
+        out = tmp_path / "r"
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"W": w, "p0": [0, 0.5, 0.5], "t_end": 1e-300, "out": str(out)},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["pme-solve", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["stationary"] == [5e-311, 0.5, 0.5]
 
     def test_bad_probability_rejected(self, tmp_path):
         cfg = write_config(
@@ -362,7 +375,16 @@ class TestComposite:
         assert doc["q"] == 2
         assert doc["tsallis_coupling"] == -1
         assert doc["gradient_residual"] < 1e-12
-        np.testing.assert_allclose(doc["stationary"], 0.25, atol=1e-9)
+        assert doc["stationary"] == [0.25] * 4
+
+    @pytest.mark.parametrize("a, c", [
+        (0.37, 2.9), (1e4, 1e-4), (1e6, 1e-6), (2.0**53, 2.0), (1e308, 1e-10),
+    ])
+    def test_stiff_rates_exactly_uniform(self, tmp_path, capsys, a, c):
+        # Both subsystems are symmetric, so each product state has 1/4.
+        cfg = write_config(tmp_path / "c.json", {"a": a, "c": c})
+        assert run(["composite", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["stationary"] == [0.25] * 4
 
     def test_bad_rate_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"a": -1.0, "c": 2.0})
@@ -486,9 +508,8 @@ class TestBoundary:
              {"samples": 5, "ranges": [[1e308, 1.7e308], [0, 1], [0, 1], [1e308, 1.7e308],
                                        [1e308, 1.7e308], [0, 1]]},
              2, "error: cannot serialize non-finite value inf"),
-            ("composite", {"a": 1e308, "c": 1e-10}, 2,
-             "error: generator kernel has dimension 4 at relative SVD threshold 1e-10, "
-             "expected 1 (reducible chain, or rates too far apart to resolve)"),
+            ("pme-solve", {"W": [[0, 1, 0], [1, 0, 0], [0, 0, 0]], "p0": [1, 0, 0], "t_end": 1.0},
+             2, "error: no unique stationary state: 2 closed classes"),
             ("lindblad",
              {"channel": {"dissipators": [{"A": [1, 0, 0], "B": [2, 0, 0]}]},
               "P0": [0.3, -0.2, 0.1], "t_end": 1.0},

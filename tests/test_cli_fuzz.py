@@ -171,7 +171,8 @@ def _cases():
 
 
 # The @example cases are defects this test found, each a traceback or a
-# numpy warning before the fix.
+# numpy warning before the fix, and a chain whose stationary ratio
+# p1 / p0 = 1e310 overflows a double.
 @settings(max_examples=600, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cases())
@@ -183,5 +184,7 @@ def _cases():
 @example(case=_case("lindblad", stride=2**63))
 @example(case=_case("relax-scan", ranges=[0.0, -0.0]))
 @example(case=_case("relax-scan", ranges=[0.0, -10**400]))
+@example(case=_case("pme-solve", W=[[0.0, 1e-10, 0.0], [1e300, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                    p0=[0.0, 0.5, 0.5], t_end=1e-300, dt=1e-303))
 def test_config_boundary(case):
     check_contract(*case)

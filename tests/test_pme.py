@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtrep import pme
@@ -139,22 +140,97 @@ class TestStationaryState:
         assert err.value.kernel_dim == 2
 
     def test_all_zero_rates_rejected(self):
-        with pytest.raises(DegenerateChainError):
+        with pytest.raises(DegenerateChainError) as err:
             pme.stationary_state(np.zeros((3, 3)))
+        assert err.value.kernel_dim == 3
 
-    @pytest.mark.parametrize("w", [
-        # reducible: two closed classes {0, 1} and {2}
-        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-        # irreducible, every rate positive, but 1e-12 is below the threshold
-        [[0.0, 1.0, 1e-12], [1.0, 0.0, 1e-12], [1e-12, 1e-12, 0.0]],
-    ], ids=["reducible", "stiff-irreducible"])
-    def test_kernel_message_names_both_causes(self, w):
+    def test_reducible_chain_message(self):
+        # two closed classes, {0, 1} and {2}
+        w = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         with pytest.raises(DegenerateChainError, match=(
-            r"dimension 2 at relative SVD threshold 1e-10, expected 1 "
-            r"\(reducible chain, or rates too far apart to resolve\)"
+            r"^no unique stationary state: 2 closed classes$"
         )) as err:
             pme.stationary_state(w)
         assert err.value.kernel_dim == 2
+
+    def test_stiff_irreducible_chain_solved_exactly(self):
+        # Symmetric rates 12 decades apart: uniform, not degenerate.
+        w = [[0.0, 1.0, 1e-12], [1.0, 0.0, 1e-12], [1e-12, 1e-12, 0.0]]
+        assert pme.stationary_state(w).p.tolist() == [1.0 / 3.0] * 3
+
+    @pytest.mark.parametrize("up, down", [
+        ([1.0, 1e-3, 1e-6, 1e-9, 1e-12], [1.0] * 5),  # entries down to 5.0e-31
+        ([1e-8] * 5, [1e8] * 5),
+        ([3e5, 1e-7, 2.5, 1e10, 7e-3], [1e-9, 4.0, 1e12, 0.3, 1e-5]),
+        ([1e150, 1e150], [1e-150, 1e-150]),
+        ([1e-200] * 3, [1.0] * 3),
+    ])
+    def test_birth_death_closed_form(self, up, down):
+        # p[k+1] / p[k] = up[k] / down[k], evaluated in exact rationals.
+        n = len(up) + 1
+        w = np.zeros((n, n))
+        exact = [Fraction(1)]
+        for k, (u, d) in enumerate(zip(up, down)):
+            w[k + 1, k], w[k, k + 1] = u, d
+            exact.append(exact[-1] * Fraction(u) / Fraction(d))
+        expected = np.array([float(x / sum(exact)) for x in exact])
+        p = pme.stationary_state(w).p
+        np.testing.assert_allclose(p, expected, rtol=4 * n * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize("w, expected", [
+        # 0 -> 1 -> 2, 2 absorbing
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [0.0, 0.0, 1.0]),
+        # transient 0 and 1 feed the closed class {2, 3}, where p2 / p3 = 3
+        ([[0, 0, 0, 0], [2, 0, 0, 0], [5, 1, 0, 3], [0, 7, 1, 0]], [0.0, 0.0, 0.75, 0.25]),
+    ])
+    def test_transient_states_exactly_zero(self, w, expected):
+        assert pme.stationary_state(w).p.tolist() == expected
+
+    @pytest.mark.parametrize("w, classes", [
+        # transient 0 feeds the classes {1, 2} and {3}
+        ([[0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], 2),
+        # transient 3 feeds {0}, {1} and {2}; 4 leads to 3
+        ([[0, 0, 0, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+          [0, 0, 0, 0, 0]], 3),
+    ])
+    def test_kernel_dim_is_closed_class_count(self, w, classes):
+        with pytest.raises(DegenerateChainError) as err:
+            pme.stationary_state(w)
+        assert err.value.kernel_dim == classes
+        svals = np.linalg.svd(pme.build_generator(w), compute_uv=False)
+        assert np.sum(svals < 1e-12 * svals[0]) == classes
+
+    @pytest.mark.parametrize("w, expected", [
+        # p0 / p1 = 1e-310 overflows as p1 / p0: 5e-311 is subnormal
+        ([[0, 1e-10, 0], [1e300, 0, 1], [0, 1, 0]], [5e-311, 0.5, 0.5]),
+        # p0 / p1 = 1e-600 underflows to 0
+        ([[0, 1e-300, 0], [1e300, 0, 1], [0, 1, 0]], [0.0, 0.5, 0.5]),
+        # p2 = p1 * 1e-200 / 1e-300, where p1 * 1e-200 is below the float range
+        ([[0, 1, 1e-300], [1e-200, 0, 0], [0, 1e-200, 0]], [1.0, 1e-200, 1e-100]),
+        # 2 leaves for 0 with probability 1e-400, below the float range, yet
+        # the path 1 -> 2 -> 0 carries nearly all of the flow from 1 to 0
+        ([[0, 1e-300, 1e-200], [1e-200, 0, 1e200], [1e-200, 1e200, 0]], [0.2, 0.4, 0.4]),
+    ])
+    def test_rates_beyond_float_range(self, w, expected):
+        np.testing.assert_allclose(pme.stationary_state(w).p, expected, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_svd_where_gap_is_separated(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w = np.exp(rng.uniform(-3.0, 3.0, (n, n))) * (rng.random((n, n)) < 0.7)
+        np.fill_diagonal(w, 0.0)
+        _, svals, vt = np.linalg.svd(pme.build_generator(w))
+        try:
+            p, dim = pme.stationary_state(w).p, 1
+        except DegenerateChainError as err:
+            p, dim = None, err.kernel_dim
+        assert np.all(svals[n - dim:] <= 1e-12 * svals[0])
+        assume(dim < n and svals[n - dim - 1] > 1e-6 * svals[0])
+        if p is not None:
+            oracle = vt[-1] / vt[-1].sum()
+            tol = 1e-14 * svals[0] / svals[-2]
+            np.testing.assert_allclose(p, oracle, rtol=0.0, atol=tol)
 
 
 class TestSpectrum:

@@ -235,6 +235,25 @@ class TestScan:
     def test_bad_samples_rejected(self):
         with pytest.raises(InputError):
             relaxation.ScanGrid(ranges=(0.0, 1.0), samples=0)
+        # int() would read these as 5, 2 and 1 samples or bins.
+        for value in ("5", 2.7, True, None):
+            with pytest.raises(InputError, match=f"samples must be an integer, got {value!r}"):
+                relaxation.ScanGrid(ranges=(0.0, 1.0), samples=value)
+            with pytest.raises(InputError, match=f"bins must be an integer, got {value!r}"):
+                relaxation.ScanGrid(ranges=(0.0, 1.0), samples=5, bins=value)
+        grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=np.int64(5), bins=np.int32(3))
+        assert (grid.samples, grid.bins) == (5, 3)
+        assert type(grid.samples) is int and type(grid.bins) is int
+
+    def test_non_bool_constraint_rejected(self):
+        # "false" is truthy and would switch the constraint on.
+        for value in ("false", 0, None):
+            with pytest.raises(InputError, match=(
+                f"constrain_omega_zero must be a boolean, got {value!r}"
+            )):
+                relaxation.ScanGrid(ranges=(0.0, 1.0), samples=5, constrain_omega_zero=value)
+        grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=5, constrain_omega_zero=np.True_)
+        assert grid.constrain_omega_zero
 
     def test_budget(self):
         grid = relaxation.ScanGrid(

@@ -12,9 +12,10 @@ product of two epsilon factors over their shared indices, is
 so after attaching the normalizer 1/sqrt(N*(N-2)!) to both epsilon
 factors the double contraction collapses to the centered gradient
 g_i - mean(g), the orthogonal projection of g onto the simplex tangent
-space.  Everything here is plain float arithmetic on small N; the
-brute-force permutation sums serve as the oracle for the closed forms
-and are capped at N = 8.
+space.  A contraction of epsilon with fixed vectors is a determinant,
+so the permutation signs and the single-contraction ham terms are
+evaluated as determinants, for any N.  Only main_term_bruteforce is a
+permutation sum: the oracle for the closed form, capped at N = 8.
 
 All functions are pure and safe to call from multiple threads.
 """
@@ -36,7 +37,6 @@ MAX_BRUTEFORCE_N = 8
 
 __all__ = [
     "MAX_BRUTEFORCE_N",
-    "levi_civita_sign",
     "normalizer",
     "difference_basis",
     "main_term_bruteforce",
@@ -47,49 +47,17 @@ __all__ = [
 ]
 
 
-def levi_civita_sign(indices):
-    """Sign of the Levi-Civita symbol at a tuple of indices.
-
-    Parameters
-    ----------
-    indices : sequence of int
-        Indices drawn from 0..len(indices)-1.
-
-    Returns
-    -------
-    int
-        +1 for an even permutation of (0, 1, ..., N-1), -1 for an odd
-        one, 0 when any index repeats.
-
-    Raises
-    ------
-    InputError
-        If an index lies outside 0..N-1.
-    """
-    idx = tuple(indices)
-    n = len(idx)
-    for value in idx:
-        if not isinstance(value, (int, np.integer)):
-            raise InputError(f"indices must be integers, got {value!r}")
-        if value < 0 or value >= n:
-            raise InputError(f"index {value} out of range 0..{n - 1}")
-    if len(set(idx)) != n:
-        return 0
-    inversions = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if idx[a] > idx[b]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
-
-
 @lru_cache(maxsize=None)
 def _signed_permutations(n):
-    """All permutations of range(n) with their signs, cached per n."""
-    return tuple(
-        (float(levi_civita_sign(perm)), perm)
-        for perm in itertools.permutations(range(n))
-    )
+    """All permutations of range(n) in lexicographic order with their signs.
+
+    Each sign is the determinant of the permutation matrix, rounded: the
+    LU of a permutation matrix only swaps rows, so it is exactly +-1.
+    Cached per n.
+    """
+    perms = list(itertools.permutations(range(n)))
+    signs = np.rint(np.linalg.det(np.eye(n)[np.array(perms)]))
+    return tuple(zip(signs.tolist(), perms))
 
 
 def normalizer(n):
@@ -131,7 +99,7 @@ def _check_subset(subset, n):
     return subset
 
 
-def main_term_bruteforce(g, n, norm=None):
+def main_term_bruteforce(g, n):
     """Main flow term by literal double permutation sum.
 
     Evaluates
@@ -139,10 +107,10 @@ def main_term_bruteforce(g, n, norm=None):
         out_i = norm * sum e_{i,i1,m...} u_{i1} A_{m...},
         A_{m...} = norm * sum e_{j,j1,m...} g_j u_{j1},
 
-    with u the all-ones vector, summing every epsilon entry explicitly.
-    With the default norm = normalizer(n) the result equals
-    main_term_closed(g, n) up to roundoff; pass norm=1.0 to recover the
-    raw contraction (N-2)! * (N*g_i - sum g).
+    with u the all-ones vector and norm = normalizer(n), summing every
+    epsilon entry explicitly.  The result equals main_term_closed(g, n)
+    up to roundoff; divided by norm**2 it is the raw contraction
+    (N-2)! * (N*g_i - sum g).
 
     Factorial cost, capped at n = MAX_BRUTEFORCE_N.
     """
@@ -154,8 +122,7 @@ def main_term_bruteforce(g, n, norm=None):
             "use main_term_closed instead"
         )
     g = _finite_array(g, "gradient", (n,))
-    if norm is None:
-        norm = normalizer(n)
+    norm = normalizer(n)
     perms = _signed_permutations(n)
     # A carries n-2 free indices; a 0-d array handles n = 2 uniformly.
     inner = np.zeros((n,) * (n - 2))
@@ -181,7 +148,7 @@ def main_term_closed(g, n):
 
 
 def ham_term(g, subset, n):
-    """Hamiltonian-like flow term for one basis subset.
+    """Hamiltonian-like flow term for one basis subset, for any n >= 3.
 
     Contracts a single rank-n epsilon with the ones vector, the gradient
     g, and n-3 fixed tangent basis vectors:
@@ -197,21 +164,28 @@ def ham_term(g, subset, n):
     """
     if n < 3:
         raise InputError(f"ham terms need n >= 3, got {n}")
-    if n > MAX_BRUTEFORCE_N:
-        raise SizeError(
-            f"n = {n} exceeds the brute-force cap {MAX_BRUTEFORCE_N}"
-        )
     g = _finite_array(g, "gradient", (n,))
-    vecs = difference_basis(n)[list(_check_subset(subset, n))]
-    out = np.zeros(n)
-    for sign, p in _signed_permutations(n):
-        term = sign * g[p[2]]
-        for t in range(n - 3):
-            term *= vecs[t][p[3 + t]]
-            if term == 0.0:
-                break
-        out[p[0]] += term
-    return out
+    return _ham_matrix(n, _check_subset(subset, n)) @ g
+
+
+@lru_cache(maxsize=None)
+def _ham_matrix(n, subset):
+    """Matrix of ham_term(., subset, n) in the standard basis.
+
+    Entry [i, k] is det[e_i; ones; e_k; v_s1; ...; v_s(n-3)], the
+    epsilon contraction of ham_term written as a determinant, so the
+    cost is polynomial in n.  The rows are integer vectors, so every
+    entry is an integer and rounding removes the LU roundoff.
+    """
+    eye = np.eye(n)
+    rows = np.empty((n, n, n, n))
+    rows[:, :, 0] = eye[:, None, :]
+    rows[:, :, 1] = 1.0
+    rows[:, :, 2] = eye[None, :, :]
+    rows[:, :, 3:] = difference_basis(n)[list(subset)]
+    mat = np.rint(np.linalg.det(rows))
+    mat.setflags(write=False)
+    return mat
 
 
 # Slot layout of the six-variable kernel: three two-level subsystems

@@ -137,29 +137,44 @@ def stationary_state(w):
     if closed != 1:
         raise DegenerateChainError(f"no unique stationary state: {closed} closed classes", closed)
     states = np.flatnonzero(recurrent)
-    # Halved rates: the same solution, with column sums below half the float limit.
-    rates, exits = w.w[np.ix_(states, states)] / 2.0, np.empty(states.size)
+    # Each rate is a fraction times 2**exponent, the exponent an int64, so no
+    # rate the elimination builds leaves the float range.  A zero rate gets an
+    # exponent below every other, so that a sum takes its scale from the rest.
+    frac, expo = np.frexp(w.w[np.ix_(states, states)])
+    expo = expo.astype(np.int64)
+    expo[frac == 0.0] = -2**40
+    exits = [None] * states.size
     for k in range(states.size - 1, 0, -1):  # censor the chain to states 0..k-1
-        exits[k] = max(rates[:k, k].sum(), math.ulp(0.0))  # > 0 but for underflow
-        # rate(i -> j) += rate(i -> k) * rate(k -> j) / exits[k], with fractions and
-        # exponents apart so that no factor under- or overflows before the product.
-        (fo, eo), (fi, ei) = np.frexp(rates[:k, k]), np.frexp(rates[k, :k])
-        fe, ee = math.frexp(exits[k])
-        rates[:k, :k] += np.ldexp(np.outer(fo / fe, fi), np.add.outer(eo - ee, ei))
+        fe, ee = _frexp_sum(frac[:k, k], expo[:k, k])
+        exits[k] = float(fe), int(ee)
+        # rate(i -> j) += rate(i -> k) * rate(k -> j) / exits[k]
+        frac[:k, :k], expo[:k, :k] = _frexp_sum(
+            np.stack([frac[:k, :k], np.outer(frac[:k, k] / fe, frac[k, :k])]),
+            np.stack([expo[:k, :k], np.add.outer(expo[:k, k] - ee, expo[k, :k])]))
     # Balance each state against the ones before it.  p[i] = f * 2**e with an
     # int exponent, so no entry or product leaves the float range.
-    rows, p = rates.tolist(), [(0.5, 0)]
+    fracs, expos, p = frac.tolist(), expo.tolist(), [(0.5, 0)]
     for k in range(1, states.size):
-        terms = [math.frexp(f * r) + (e,) for (f, e), r in zip(p, rows[k]) if f * r]
+        terms = [math.frexp(f * r) + (e + er,)
+                 for (f, e), r, er in zip(p, fracs[k], expos[k]) if f * r]
         top = max((x + e for _, x, e in terms), default=0) + states.size.bit_length()
         inflow = math.fsum(math.ldexp(m, x + e - top) for m, x, e in terms)
-        (fa, ea), (fb, eb) = math.frexp(inflow), math.frexp(exits[k])
+        (fa, ea), (fb, eb) = math.frexp(inflow), exits[k]
         f, e = math.frexp(fa / fb)
         p.append((f, e + ea - eb + top))
     top = max(e for f, e in p if f)
     full = np.zeros(w.n)
     full[states] = [math.ldexp(f, e - top) for f, e in p]
     return ProbabilityState(full / math.fsum(full))
+
+
+def _frexp_sum(frac, expo):
+    """Sum over axis 0 of frac * 2**expo, as a fraction and an int64 exponent."""
+    top = expo.max(axis=0)
+    # Terms over 1100 binades below the largest vanish; clipped, every shift also
+    # fits the C long that ldexp takes, 32 bits on some platforms.
+    f, e = np.frexp(np.ldexp(frac, np.maximum(expo - top, -1100)).sum(axis=0))
+    return f, e + top
 
 
 def spectrum(w):

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FitNonConvergenceError, InputError, _finite_array
-from .multilinear import _check_subset, difference_basis, normalizer
+from .multilinear import _check_subset, _ham_matrix, difference_basis, normalizer
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
 
@@ -69,8 +69,8 @@ class QuadraticEntropy:
 
     def __post_init__(self):
         arr = _finite_array(self.q, "q", (None, None))
-        if arr.shape[0] != arr.shape[1]:
-            raise InputError(f"q must be square, got {arr.shape}")
+        if arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise InputError(f"q must be a non-empty square matrix, got shape {arr.shape}")
         scale = max(1.0, float(np.max(np.abs(arr))))
         if np.max(np.abs(arr - arr.T)) > 1e-14 * scale:
             raise InputError("q must be symmetric to 1e-14")
@@ -168,27 +168,6 @@ def ham_subsets(n):
     if n == 2:
         return ()
     return tuple(itertools.combinations(range(n - 1), n - 3))
-
-
-@lru_cache(maxsize=None)
-def _ham_matrix(n, subset):
-    """Matrix of ham_term(., subset, n) in the standard basis.
-
-    Entry [i, k] is det[e_i; ones; e_k; v_s1; ...; v_s(n-3)], the
-    epsilon contraction of multilinear.ham_term written as a
-    determinant, so the cost is polynomial in n.  The rows are integer
-    vectors, so every entry is an integer and rounding removes the LU
-    roundoff.
-    """
-    eye = np.eye(n)
-    rows = np.empty((n, n, n, n))
-    rows[:, :, 0] = eye[:, None, :]
-    rows[:, :, 1] = 1.0
-    rows[:, :, 2] = eye[None, :, :]
-    rows[:, :, 3:] = difference_basis(n)[list(subset)]
-    mat = np.rint(np.linalg.det(rows))
-    mat.setflags(write=False)
-    return mat
 
 
 def _main_scale(norm, n):

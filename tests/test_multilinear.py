@@ -8,32 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import signed_permutations
 from qtrep import multilinear as ml
 from qtrep.errors import InputError, SizeError
 
 
 class TestLeviCivitaSign:
+    # the sign of a permutation is its entry in the kernel's signed table
     def test_identity_is_even(self):
-        assert ml.levi_civita_sign((0, 1, 2)) == 1
+        assert dict((p, s) for s, p in ml._signed_permutations(3))[(0, 1, 2)] == 1.0
 
     def test_single_swap_is_odd(self):
-        assert ml.levi_civita_sign((1, 0, 2)) == -1
+        assert dict((p, s) for s, p in ml._signed_permutations(3))[(1, 0, 2)] == -1.0
 
-    def test_repeats_vanish(self):
-        assert ml.levi_civita_sign((0, 0, 2)) == 0
-        assert ml.levi_civita_sign((1, 1, 1)) == 0
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InputError):
-            ml.levi_civita_sign((0, 1, 3))
-        with pytest.raises(InputError):
-            ml.levi_civita_sign((-1, 1, 0))
-
-    @given(st.permutations(list(range(5))))
-    def test_matches_permutation_determinant(self, perm):
-        mat = np.eye(5)[list(perm)]
-        det = round(np.linalg.det(mat))
-        assert ml.levi_civita_sign(perm) == det
+class TestSignedPermutations:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_signs_match_inversion_count(self, n):
+        # determinant signs, as floats, equal the inversion-count oracle
+        table = ml._signed_permutations(n)
+        assert table == signed_permutations(n)
+        assert all(type(sign) is float for sign, _ in table)
 
 
 class TestNormalizer:
@@ -55,7 +50,7 @@ class TestNormalizer:
 class TestMainTerm:
     def test_unnormalized_three_state_value(self):
         # raw contraction: (N-2)! * (N g - sum g) = 3*(1,0,0) - 1
-        out = ml.main_term_bruteforce(np.array([1.0, 0.0, 0.0]), 3, norm=1.0)
+        out = ml.main_term_bruteforce(np.array([1.0, 0.0, 0.0]), 3) / ml.normalizer(3) ** 2
         np.testing.assert_allclose(out, [2.0, -1.0, -1.0], atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -104,7 +99,8 @@ class TestHamTerm:
         np.testing.assert_allclose(out, [0.0, 1.0, -1.0], atol=1e-14)
         np.testing.assert_allclose(out, np.cross(np.ones(3), g), atol=1e-14)
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    # 9 and 10 lie above MAX_BRUTEFORCE_N: ham_term has no size cap
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 10])
     def test_conserves_sum_and_entropy(self, n):
         rng = np.random.default_rng(200 + n)
         for subset in itertools.combinations(range(n - 1), n - 3):
@@ -113,7 +109,7 @@ class TestHamTerm:
             assert abs(out.sum()) < 1e-12
             assert abs(out @ g) < 1e-12
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 10])
     def test_matrix_is_antisymmetric(self, n):
         for subset in itertools.combinations(range(n - 1), n - 3):
             cols = [ml.ham_term(np.eye(n)[k], subset, n) for k in range(n)]
@@ -187,12 +183,12 @@ class TestSixSlotMainTerm:
 
 
 def literal_six_slot_main_term(g3):
-    """The kernel as two loops over all 720 signed permutations."""
+    """The kernel as two loops over all 720 permutations, signed by the oracle."""
     gs = np.empty(6)
     gs[0::2] = 2.0 * g3
     gs[1::2] = -2.0 * g3
     in1, in2, in3 = (0, 1), (2, 3), (4, 5)
-    perms = ml._signed_permutations(6)
+    perms = signed_permutations(6)
     inner = np.zeros((6, 6))
     for sign, p in perms:
         if p[3] in in1 and p[4] in in2 and p[5] in in3:

@@ -210,6 +210,10 @@ class TestStationaryState:
         # 2 leaves for 0 with probability 1e-400, below the float range, yet
         # the path 1 -> 2 -> 0 carries nearly all of the flow from 1 to 0
         ([[0, 1e-300, 1e-200], [1e-200, 0, 1e200], [1e-200, 1e200, 0]], [0.2, 0.4, 0.4]),
+        # 1 leaves only through 3, so the censored rates out of 1 are near
+        # 1e-600, below the float range, yet they carry a third of the mass
+        ([[0, 0, 1e-100, 1], [0, 0, 0, 1e300], [1e200, 0, 0, 1], [1e-300, 1e-300, 0, 0]],
+         [2e-300 / 3, 1 / 3, 2 / 3, 0.0]),
     ])
     def test_rates_beyond_float_range(self, w, expected):
         np.testing.assert_allclose(pme.stationary_state(w).p, expected, rtol=1e-15, atol=0.0)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qtrep import pme, qtfit
+from oracles import ham_term_bruteforce
+from qtrep import multilinear, pme, qtfit
 from qtrep.errors import FitNonConvergenceError, InputError
-from qtrep.multilinear import ham_term
 from qtrep.relaxation import ThreeStateRates
 
 
@@ -46,13 +46,17 @@ class TestCatalog:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_ham_matrix_matches_ham_term(self, n):
+        # the determinants against the literal permutation sum, column by column
+        assert qtfit._ham_matrix is multilinear._ham_matrix
         for subset in qtfit.ham_subsets(n):
             oracle = np.column_stack(
-                [ham_term(np.eye(n)[k], subset, n) for k in range(n)]
+                [ham_term_bruteforce(np.eye(n)[k], subset, n) for k in range(n)]
             )
-            np.testing.assert_allclose(
-                qtfit._ham_matrix(n, subset), oracle, rtol=0, atol=1e-12
+            terms = np.column_stack(
+                [multilinear.ham_term(np.eye(n)[k], subset, n) for k in range(n)]
             )
+            np.testing.assert_array_equal(multilinear._ham_matrix(n, subset), oracle)
+            np.testing.assert_array_equal(terms, oracle)
 
     def test_parameter_count_matches_generator_dof(self):
         for n in range(2, 7):

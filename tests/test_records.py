@@ -136,6 +136,14 @@ def test_bad_array_input_rejected(shape, call, name, bad):
         call(BAD[bad](shape))
 
 
+@pytest.mark.parametrize("shape, call", [c[1:3] for c in CONVERTED],
+                         ids=[c[0] for c in CONVERTED])
+def test_empty_array_rejected(shape, call):
+    # the converter takes an empty array; each record's own size check rejects it
+    with pytest.raises(InputError):
+        call(np.zeros((0,) * len(shape)))
+
+
 @pytest.mark.parametrize("build", [
     lambda: relaxation.ThreeStateRates("a", 1, 1, 1, 1, 1),
     lambda: relaxation.ThreeStateRates([1, 2], 1, 1, 1, 1, 1),

@@ -4,13 +4,28 @@ Reports and tables are byte-reproducible: floats are printed with a
 fixed number of significant digits (17 by default, enough for exact
 round-tripping), dictionary order is insertion order, and files are
 written to a temporary name in the target directory and renamed into
-place so readers never observe partial content.  CSV tables are built
-from column arrays: one ``%`` row template formats the rows in blocks
-of ``CSV_BLOCK_ROWS``, with the same bytes as ``format_float`` per cell.
+place so readers never observe partial content.
+
+CSV tables are built from column arrays, in blocks of ``CSV_BLOCK_ROWS``
+rows, with the bytes of one ``'%.{p}g'`` row template (``format_float``
+per cell).  For p <= 17 numpy computes those bytes.  For a finite
+nonzero cell x it estimates E = floor(log10|x|) and forms
+v = |x| * 10**(p-1-E) in long double, from a table of powers of ten
+each rounded to nearest on a 64-bit significand.  The table entry and
+the product are each off by at most 2**-64 relative, and v < 10**17, so
+v is within 10**17 * 2**-63 < 0.011 of the exact scaled value; E is
+corrected once when rint(v) leaves [10**(p-1), 10**p].  Hence N = rint(v)
+is the correctly rounded significand wherever | |v - N| - 1/2 | >= 2**-6:
+the digits are proved.  The other cells (about 3 % of random doubles,
+every exact tie among them) are formatted by ``%`` one by one.  The
+``%`` row template formats whole tables at p > 17, with fewer than
+``CSV_DIGITS_MIN_CELLS`` cells, or where long double has no 64-bit
+significand (then float64, as on arm64).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -21,8 +36,6 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_PRECISION = 17
-# Rows formatted per block by csv_text; bounds the Python objects alive at once.
-CSV_BLOCK_ROWS = 512
 
 
 def format_float(value, precision=DEFAULT_PRECISION):
@@ -68,12 +81,19 @@ def dumps(obj, precision=DEFAULT_PRECISION):
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temporary file and rename."""
+    """Write text to path via a temporary file and rename.
+
+    The file gets the mode open() would give it, 0o666 less the umask;
+    mkstemp alone would leave it 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".qtrep-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -81,33 +101,262 @@ def atomic_write_text(path, text):
         raise
 
 
+# Rows formatted per block by csv_text.  At 256 rows and up to 20 columns
+# a block's largest arrays (25 bytes a cell) stay below malloc's 128 KB
+# mmap threshold and reuse heap memory; 512-row blocks raised the peak
+# RSS of the trajectory and scan benchmarks by about 1 MB.
+CSV_BLOCK_ROWS = 256
+# Tables with fewer cells take the % template: below this the fixed cost
+# of the digit path's numpy calls exceeds the per-cell cost of %.
+CSV_DIGITS_MIN_CELLS = 1024
+# The digit path proves its rounding only with a 64-bit long double
+# significand (x87 extended precision) and for at most 17 digits.
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+_DIGITS_MAX_PRECISION = 17
+# A scaled value nearer than this to a half-integer is not proved.
+_WINDOW = 2.0 ** -6
+# 10**s for s in [-_MAX_POWER, _MAX_POWER] scales every nonzero double.
+_MAX_POWER = 350
+_DOT, _MINUS, _PLUS, _E = b".-+e"
+# Cell kinds of the digit path, in sort order: fixed notation with
+# exponent X is kind X + 4 (X = -4 .. p - 1); the rest follow.
+_SCI, _ZERO, _NAN, _FALSE, _TRUE, _FALLBACK = range(6)
+_WORDS = {_ZERO: b"0", _NAN: b"nan", _FALSE: b"false", _TRUE: b"true"}
+_LEAD = np.frombuffer(b"0.000", np.uint8)
+# "00" .. "99", two ASCII bytes per entry
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+
+
+@functools.cache
+def _powers():
+    """10**s in long double for s = -_MAX_POWER.._MAX_POWER, at index s + _MAX_POWER.
+
+    Each entry is 10**s rounded to nearest-even on a 64-bit significand,
+    from exact integer arithmetic, so it is exact for 0 <= s <= 27.
+    """
+    mants, shifts = [], []
+    for s in range(-_MAX_POWER, _MAX_POWER + 1):
+        if s >= 0:
+            shift = max((10**s).bit_length() - 64, 0)
+            num, den = 10**s, 1 << shift
+        else:
+            shift = -(63 + (10**-s).bit_length())
+            num, den = 1 << -shift, 10**-s
+        mant, rem = divmod(num, den)
+        if 2 * rem > den or (2 * rem == den and mant & 1):
+            mant += 1
+        mants.append(mant)
+        shifts.append(shift)
+    high = np.array([m >> 32 for m in mants], np.float64).astype(np.longdouble)
+    low = np.array([m & 0xFFFFFFFF for m in mants], np.float64).astype(np.longdouble)
+    return np.ldexp(high * 2.0**32 + low, np.array(shifts))
+
+
+def _significands(a, precision):
+    """Exponents, rounded significands and unproved cells for a > 0.
+
+    Where the returned mask is False, '%.{p}g' % a has exponent E and
+    the p significant digits of the integer N in [10**(p-1), 10**p).
+    """
+    powers = _powers()
+    low, high = powers[_MAX_POWER + precision - 1], powers[_MAX_POWER + precision]
+    a = a.astype(np.longdouble)
+    exp = np.floor(np.log10(a.astype(np.float64))).astype(np.int64)
+    v = a * powers[_MAX_POWER + precision - 1 - exp]
+    n = np.rint(v)
+    # log10 may be one off next to a power of ten: correct E once.
+    shift = (n > high).astype(np.int64) - (v < low)
+    fix = np.flatnonzero(shift)
+    if fix.size:
+        exp[fix] += shift[fix]
+        v[fix] = a[fix] * powers[_MAX_POWER + precision - 1 - exp[fix]]
+        n[fix] = np.rint(v[fix])
+    # v - n is exact; its float64 rounding is far below the window.
+    unproved = np.abs(np.abs((v - n).astype(np.float64)) - 0.5) < _WINDOW
+    top = n == high
+    n[top] = low
+    exp[top] += 1
+    return exp, n.astype(np.uint64), unproved
+
+
+def _digit_matrix(n, precision):
+    """ASCII digits of n < 10**17, precision columns, leading digit first."""
+    width = precision + (precision & 1)
+    pairs = np.empty((n.size, width // 2), np.uint16)
+    upper = n // np.uint64(10**8)
+    lower = (n - upper * np.uint64(10**8)).astype(np.uint32)
+    col = width // 2
+    for part, count in ((lower, min(4, col)), (upper.astype(np.uint32), col - 4)):
+        for _ in range(count):
+            quot = part // 100
+            col -= 1
+            pairs[:, col] = _PAIRS[part - quot * 100]
+            part = quot
+    return pairs.view(np.uint8)[:, width - precision:]
+
+
+def _percent_cells(values, precision):
+    """'%.{precision}g' of each value: the cells the digit path cannot prove."""
+    fmt = f"%.{precision}g"
+    return [fmt % value for value in values.tolist()]
+
+
+def _template_rows(cols, precision):
+    """CSV rows of one block, formatted by one % row template."""
+    template = ",".join("%s" if col.dtype == bool else f"%.{precision}g" for col in cols) + "\n"
+    cells = [np.where(col, "true", "false").tolist() if col.dtype == bool else col.tolist()
+             for col in cols]
+    # One string per block: thousands of live row strings would
+    # fragment the small-object heap and raise the peak RSS.
+    return "".join([template % row for row in zip(*cells)])
+
+
+def _sorted_records(x, flags, precision, width):
+    """Records of the cells of x, sorted by kind, with each text's end.
+
+    Returns (records, ends, order, start): records[i] holds cell
+    order[i] as an optional '-' at offset 0 and its text from offset 1
+    through ends[i] - 1; start[c] is the first byte cell c prints.
+    Sorting by kind lets each kind fill a contiguous run of records with
+    slice copies.
+    """
+    fixed_kinds = precision + 4
+    nan = np.isnan(x)
+    zero = x == 0
+    exp, n, unproved = _significands(np.where(flags | nan | zero, 1.0, np.abs(x)), precision)
+    kind = np.where((exp >= -4) & (exp < precision), exp + 4, fixed_kinds + _SCI).astype(np.int8)
+    kind[unproved] = fixed_kinds + _FALLBACK
+    kind[zero] = fixed_kinds + _ZERO
+    kind[nan] = fixed_kinds + _NAN
+    kind[flags] = fixed_kinds + np.where(x[flags] != 0, _TRUE, _FALSE)
+    order = np.argsort(kind, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(kind, minlength=fixed_kinds + 6))))
+    # NaN and bool cells print no '-'; the rest print one when negative.
+    start = (~(np.signbit(x) & ~nan & ~flags)).view(np.uint8)
+
+    regular = order[:bounds[fixed_kinds + _SCI + 1]]
+    exp = exp[regular]
+    digits = _digit_matrix(n[regular], precision)
+    # significant digits left once trailing zeros are stripped
+    ndig = np.full(regular.size, precision, np.int8)
+    trailing = np.flatnonzero(digits[:, -1] == 48)
+    ndig[trailing] -= np.argmax(digits[trailing, ::-1] != 48, axis=1)
+
+    records = np.empty((x.size, width), np.uint8)
+    records[:, 0] = _MINUS
+    ends = np.empty(x.size, np.uint8)
+    for k in np.flatnonzero(np.diff(bounds)):
+        rows = slice(bounds[k], bounds[k + 1])
+        b = records[rows]
+        if k < fixed_kinds:
+            X = k - 4
+            d, nd = digits[rows], ndig[rows]
+            if X >= 0:
+                b[:, 1:X + 2] = d[:, :X + 1]
+                b[:, X + 2] = _DOT
+                b[:, X + 3:precision + 2] = d[:, X + 1:]
+                ends[rows] = np.where(nd > X + 1, nd + 2, X + 2)
+            else:
+                b[:, 1:2 - X] = _LEAD[:1 - X]
+                b[:, 2 - X:2 - X + precision] = d
+                ends[rows] = 2 - X + nd
+        elif k == fixed_kinds + _SCI:
+            d, nd, e = digits[rows], ndig[rows], exp[rows]
+            b[:, 1] = d[:, 0]
+            b[:, 2] = _DOT
+            b[:, 3:precision + 2] = d[:, 1:]
+            at = np.where(nd == 1, 2, nd + 2)
+            r = np.arange(at.size)
+            mag = np.abs(e)
+            three = mag >= 100
+            hundreds, tens, units = mag // 100 + 48, mag // 10 % 10 + 48, mag % 10 + 48
+            b[r, at] = _E
+            b[r, at + 1] = np.where(e < 0, _MINUS, _PLUS)
+            b[r, at + 2] = np.where(three, hundreds, tens)
+            b[r, at + 3] = np.where(three, tens, units)
+            b[r, at + 4] = units
+            ends[rows] = at + 4 + three
+        elif k == fixed_kinds + _FALLBACK:
+            text = _percent_cells(np.abs(x[order[rows]]), precision)
+            ends[rows] = [1 + len(t) for t in text]
+            padded = "".join([t.ljust(width - 1) for t in text]).encode("ascii")
+            b[:, 1:] = np.frombuffer(padded, np.uint8).reshape(-1, width - 1)
+        else:
+            word = _WORDS[k - fixed_kinds]
+            b[:, 1:1 + len(word)] = np.frombuffer(word, np.uint8)
+            ends[rows] = 1 + len(word)
+    return records, ends, order, start
+
+
+@functools.cache
+def _keep(width):
+    """keep[s, e]: the bytes s..e of a width-byte record, as one void record."""
+    j = np.arange(width)
+    keep = (j >= np.arange(2)[:, None, None]) & (j <= j[:, None])
+    return keep.view(np.dtype((np.void, width)))[:, :, 0]
+
+
+def _digit_rows(cols, precision, text, size):
+    """Write the bytes of _template_rows(cols, precision) to text[size:].
+
+    Each cell is one fixed-width record: its text, then ',' or newline
+    at its end; a mask over the records keeps the bytes each cell
+    prints.  Returns the new size.
+    """
+    # "-0.000" + p digits, or "-d." + p - 1 digits + "e-308"; then the separator
+    width = precision + 8
+    x = np.stack(cols, axis=1, dtype=np.float64).ravel()
+    flags = np.tile([col.dtype == bool for col in cols], len(cols[0]))
+    records, ends, order, start = _sorted_records(x, flags, precision, width)
+    # back to row-major cell order
+    record = np.dtype((np.void, width))
+    out = np.empty_like(records)
+    out.view(record)[order] = records.view(record)
+    end = np.empty_like(ends)
+    end[order] = ends
+    del records, ends, order
+    flat = out.reshape(-1)
+    seps = np.full(len(cols), ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    flat[np.arange(x.size) * width + end] = np.tile(seps, len(cols[0]))
+    mask = _keep(width)[start, end].view(bool).reshape(-1)
+    end = size + int(np.count_nonzero(mask))
+    np.compress(mask, flat, out=text[size:end])
+    return end
+
+
 def csv_text(header, columns, precision=DEFAULT_PRECISION):
     """CSV text from equal-length 1-D columns.
 
     Bool columns print true/false; every other column is cast to float
     and printed like format_float, except that NaN prints nan.  A column
-    holding +-inf raises InputError.
+    holding +-inf, or columns of unequal length, raise InputError.
     """
     arrays = []
-    fmts = []
     for col in columns:
         col = np.asarray(col)
-        if col.dtype == bool:
-            arrays.append(np.where(col, "true", "false"))
-            fmts.append("%s")
-            continue
-        col = col.astype(float, copy=False)
-        if np.isinf(col).any():
-            value = float(col[np.isinf(col)][0])
-            raise InputError(f"cannot serialize non-finite value {value!r}")
+        if col.dtype != bool:
+            col = col.astype(float, copy=False)
+            if np.isinf(col).any():
+                value = float(col[np.isinf(col)][0])
+                raise InputError(f"cannot serialize non-finite value {value!r}")
         arrays.append(col)
-        fmts.append(f"%.{precision}g")
     count = len(arrays[0])
-    template = ",".join(fmts) + "\n"
-    parts = [",".join(header) + "\n"]
-    for start in range(0, count, CSV_BLOCK_ROWS):
-        cells = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in arrays]
-        # One string per block: thousands of live row strings would
-        # fragment the small-object heap and raise the peak RSS.
-        parts.append("".join([template % row for row in zip(*cells)]))
-    return "".join(parts)
+    if any(col.shape != (count,) for col in arrays):
+        raise InputError(f"columns must be 1-D of length {count}, got shapes "
+                         f"{[col.shape for col in arrays]}")
+    head = ",".join(header) + "\n"
+    blocks = ([col[start:start + CSV_BLOCK_ROWS] for col in arrays]
+              for start in range(0, count, CSV_BLOCK_ROWS))
+    if not (_EXTENDED and 1 <= precision <= _DIGITS_MAX_PRECISION
+            and count * len(arrays) >= CSV_DIGITS_MIN_CELLS):
+        return "".join([head, *(_template_rows(cols, precision) for cols in blocks)])
+    # One buffer holds the whole text and is decoded once: no block
+    # string outlives its block's temporaries to fragment the heap.
+    head = head.encode("utf-8", "surrogatepass")
+    text = np.empty(len(head) + count * len(arrays) * (precision + 8), np.uint8)
+    text[:len(head)] = np.frombuffer(head, np.uint8)
+    size = len(head)
+    for cols in blocks:
+        size = _digit_rows(cols, precision, text, size)
+    return str(text[:size], "utf-8", "surrogatepass")

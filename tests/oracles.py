@@ -1,7 +1,12 @@
-"""Permutation-sum oracles for the determinant kernels of qtrep.multilinear.
+"""Reference implementations that tests compare qtrep against.
 
-Each oracle sums the epsilon symbol entry by entry, with signs from an
-inversion count, and shares no code with the implementation it checks.
+* Permutation-sum oracles for the determinant kernels of
+  qtrep.multilinear: each sums the epsilon symbol entry by entry, with
+  signs from an inversion count.
+* The CSV writer as one Python ``%`` row template per row, for the
+  numpy digit path of qtrep._jsonio.csv_text.
+
+No oracle shares code with the implementation it checks.
 """
 
 import itertools
@@ -71,3 +76,29 @@ def ham_term_bruteforce(g, subset, n):
                 break
         out[p[0]] += term
     return out
+
+
+def csv_text_template(header, columns, precision=17):
+    """_jsonio.csv_text formatted by one '%' row template per row.
+
+    Bool columns print true/false; every other column is cast to float
+    and printed with '%.{precision}g' (NaN prints nan).  A column
+    holding +-inf raises InputError.
+    """
+    arrays = []
+    fmts = []
+    for col in columns:
+        col = np.asarray(col)
+        if col.dtype == bool:
+            arrays.append(np.where(col, "true", "false"))
+            fmts.append("%s")
+            continue
+        col = col.astype(float, copy=False)
+        if np.isinf(col).any():
+            value = float(col[np.isinf(col)][0])
+            raise InputError(f"cannot serialize non-finite value {value!r}")
+        arrays.append(col)
+        fmts.append(f"%.{precision}g")
+    template = ",".join(fmts) + "\n"
+    rows = zip(*(col.tolist() for col in arrays))
+    return ",".join(header) + "\n" + "".join(template % row for row in rows)

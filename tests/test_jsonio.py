@@ -4,7 +4,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import csv_text_template
 from qtrep import _jsonio
 from qtrep.errors import InputError
 
@@ -45,18 +48,60 @@ class TestDumps:
         assert _jsonio.dumps(doc) == _jsonio.dumps(doc)
 
 
-def _oracle_csv(header, columns, precision):
-    """Per-cell reference: format_float, nan, true/false, one row at a time."""
-    def cell(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if math.isnan(value):
-            return "nan"
-        return _jsonio.format_float(value, precision)
+# Enough cells for csv_text to take its digit path, which runs only
+# where long double has a 64-bit significand.
+DIGIT_CELLS = _jsonio.CSV_DIGITS_MIN_CELLS
+DIGITS_RUN = _jsonio._EXTENDED
+SPECIAL = [math.nan, -math.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+           2.225073858507201e-308, 1e-300, 1.7e308, -1.7e308, 1.7976931348623157e308,
+           21.0, 1e16, 1e17, 9.5, 0.5, 0.125, 2.5, 1e-5, 9.9999e-5, 1e-4, 123456.789]
 
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+
+def _assert_same(got, want):
+    """got == want, reported by the first line that differs: a diff of
+    two whole tables would take pytest minutes to render."""
+    for i, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))):
+        assert g == w, f"line {i}"
+    assert len(got) == len(want)
+
+
+def _check(header, columns, precision=17):
+    _assert_same(_jsonio.csv_text(header, columns, precision),
+                 csv_text_template(header, columns, precision))
+
+
+def _spy(monkeypatch, name):
+    """Record the first argument of every call to _jsonio.<name>."""
+    calls = []
+    real = getattr(_jsonio, name)
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(_jsonio, name, spy)
+    return calls
+
+
+def _binary_ties(precision, count, rng):
+    """Doubles whose exact decimal value lies halfway between two
+    precision-digit decimals: odd / 2**j has the precision + 1
+    significant digits of odd * 5**j, the last one a 5."""
+    out = []
+    while len(out) < count:
+        j = int(rng.integers(1, 60))
+        lo = -(-10**precision // 5**j) | 1
+        hi = min(10 ** (precision + 1) // 5**j, 2**53)
+        if lo < hi:
+            odd = lo + 2 * int(rng.integers(0, (hi - lo + 1) // 2))
+            out.append(math.ldexp(odd, -j))
+    return np.array(out)
+
+
+def _tiled(values, columns=2):
+    """values repeated over `columns` columns of DIGIT_CELLS cells or more."""
+    rows = max(len(values), -(-DIGIT_CELLS // columns))
+    return [np.roll(np.resize(np.asarray(values, float), rows), k) for k in range(columns)]
 
 
 class TestCsvText:
@@ -72,26 +117,107 @@ class TestCsvText:
         text = _jsonio.csv_text(["x"], [np.array([float("nan")])])
         assert text.splitlines()[1] == "nan"
 
-    def test_matches_per_cell_oracle(self):
+    def test_matches_per_cell_oracle(self, monkeypatch):
+        digit_rows = _spy(monkeypatch, "_digit_rows")
         rng = np.random.default_rng(12)
         # more than two blocks, with a partial last block
         count = 2 * _jsonio.CSV_BLOCK_ROWS + 37
-        special = [math.nan, -0.0, 0.0, 5e-324, 1e-300, 1.7e308, -1.7e308, 21.0, 1e16]
         floats = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
-        floats[: len(special)] = special
+        floats[: len(SPECIAL)] = SPECIAL
         integral = np.round(rng.uniform(-1e6, 1e6, count))
         flags = rng.random(count) < 0.5
         columns = [floats, integral, flags, rng.permutation(floats)]
         header = ["f", "i", "flag", "g"]
         for precision in range(1, 18):
-            assert _jsonio.csv_text(header, columns, precision) == _oracle_csv(
-                header, columns, precision
-            )
+            _check(header, columns, precision)
+        assert len(digit_rows) == 17 * 3 * DIGITS_RUN
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300),
+        precision=st.integers(1, 17),
+    )
+    def test_any_bit_pattern_matches_oracle(self, bits, precision):
+        values = np.array(bits, np.uint64).view(np.float64)
+        values = np.where(np.isinf(values), 0.0, values)
+        columns = _tiled(np.concatenate([values, SPECIAL]), 3)
+        header = ["a", "b", "c"]
+        _check(header, columns, precision)
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_ambiguous_cells_take_percent(self, monkeypatch, precision):
+        fallback = _spy(monkeypatch, "_percent_cells")
+        rng = np.random.default_rng(precision)
+        ties = _binary_ties(precision, DIGIT_CELLS, rng)
+        # significand N + 1/2: within a few ulps of a decimal tie
+        n = rng.integers(10 ** (precision - 1), 10**precision, DIGIT_CELLS)
+        near = (n + 0.5) * 10.0 ** rng.integers(-300, 290, DIGIT_CELLS)
+        columns = [ties, -ties, near]
+        _check(["t", "u", "x"], columns, precision)
+        if DIGITS_RUN:
+            assert sum(len(cells) for cells in fallback) >= 2 * DIGIT_CELLS
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # log10 is one off next to some powers of ten, and a significand
+        # that rounds up to 10**p carries into the exponent.
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        below, above = np.nextafter(powers, 0), np.nextafter(powers, np.inf)
+        nines = np.array([float("9" * 17 + f"e{k}") for k in range(-323, 292)])
+        columns = _tiled(np.concatenate([powers, below, above, nines, -below]), 4)
+        header = ["a", "b", "c", "d"]
+        for precision in range(1, 18):
+            _check(header, columns, precision)
+
+    @pytest.mark.parametrize("precision", [18, 767])
+    def test_high_precision_takes_template(self, monkeypatch, precision):
+        digit_rows = _spy(monkeypatch, "_digit_rows")
+        columns = _tiled([1 / 3, -2e-300, 0.1, math.nan, 5e-324])
+        _check(["a", "b"], columns, precision)
+        assert not digit_rows
+
+    def test_bool_columns(self, monkeypatch):
+        digit_rows = _spy(monkeypatch, "_digit_rows")
+        rng = np.random.default_rng(3)
+        flags = [rng.random(DIGIT_CELLS) < 0.5 for _ in range(2)]
+        columns = [flags[0], rng.standard_normal(DIGIT_CELLS), flags[1]]
+        header = ["p", "x", "q"]
+        _check(header, columns)
+        _check(header[::2], flags)
+        assert bool(digit_rows) == DIGITS_RUN
+
+    @pytest.mark.parametrize("rows", [
+        _jsonio.CSV_BLOCK_ROWS - 1, _jsonio.CSV_BLOCK_ROWS, _jsonio.CSV_BLOCK_ROWS + 1,
+        3 * _jsonio.CSV_BLOCK_ROWS,
+    ])
+    def test_block_boundaries(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+                   for _ in range(4)]
+        columns.append(rng.random(rows) < 0.5)
+        header = ["a", "b", "c", "d", "flag"]
+        _check(header, columns)
 
     def test_inf_cell_rejected(self):
-        column = np.array([0.5, 1.0, -math.inf, 2.0])
-        with pytest.raises(InputError, match="non-finite value -inf"):
-            _jsonio.csv_text(["x", "y"], [np.ones(4), column])
+        for rows in (4, DIGIT_CELLS):
+            column = np.resize([0.5, 1.0, -math.inf, math.inf, 2.0], rows)
+            with pytest.raises(InputError, match="^cannot serialize non-finite value -inf$"):
+                _jsonio.csv_text(["x", "y"], [np.ones(rows), column])
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(InputError, match="columns must be 1-D of length 3"):
+            _jsonio.csv_text(["x", "y"], [np.ones(3), np.ones(4)])
+
+    def test_without_extended_precision_bytes_hold(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**64, 4 * DIGIT_CELLS, dtype=np.uint64).view(np.float64)
+        columns = _tiled(np.where(np.isinf(bits), 0.0, bits), 4)
+        columns.append(columns[0] > 0)
+        header = ["a", "b", "c", "d", "pos"]
+        digits = _jsonio.csv_text(header, columns)
+        monkeypatch.setattr(_jsonio, "_EXTENDED", False)
+        digit_rows = _spy(monkeypatch, "_digit_rows")
+        _assert_same(_jsonio.csv_text(header, columns), digits)
+        assert not digit_rows
 
 
 class TestAtomicWrite:
@@ -105,3 +231,13 @@ class TestAtomicWrite:
         target = tmp_path / "g.txt"
         _jsonio.atomic_write_text(str(target), "data\n")
         assert os.listdir(tmp_path) == ["g.txt"]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "m.txt"
+        old = os.umask(umask)
+        try:
+            _jsonio.atomic_write_text(str(target), "data\n")
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == mode

@@ -338,8 +338,8 @@ _COMMANDS = {
     "qt-fit": _Command(
         _cmd_qt_fit, "Fit a quadratic-entropy representation to a rate matrix.",
         {"W": (_finite((None, None)), _REQUIRED, "NxN rate matrix"), "out": _OUT},
-        "The fit is the closed-form Sylvester solve, for any N; it draws "
-        "no random numbers, so seed has no effect.  Writes <out>.json "
+        f"The fit is the closed-form Sylvester solve, for N <= {qtfit.MAX_FIT_N}; "
+        "it draws no random numbers, so seed has no effect.  Writes <out>.json "
         "with fields n, q, r, subsets, norm, residual.  Exit code 3 if the "
         "flow residual is above 1e-8 * max(1, max|L|), L the generator "
         "(the representation is still written).",

@@ -89,6 +89,9 @@ def difference_basis(n):
 
 def _check_subset(subset, n):
     """subset as a tuple of n - 3 distinct indices into difference_basis(n)."""
+    subset = tuple(subset)
+    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in subset):
+        raise InputError(f"subset indices must be integers, got {subset!r}")
     subset = tuple(int(s) for s in subset)
     if len(subset) != n - 3 or len(set(subset)) != len(subset) or not all(
         0 <= s < n - 1 for s in subset

@@ -25,10 +25,11 @@ K = norm**2 sum_a r_a U^T ham_a U, so L = U (I + K) U^T q.  Symmetry of
 U^T q U is the Sylvester equation B K + K B^T = B - B^T with
 B = U^T L U, solved for r by linear least squares; then
 U^T q = (I + K)^-1 U^T L and the gauge q[N-1, N-1] = 0 fixes the rest
-of q.  One Gauss-Newton step on the flow mismatch, linear in r and q,
-then removes the roundoff the solve leaves on stiff chains.  The fit
-has no random start and no size cap: the ham matrices are
-determinants, not permutation sums.
+of q.  With K fixed, q is linear in L: one refinement pass of the q map
+on the flow mismatch removes the roundoff the first pass leaves on
+stiff chains.  The fit has no random start.  It is capped at
+N = MAX_FIT_N: the tangent frame costs O(N^7) to build and each ham
+matrix an N^4 determinant stack.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ __all__ = [
 # A flow residual above ACCEPT_TOL * max(1, max|L|) raises FitNonConvergenceError
 # (CLI exit 3); relative, so scaling the rates keeps roundoff a pass.
 ACCEPT_TOL = 1e-8
+
+# Largest state count fit accepts; a larger W is rejected before any
+# frame is built.  The cold frame takes 2.7 s at N = 30 and 23 s at
+# N = 40 (one core of a 2-core Xeon, numpy 2.4).
+MAX_FIT_N = 30
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -140,7 +146,9 @@ class QTRepresentation:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            n = int(data["n"])
+            n = data["n"]
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise TypeError(f"n must be an integer, got {n!r}")
             entropy = QuadraticEntropy(data["q"])
             rep = cls(
                 entropy=entropy,
@@ -260,58 +268,33 @@ def _closed_form(gen):
     n = gen.shape[0]
     m = n - 1
     frame, r_to_k = _tangent_frame(n)
-    # a = U^T L [U e]; its first m columns are B = U^T L U.
-    a = frame[:, :m].T @ gen @ frame
-    b = a[:, :m]
-    eye = np.eye(m)
-    # B K + K B^T is I (x) B + B (x) I on vec(K), in either vec order.
+    u = frame[:, :m]
+    b = u.T @ gen @ u
+    # Column a of the operator is B K_a + K_a B^T, K_a the image of r_a.
     # lstsq gives the minimum-norm r where the chain is reducible and
     # the operator singular.
-    sylvester = (np.kron(eye, b) + np.kron(b, eye)) @ r_to_k
+    ks = r_to_k.T.reshape(-1, m, m)
+    sylvester = (b @ ks + ks @ b.T).reshape(len(ks), m * m).T
     r = np.linalg.lstsq(sylvester, (b - b.T).ravel(), rcond=None)[0]
-    # Rows of U^T q in the frame; I + K is invertible for antisymmetric K.
-    y = np.linalg.solve(eye + (r_to_k @ r).reshape(m, m), a)
-    z = np.zeros((n, n))
-    z[:m] = y
-    z[m, :m] = y[:, m]
-    q = frame @ z @ frame.T
-    q = 0.5 * (q + q.T)
-    q -= q[-1, -1]
+    # I + K is invertible for antisymmetric K.
+    i_plus_k = np.eye(m) + (r_to_k @ r).reshape(m, m)
+
+    def q_map(target):
+        # Symmetric q, gauge q[n-1, n-1] = 0, with U^T q = (I + K)^-1 U^T target.
+        y = np.linalg.solve(i_plus_k, u.T @ target @ frame)
+        z = np.zeros((n, n))
+        z[:m] = y
+        z[m, :m] = y[:, m]
+        q = frame @ z @ frame.T
+        q = 0.5 * (q + q.T)
+        return q - q[-1, -1]
+
+    # q is linear in L once K is fixed: a second pass on the flow
+    # mismatch removes the roundoff the first leaves on stiff chains
+    # (stiff_chain(1e7) in the CLI tests reads 1.4e-8 without it).
+    q = q_map(gen)
+    q += q_map(gen - _flow_operator(n, normalizer(n), r, ham_subsets(n)) @ q)
     return r, q
-
-
-def _gauss_newton_step(gen, r, q):
-    """One linearised least-squares correction of (r, q).
-
-    The flow mismatch (P + norm**2 sum_a r_a ham_a) q - L is bilinear in
-    r and in the gauge-fixed entries of q (q[n-1, n-1] = 0); the step
-    solves its linearisation at (r, q), with unit-norm columns because
-    the r columns scale with norm**2.
-    """
-    n = gen.shape[0]
-    norm = normalizer(n)
-    subsets = ham_subsets(n)
-    rows, cols = np.triu_indices(n)
-    rows, cols = rows[:-1], cols[:-1]
-    basis = np.zeros((rows.size, n, n))
-    basis[np.arange(rows.size), rows, cols] = 1.0
-    basis[np.arange(rows.size), cols, rows] = 1.0
-    hams = np.stack([_ham_matrix(n, s) for s in subsets])
-    op = _flow_operator(n, norm, r, subsets)
-    jac = np.concatenate([(norm * norm) * (hams @ q), op @ basis])
-    jac = jac.reshape(len(jac), n * n).T
-    # Entries past 1e154 overflow the column norm to inf; those columns
-    # then take no step, and the residual check in fit reports the misfit.
-    with np.errstate(over="ignore"):
-        scale = np.linalg.norm(jac, axis=0)
-    scale[scale == 0.0] = 1.0
-    step = np.linalg.lstsq(jac / scale, (gen - op @ q).ravel(), rcond=None)[0]
-    step /= scale
-    x = q[rows, cols] + step[len(subsets):]
-    q = np.zeros((n, n))
-    q[rows, cols] = x
-    q[cols, rows] = x
-    return r + step[: len(subsets)], q
 
 
 def fit(w):
@@ -332,8 +315,8 @@ def fit(w):
     Raises
     ------
     InputError
-        If the rates are so close to the float limit that the solve
-        overflows.
+        If n exceeds MAX_FIT_N, or the rates are so close to the float
+        limit that the solve overflows.
     FitNonConvergenceError
         If the flow residual lies above ACCEPT_TOL * max(1, max|L|),
         ACCEPT_TOL = 1e-8, L the generator.  The error carries the
@@ -341,11 +324,13 @@ def fit(w):
 
     Notes
     -----
-    The closed form of the module docstring followed by one
-    Gauss-Newton step; there is no size cap on n.
+    The closed form of the module docstring, with one refinement pass
+    of the q map.
     """
     w = _as_transition_matrix(w)
     n = w.n
+    if n > MAX_FIT_N:
+        raise InputError(f"n = {n} exceeds the fit cap MAX_FIT_N = {MAX_FIT_N}")
     gen = build_generator(w)
     if n == 2:
         rep = QTRepresentation(
@@ -360,7 +345,6 @@ def fit(w):
         try:
             with np.errstate(over="raise"):
                 r, q = _closed_form(gen)
-                r, q = _gauss_newton_step(gen, r, q)
         except FloatingPointError as exc:
             raise InputError(f"rate matrix too large to fit: {exc}") from exc
         rep = QTRepresentation(

@@ -92,6 +92,18 @@ class TestQtFit:
         )
         assert run(["qt-fit", "--config", cfg]) == 2
 
+    def test_size_above_cap_rejected(self, tmp_path, capsys):
+        n = qtfit.MAX_FIT_N + 1
+        w = np.ones((n, n)) - np.eye(n)
+        cfg = write_config(tmp_path / "c.json", {"W": w.tolist(), "out": str(tmp_path / "r")})
+        frames = qtfit._tangent_frame.cache_info()
+        assert run(["qt-fit", "--config", cfg]) == 2
+        assert error_lines(capsys) == [
+            f"error: n = {n} exceeds the fit cap MAX_FIT_N = {qtfit.MAX_FIT_N}"
+        ]
+        assert qtfit._tangent_frame.cache_info() == frames
+        assert not (tmp_path / "r.json").exists()
+
     def test_overflowing_rates_rejected(self, tmp_path, capsys):
         w = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]
         cfg = write_config(tmp_path / "c.json", {"W": w, "out": str(tmp_path / "r")})
@@ -130,14 +142,14 @@ class TestQtFit:
         assert 1e-8 < doc["residual"] <= 1e-8 * np.max(np.sum(w, axis=0))
 
     def test_residual_above_tolerance_exits_3(self, tmp_path, capsys, chain3, monkeypatch):
-        # Shift the corrected coefficient by one: a real misfit.
-        step = qtfit._gauss_newton_step
+        # Shift the fitted coefficient by one: a real misfit.
+        solve = qtfit._closed_form
 
-        def shifted_step(gen, r, q):
-            r, q = step(gen, r, q)
+        def shifted_solve(gen):
+            r, q = solve(gen)
             return r + 1.0, q
 
-        monkeypatch.setattr(qtfit, "_gauss_newton_step", shifted_step)
+        monkeypatch.setattr(qtfit, "_closed_form", shifted_solve)
         out = tmp_path / "rep"
         cfg = write_config(tmp_path / "c.json", {"W": chain3, "out": str(out)})
         assert run(["qt-fit", "--config", cfg]) == 3

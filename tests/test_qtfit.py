@@ -214,6 +214,21 @@ class TestFitRoundTrip:
             qtfit.flow_matrix(rep), pme.build_generator(w), rtol=0, atol=1e-8
         )
 
+    def test_wide_rate_sweep(self):
+        # Rates spanning twelve decades with 30 % of them zero: the closed
+        # form alone holds the residual at roundoff relative to max|L|.
+        rng = np.random.default_rng(80)
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(3, 13))
+            w = 10.0 ** rng.uniform(-6.0, 6.0, (n, n))
+            w[rng.random((n, n)) < 0.3] = 0.0
+            np.fill_diagonal(w, 0.0)
+            rep = qtfit.fit(w)
+            gen_max = float(np.max(np.abs(pme.build_generator(w))))
+            worst = max(worst, rep.residual / max(1.0, gen_max))
+        assert worst <= 1e-13
+
     @pytest.mark.filterwarnings("error")
     def test_rates_near_the_float_limit(self):
         # The Sylvester operator overflows: out of range, not a misfit.
@@ -238,14 +253,14 @@ class TestFitRoundTrip:
         assert rep.residual <= 1e-13 * gen_max
 
     def test_misfit_raises_with_the_representation(self, monkeypatch):
-        # Shift the corrected coefficient by one: a real misfit, not roundoff.
-        step = qtfit._gauss_newton_step
+        # Shift the fitted coefficient by one: a real misfit, not roundoff.
+        solve = qtfit._closed_form
 
-        def shifted_step(gen, r, q):
-            r, q = step(gen, r, q)
+        def shifted_solve(gen):
+            r, q = solve(gen)
             return r + 1.0, q
 
-        monkeypatch.setattr(qtfit, "_gauss_newton_step", shifted_step)
+        monkeypatch.setattr(qtfit, "_closed_form", shifted_solve)
         w = random_chain(3, seed=61)
         tol = qtfit.ACCEPT_TOL * float(np.max(np.abs(pme.build_generator(w))))
         with pytest.raises(FitNonConvergenceError,
@@ -289,6 +304,20 @@ class TestSerialization:
         doc["subsets"][2] = subset
         with pytest.raises(InputError):
             qtfit.QTRepresentation.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 4.0), ("n", 4.9), ("n", "4"), ("n", True),
+        ("subsets", [[0.9], [1.2], [2.5]]), ("subsets", [[0.0], [1], [2]]),
+        ("subsets", [["0"], [1], [2]]), ("subsets", [[False], [1], [2]]),
+    ])
+    def test_non_integer_index_rejected(self, key, value):
+        # Indices are integers; a float, string or bool is not truncated.
+        doc = qtfit.fit(random_chain(4, seed=54)).to_json_dict()
+        with pytest.raises(InputError, match="integer"):
+            qtfit.QTRepresentation.from_json_dict({**doc, key: value})
+        if key == "subsets":
+            with pytest.raises(InputError, match="integer"):
+                multilinear.ham_term(np.ones(4), value[0], 4)
 
     def test_missing_key_rejected(self):
         with pytest.raises(InputError):

@@ -12,9 +12,9 @@ product of two epsilon factors over their shared indices, is
 so after attaching the normalizer 1/sqrt(N*(N-2)!) to both epsilon
 factors the double contraction collapses to the centered gradient
 g_i - mean(g), the orthogonal projection of g onto the simplex tangent
-space.  A contraction of epsilon with fixed vectors is a determinant,
-so the permutation signs and the single-contraction ham terms are
-evaluated as determinants, for any N.  Only main_term_bruteforce is a
+space.  A contraction of epsilon with fixed vectors is a determinant:
+the signs are evaluated as determinants, the ham-term matrices as their
+closed form, a 3x3 block table.  Only main_term_bruteforce is a
 permutation sum: the oracle for the closed form, capped at N = 8.
 
 All functions are pure and safe to call from multiple threads.
@@ -173,20 +173,20 @@ def ham_term(g, subset, n):
 
 @lru_cache(maxsize=None)
 def _ham_matrix(n, subset):
-    """Matrix of ham_term(., subset, n) in the standard basis.
+    """Matrix of ham_term(., subset, n), its determinants in closed form.
 
-    Entry [i, k] is det[e_i; ones; e_k; v_s1; ...; v_s(n-3)], the
-    epsilon contraction of ham_term written as a determinant, so the
-    cost is polynomial in n.  The rows are integer vectors, so every
-    entry is an integer and rounding removes the LU roundoff.
+    Entry [i, k] is det[e_i; ones; e_k; v_s1; ...].  The subset leaves
+    out two cuts a < b of 0..n-2, which split the states into blocks
+    0..a, a+1..b and b+1..n-1 of sizes s0, s1, s2.  Moving i or k inside
+    its block adds a subset row v_s to its row: the entry is unchanged.  The
+    block indicators sum to ones, so every row and column sums to zero,
+    which fixes the antisymmetric block table up to one sign.
     """
-    eye = np.eye(n)
-    rows = np.empty((n, n, n, n))
-    rows[:, :, 0] = eye[:, None, :]
-    rows[:, :, 1] = 1.0
-    rows[:, :, 2] = eye[None, :, :]
-    rows[:, :, 3:] = difference_basis(n)[list(subset)]
-    mat = np.rint(np.linalg.det(rows))
+    a, b = sorted(set(range(n - 1)).difference(subset))
+    s0, s1, s2 = a + 1, b - a, n - 1 - b
+    table = np.array([[0, s2, -s1], [-s2, 0, s0], [s1, -s0, 0]])
+    block = np.searchsorted([a, b], np.arange(n))
+    mat = ((-1) ** (n + a + b + 1) * table[np.ix_(block, block)]).astype(float)
     mat.setflags(write=False)
     return mat
 

@@ -79,6 +79,8 @@ class ProbabilityState:
 
     def __array__(self, dtype=None, copy=None):
         # Vector checks take a state wherever they take an array.
+        if copy is None:  # numpy 1.x rejects copy=None and never passes copy
+            return np.asarray(self.p, dtype=dtype)
         return np.array(self.p, dtype=dtype, copy=copy)
 
 

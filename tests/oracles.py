@@ -1,8 +1,10 @@
 """Reference implementations that tests compare qtrep against.
 
-* Permutation-sum oracles for the determinant kernels of
-  qtrep.multilinear: each sums the epsilon symbol entry by entry, with
-  signs from an inversion count.
+* Permutation-sum oracles for the epsilon kernels of qtrep.multilinear:
+  each sums the epsilon symbol entry by entry, with signs from an
+  inversion count.
+* The ham-term matrix as a batched stack of n**4 determinants, for the
+  closed-form block table of qtrep.multilinear._ham_matrix.
 * The CSV writer as one Python ``%`` row template per row, for the
   numpy digit path of qtrep._jsonio.csv_text.
 
@@ -76,6 +78,22 @@ def ham_term_bruteforce(g, subset, n):
                 break
         out[p[0]] += term
     return out
+
+
+def ham_matrix_det(n, subset):
+    """multilinear._ham_matrix as one determinant per entry.
+
+    Entry [i, k] is det[e_i; ones; e_k; v_s1; ...; v_s(n-3)] with
+    v_s = e_s - e_{s+1}: an (n, n, n, n) stack through np.linalg.det.
+    The rows are integer vectors, so rounding removes the LU roundoff.
+    """
+    eye = np.eye(n)
+    rows = np.empty((n, n, n, n))
+    rows[:, :, 0] = eye[:, None, :]
+    rows[:, :, 1] = 1.0
+    rows[:, :, 2] = eye[None, :, :]
+    rows[:, :, 3:] = (eye[:-1] - eye[1:])[list(subset)]
+    return np.rint(np.linalg.det(rows))
 
 
 def csv_text_template(header, columns, precision=17):

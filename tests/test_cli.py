@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtrep import cli, qtfit
+from qtrep import cli, multilinear, qtfit
 from qtrep.errors import InputError
 
 
@@ -103,6 +103,20 @@ class TestQtFit:
         ]
         assert qtfit._tangent_frame.cache_info() == frames
         assert not (tmp_path / "r.json").exists()
+
+    def test_size_at_cap_fits_cold(self, tmp_path, capsys):
+        n = qtfit.MAX_FIT_N
+        w = np.random.default_rng(0).uniform(0.05, 1.0, (n, n))
+        np.fill_diagonal(w, 0.0)
+        cfg = write_config(tmp_path / "c.json", {"W": w.tolist(), "out": str(tmp_path / "r")})
+        qtfit._tangent_frame.cache_clear()
+        multilinear._ham_matrix.cache_clear()
+        assert run(["qt-fit", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["n"] == n
+        # max|L| is the largest column sum of the rates.
+        assert doc["residual"] <= qtfit.ACCEPT_TOL * max(1.0, np.max(np.sum(w, axis=0)))
 
     def test_overflowing_rates_rejected(self, tmp_path, capsys):
         w = [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ham_term_bruteforce
+from oracles import ham_matrix_det, ham_term_bruteforce
 from qtrep import multilinear, pme, qtfit
 from qtrep.errors import FitNonConvergenceError, InputError
 from qtrep.relaxation import ThreeStateRates
@@ -44,9 +44,21 @@ class TestCatalog:
         assert len(qtfit.ham_subsets(5)) == 6
         assert len(qtfit.ham_subsets(6)) == 10
 
+    @pytest.mark.parametrize("n", [*range(3, 13), 20, 30])
+    def test_ham_matrix_matches_determinants(self, n):
+        # the block table against one determinant per entry: every subset
+        # up to n = 12, five seeded ones above
+        subsets = qtfit.ham_subsets(n)
+        if n > 12:
+            picks = np.random.default_rng(n).choice(len(subsets), size=5, replace=False)
+            subsets = [subsets[a] for a in picks]
+        for subset in subsets:
+            np.testing.assert_array_equal(multilinear._ham_matrix(n, subset),
+                                          ham_matrix_det(n, subset))
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_ham_matrix_matches_ham_term(self, n):
-        # the determinants against the literal permutation sum, column by column
+        # the block table against the literal permutation sum, column by column
         assert qtfit._ham_matrix is multilinear._ham_matrix
         for subset in qtfit.ham_subsets(n):
             oracle = np.column_stack(

@@ -15,8 +15,9 @@ For a single dissipator and h = 0 the flow is the exact gradient of
 with stationary point P_st = 2 (A x B) / (A**2 + B**2); the identity
 A x (P x A) = P A**2 - A (A . P) turns one form into the other.  The
 same flow embeds into six probability-like variables (one conserved
-pair per Bloch component), where it is generated by the rank-6 kernel
-of multilinear.six_slot_main_term.
+pair per Bloch component), where the rank-6 kernel of
+multilinear.six_slot_main_term moves each pair by (g/2, -g/2), g its
+component of the gradient flow.
 """
 
 from __future__ import annotations
@@ -197,10 +198,10 @@ def qt_six_rhs(channel, s):
     """Six-variable flow of the single-dissipator channel.
 
     Evaluates the rank-6 contraction at the entropy gradient taken in
-    the pair-difference variables.  Pairs move oppositely, so each pair
-    sum is conserved and the extracted differences obey the gradient
-    flow: extract_bloch(qt_six_rhs(channel, embed_six(P))) equals
-    gradient_rhs(channel, P).  s is validated once, by check_six_state.
+    the pair-difference variables.  Pairs move oppositely by exactly
+    half of it, so each pair sum is conserved and extract_bloch of the
+    result equals gradient_rhs(channel, extract_bloch(s)) bit for bit;
+    s is validated once, by check_six_state.
     """
     s = check_six_state(s)
     return six_slot_main_term(gradient_rhs(channel, s[0::2] - s[1::2]))

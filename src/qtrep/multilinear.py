@@ -14,8 +14,9 @@ factors the double contraction collapses to the centered gradient
 g_i - mean(g), the orthogonal projection of g onto the simplex tangent
 space.  A contraction of epsilon with fixed vectors is a determinant:
 the signs are evaluated as determinants, the ham-term matrices as their
-closed form, a 3x3 block table.  Only main_term_bruteforce is a
-permutation sum: the oracle for the closed form, capped at N = 8.
+closed form, a 3x3 block table, and the rank-6 three-pair kernel as
++-g/2 per pair.  Only main_term_bruteforce is a permutation sum: the
+oracle for the closed form, capped at N = 8.
 
 All functions are pure and safe to call from multiple threads.
 """
@@ -69,7 +70,10 @@ def normalizer(n):
     """
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
-    return 1.0 / math.sqrt(n * math.factorial(n - 2))
+    try:
+        return 1.0 / math.sqrt(n * math.factorial(n - 2))
+    except OverflowError:
+        raise InputError(f"n = {n} is too large: n * (n-2)! exceeds the float range") from None
 
 
 def difference_basis(n):
@@ -171,7 +175,9 @@ def ham_term(g, subset, n):
     return _ham_matrix(n, _check_subset(subset, n)) @ g
 
 
-@lru_cache(maxsize=None)
+# Bounded: one n = MAX_FIT_N fit uses 406 matrices, and an unbounded
+# cache kept all 4,851 of a loaded n = 100 representation, 388 MB.
+@lru_cache(maxsize=512)
 def _ham_matrix(n, subset):
     """Matrix of ham_term(., subset, n), its determinants in closed form.
 
@@ -191,19 +197,10 @@ def _ham_matrix(n, subset):
     return mat
 
 
-# Slot layout of the six-variable kernel: three two-level subsystems
-# with conserved pair sums, so the three energy gradients are the pair
-# indicators below and the entropy enters through its gradient over the
-# three pair differences.
-_H_SLOTS = ((0, 1), (2, 3), (4, 5))
-_SIX_NORM = 0.125  # on both epsilon factors; see six_slot_main_term
-
-
 def check_six_state(s):
     """Validate a six-variable state: finite, each pair summing to 1 (1e-9)."""
     s = _finite_array(s, "six-variable state", (6,))
-    for i, (a, b) in enumerate(_H_SLOTS):
-        total = s[a] + s[b]
+    for i, total in enumerate((s[0::2] + s[1::2]).tolist()):
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"pair {i} must sum to 1, got {total!r}")
     return s
@@ -217,46 +214,12 @@ def six_slot_main_term(g3):
     to one, so the per-slot gradient is dS/dp1 = -dS/dp2 = 2 * g3[0],
     and so on.  The inner contraction then reduces to four equal entries
     per output slot, out_1 = 8 * norm**2 * (dS/dp1 - dS/dp2), with norm
-    on both epsilon factors.  norm is fixed at 1/8, which makes
-    d(p1 - p2)/dt = g3[0]: the gradient flow in the difference variables.
+    on both epsilon factors.  norm is fixed at 1/8, so out = (g3[0]/2,
+    -g3[0]/2, g3[1]/2, ...): d(p1 - p2)/dt = g3[0], the gradient flow in
+    the difference variables, and every pair sum is conserved, exactly.
     """
     g3 = _finite_array(g3, "g3", (3,))
-
-    # Per-slot entropy gradient under the pair constraints.
-    gs = np.empty(6)
-    gs[0::2] = 2.0 * g3
-    gs[1::2] = -2.0 * g3
-
-    (s1, i0, i1, i2), (s2, o0, o4, o5) = _six_slot_table()
-    # np.add.at adds in index order, as the permutation loop did.
-    inner = np.zeros((6, 6))
-    np.add.at(inner, (i0, i1), s1 * gs[i2])
-    inner *= _SIX_NORM
-    out = np.zeros(6)
-    np.add.at(out, o0, s2 * inner[o4, o5])
-    out *= _SIX_NORM
+    out = np.empty(6)
+    out[0::2] = 0.5 * g3
+    out[1::2] = -0.5 * g3
     return out
-
-
-@lru_cache(maxsize=None)
-def _six_slot_table():
-    """Signs and indices of the 48 permutations each kernel pass keeps.
-
-    The inner pass keeps permutations p with p[3], p[4], p[5] in the
-    three energy slots and adds sign * gs[p[2]] to inner[p[0], p[1]];
-    the outer pass keeps p[1], p[2], p[3] in the slots and adds
-    sign * inner[p[4], p[5]] to out[p[0]].  Rows are in permutation
-    order, so the sums accumulate in the order of the full loop.
-    """
-    in1, in2, in3 = _H_SLOTS
-
-    def columns(first):
-        kept = [(sign, p) for sign, p in _signed_permutations(6)
-                if p[first] in in1 and p[first + 1] in in2 and p[first + 2] in in3]
-        signs = np.array([sign for sign, _ in kept])
-        perms = np.array([p for _, p in kept])
-        return signs, perms
-
-    s1, p1 = columns(3)
-    s2, p2 = columns(1)
-    return (s1, p1[:, 0], p1[:, 1], p1[:, 2]), (s2, p2[:, 0], p2[:, 4], p2[:, 5])

@@ -66,7 +66,7 @@ class ProbabilityState:
         if arr.size < 2:
             raise InputError(f"state must be a vector of length >= 2, got {arr.shape}")
         if np.any(arr < -1e-12):
-            raise InputError(f"state has negative entries: min = {arr.min()!r}")
+            raise InputError(f"state has negative entries: min = {float(arr.min())!r}")
         total = math.fsum(arr.tolist())
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"state must sum to 1 within 1e-9, got {total!r}")

@@ -180,7 +180,10 @@ def ham_subsets(n):
 
 def _main_scale(norm, n):
     # Raw double contraction is N*(N-2)! times the tangent projection.
-    return norm * norm * n * math.factorial(n - 2)
+    try:
+        return norm * norm * n * math.factorial(n - 2)
+    except OverflowError:
+        raise InputError(f"n = {n} is too large: (n-2)! exceeds the float range") from None
 
 
 def _flow_operator(n, norm, r, subsets):
@@ -333,10 +336,7 @@ def fit(w):
         raise InputError(f"n = {n} exceeds the fit cap MAX_FIT_N = {MAX_FIT_N}")
     gen = build_generator(w)
     if n == 2:
-        rep = QTRepresentation(
-            entropy=two_state_entropy(w), r=np.zeros(0), subsets=(), norm=1.0,
-            residual=0.0,
-        )
+        entropy, r, subsets, norm = two_state_entropy(w), np.zeros(0), (), 1.0
     else:
         norm = normalizer(n)
         subsets = ham_subsets(n)
@@ -347,12 +347,10 @@ def fit(w):
                 r, q = _closed_form(gen)
         except FloatingPointError as exc:
             raise InputError(f"rate matrix too large to fit: {exc}") from exc
-        rep = QTRepresentation(
-            entropy=QuadraticEntropy(q), r=r, subsets=subsets, norm=norm,
-            residual=0.0,
-        )
-    resid = _residual_metric(flow_matrix(rep) - gen, n)
-    rep = dataclasses.replace(rep, residual=resid)
+        entropy = QuadraticEntropy(q)
+    # Residual first, so the representation is built and validated once.
+    resid = _residual_metric(_flow_operator(n, norm, r, subsets) @ entropy.q - gen, n)
+    rep = QTRepresentation(entropy, r, subsets, norm, resid)
     tol = ACCEPT_TOL * max(1.0, float(np.max(np.abs(gen))))
     if not resid <= tol:
         raise FitNonConvergenceError(

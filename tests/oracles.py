@@ -3,6 +3,8 @@
 * Permutation-sum oracles for the epsilon kernels of qtrep.multilinear:
   each sums the epsilon symbol entry by entry, with signs from an
   inversion count.
+* The rank-6 three-pair kernel as two loops over all 720 permutations,
+  for the closed form of qtrep.multilinear.six_slot_main_term.
 * The ham-term matrix as a batched stack of n**4 determinants, for the
   closed-form block table of qtrep.multilinear._ham_matrix.
 * The CSV writer as one Python ``%`` row template per row, for the
@@ -77,6 +79,31 @@ def ham_term_bruteforce(g, subset, n):
             if term == 0.0:
                 break
         out[p[0]] += term
+    return out
+
+
+def literal_six_slot_main_term(g3):
+    """multilinear.six_slot_main_term as two loops over all 720 permutations.
+
+    The per-slot gradient is (2 g3[0], -2 g3[0], ...); each epsilon
+    factor keeps the permutations with one index in each pair (0, 1),
+    (2, 3), (4, 5) and carries the normalization 1/8.
+    """
+    gs = np.empty(6)
+    gs[0::2] = 2.0 * g3
+    gs[1::2] = -2.0 * g3
+    in1, in2, in3 = (0, 1), (2, 3), (4, 5)
+    perms = signed_permutations(6)
+    inner = np.zeros((6, 6))
+    for sign, p in perms:
+        if p[3] in in1 and p[4] in in2 and p[5] in in3:
+            inner[p[0], p[1]] += sign * gs[p[2]]
+    inner *= 0.125
+    out = np.zeros(6)
+    for sign, p in perms:
+        if p[1] in in1 and p[2] in in2 and p[3] in in3:
+            out[p[0]] += sign * inner[p[4], p[5]]
+    out *= 0.125
     return out
 
 

@@ -264,6 +264,17 @@ class TestPmeSolve:
         )
         assert run(["pme-solve", "--config", cfg]) == 2
 
+    def test_negative_entry_printed_as_python_float(self, tmp_path, capsys):
+        # the same line under numpy 1.x and 2.x: no np.float64(...) repr
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"W": [[0.0, 1.0], [2.0, 0.0]], "p0": [1.1, -0.1], "t_end": 1.0,
+             "out": str(tmp_path / "r")},
+        )
+        assert run(["pme-solve", "--config", cfg]) == 2
+        assert error_lines(capsys) == ["error: state has negative entries: min = -0.1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
 
 class TestRelaxCommands:
     def test_classify_to_stdout(self, tmp_path, capsys):

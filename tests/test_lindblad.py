@@ -335,6 +335,15 @@ class TestSixVariableForm:
             # pair populations stay conserved
             np.testing.assert_allclose(six[0::2] + six[1::2], 0.0, atol=1e-12)
 
+    def test_six_flow_is_exact_at_extracted_state(self):
+        # the kernel halves exactly, so only the embedding (1 +- P)/2 rounds
+        for seed in range(20):
+            ch = single(*unit_pair(700 + seed))
+            s = lb.embed_six(np.random.default_rng(800 + seed).uniform(-0.5, 0.5, 3))
+            six = lb.qt_six_rhs(ch, s)
+            assert bits(lb.extract_bloch(six)) == bits(lb.gradient_rhs(ch, lb.extract_bloch(s)))
+            assert bits(six[0::2] + six[1::2]) == bits(np.zeros(3))
+
     def test_bad_pair_sum_rejected(self):
         s = lb.embed_six(np.zeros(3))
         s[2] += 1e-6

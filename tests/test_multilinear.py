@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import signed_permutations
+from oracles import literal_six_slot_main_term, signed_permutations
 from qtrep import multilinear as ml
 from qtrep.errors import InputError, SizeError
 
@@ -45,6 +45,13 @@ class TestNormalizer:
     def test_too_small_rejected(self):
         with pytest.raises(InputError):
             ml.normalizer(1)
+
+    def test_largest_float_size(self):
+        # n * (n-2)! fits a float up to n = 171; above, an InputError names n
+        assert ml.normalizer(171) == 1.0 / math.sqrt(171 * math.factorial(169))
+        for n in (172, 200):
+            with pytest.raises(InputError, match=rf"^n = {n} is too large"):
+                ml.normalizer(n)
 
 
 class TestMainTerm:
@@ -147,26 +154,28 @@ class TestDifferenceBasis:
 
 
 class TestSixSlotMainTerm:
+    # halving is exact, so both pair identities hold bit for bit
     def test_reproduces_difference_gradient(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             g3 = rng.standard_normal(3)
             out = ml.six_slot_main_term(g3)
-            np.testing.assert_allclose(out[0::2] - out[1::2], g3, atol=1e-12)
+            np.testing.assert_array_equal(out[0::2] - out[1::2], g3)
 
     def test_pair_sums_conserved(self):
         rng = np.random.default_rng(12)
         g3 = rng.standard_normal(3)
         out = ml.six_slot_main_term(g3)
-        np.testing.assert_allclose(out[0::2] + out[1::2], 0.0, atol=1e-12)
+        np.testing.assert_array_equal(out[0::2] + out[1::2], 0.0)
 
-    def test_bad_pair_sum_rejected(self):
+    @pytest.mark.parametrize("pair", range(3))
+    def test_bad_pair_sum_rejected(self, pair):
         # the six-slot state is checked by check_six_state, once, before the
         # kernel is formed from its gradient
         p6 = np.full(6, 0.5)
         ml.check_six_state(p6)
-        p6[0] += 1e-6
-        with pytest.raises(InputError, match="pair 0 must sum to 1"):
+        p6[2 * pair] += 1e-6
+        with pytest.raises(InputError, match=rf"^pair {pair} must sum to 1, got 1\.000001"):
             ml.check_six_state(p6)
 
     def test_bad_shapes_rejected(self):
@@ -174,32 +183,15 @@ class TestSixSlotMainTerm:
             with pytest.raises(InputError, match="g3"):
                 ml.six_slot_main_term(g3)
 
-    def test_table_matches_permutation_loops_bitwise(self):
+    def test_matches_permutation_loops(self):
+        # the 720-permutation oracle rounds in its sums; the closed form
+        # does not, so they agree to one ulp of the largest component
         rng = np.random.default_rng(13)
         for _ in range(3000):
             g3 = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
             got = ml.six_slot_main_term(g3)
-            assert got.tobytes() == literal_six_slot_main_term(g3).tobytes()
-
-
-def literal_six_slot_main_term(g3):
-    """The kernel as two loops over all 720 permutations, signed by the oracle."""
-    gs = np.empty(6)
-    gs[0::2] = 2.0 * g3
-    gs[1::2] = -2.0 * g3
-    in1, in2, in3 = (0, 1), (2, 3), (4, 5)
-    perms = signed_permutations(6)
-    inner = np.zeros((6, 6))
-    for sign, p in perms:
-        if p[3] in in1 and p[4] in in2 and p[5] in in3:
-            inner[p[0], p[1]] += sign * gs[p[2]]
-    inner *= 0.125
-    out = np.zeros(6)
-    for sign, p in perms:
-        if p[1] in in1 and p[2] in in2 and p[3] in in3:
-            out[p[0]] += sign * inner[p[4], p[5]]
-    out *= 0.125
-    return out
+            err = np.max(np.abs(got - literal_six_slot_main_term(g3)))
+            assert err <= 2.0**-52 * np.max(np.abs(g3))
 
 
 @settings(max_examples=25, deadline=None)

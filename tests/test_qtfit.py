@@ -70,6 +70,12 @@ class TestCatalog:
             np.testing.assert_array_equal(multilinear._ham_matrix(n, subset), oracle)
             np.testing.assert_array_equal(terms, oracle)
 
+    def test_ham_matrix_cache_holds_the_largest_fit(self):
+        # bounded, so a loaded large representation cannot keep all its
+        # matrices, yet no fit up to the cap misses its own
+        maxsize = multilinear._ham_matrix.cache_parameters()["maxsize"]
+        assert len(qtfit.ham_subsets(qtfit.MAX_FIT_N)) <= maxsize < 4851
+
     def test_parameter_count_matches_generator_dof(self):
         for n in range(2, 7):
             q_dof = n * (n + 1) // 2 - 1
@@ -281,6 +287,19 @@ class TestFitRoundTrip:
         assert err.value.residual == err.value.best.residual > 1e-2
         assert err.value.best.n == 3
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_representation_validated_once(self, n, monkeypatch):
+        calls = []
+        check = qtfit.QTRepresentation.__post_init__
+
+        def counted(rep):
+            calls.append(rep.residual)
+            check(rep)
+
+        monkeypatch.setattr(qtfit.QTRepresentation, "__post_init__", counted)
+        rep = qtfit.fit(random_chain(n, seed=62))
+        assert calls == [rep.residual]
+
     def test_entropy_production_nonnegative(self):
         # main term produces sum of squares, ham terms conserve entropy
         w = random_chain(4, seed=30)
@@ -330,6 +349,16 @@ class TestSerialization:
         if key == "subsets":
             with pytest.raises(InputError, match="integer"):
                 multilinear.ham_term(np.ones(4), value[0], 4)
+
+    def test_size_beyond_float_factorial_rejected(self):
+        # (n-2)! overflows a float from n = 173: InputError, not OverflowError
+        n = 173
+        doc = {"n": n, "q": np.zeros((n, n)).tolist(), "r": [], "subsets": [],
+               "norm": 1e-150, "residual": 0.0}
+        rep = qtfit.QTRepresentation.from_json_dict(doc)
+        for call in (lambda: qtfit.flow_matrix(rep), lambda: qtfit.qt_rhs(rep, np.full(n, 1 / n))):
+            with pytest.raises(InputError, match=rf"^n = {n} is too large"):
+                call()
 
     def test_missing_key_rejected(self):
         with pytest.raises(InputError):

@@ -29,7 +29,7 @@ import functools
 import json
 import math
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -81,23 +81,20 @@ def dumps(obj, precision=DEFAULT_PRECISION):
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temporary file and rename.
+    """Write text to path via a new temporary file and a rename.
 
-    The file gets the mode open() would give it, 0o666 less the umask;
-    mkstemp alone would leave it 0o600.
+    The temporary file is created (O_EXCL) under a random name next to
+    path, so it gets the mode of any new file, 0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".qtrep-", suffix=".tmp")
+    tmp = os.path.join(directory, f".qtrep-{secrets.token_hex(8)}.tmp")
+    handle = open(tmp, "x")  # raises, creating nothing, if the name is taken
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
-        os.replace(tmp_path, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        os.unlink(tmp)
         raise
 
 

@@ -3,8 +3,8 @@
 Every subcommand reads one JSON config file, validates it against its
 entry in the _COMMANDS table (unknown keys are rejected), computes, and
 writes results atomically.  The same table builds each subcommand's
---help text.  Outputs are byte-identical for identical configs and
-seeds.  Exit codes: 0 success, 2 invalid input, 3 fit residual above
+--help text.  Outputs are byte-identical for identical configs.  Exit
+codes: 0 success, 2 invalid input, 3 fit residual above
 1e-8 * max(1, max|L|), L the generator of the rates.
 """
 
@@ -103,10 +103,7 @@ _Command = collections.namedtuple("_Command", "handler summary keys notes", defa
 _REQUIRED = object()
 
 # Keys every subcommand accepts.
-_COMMON_KEYS = {
-    "seed": (_integer(0), 0, "int, default 0"),
-    "precision": (_integer(1, MAX_PRECISION), 17, "int, default 17"),
-}
+_COMMON_KEYS = {"precision": (_integer(1, MAX_PRECISION), 17, "int, default 17")}
 
 
 def _description(command):
@@ -176,6 +173,17 @@ def _default_dt(dt, scale, name):
     return dt
 
 
+def _check_rk4_stable(dt, eigenvalues):
+    """Reject a dt at which one RK4 step amplifies a mode of the flow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = np.abs(np.polyval([1 / 24, 1 / 6, 1 / 2, 1, 1], dt * eigenvalues))
+    # NaN is an overflow to inf - inf; the slack covers a zero mode's roundoff.
+    gain = float(np.max(np.where(np.isnan(gain), np.inf, gain)))
+    if gain > 1 + 1e-12:
+        _fail(f"dt = {dt!r} is beyond RK4's stability limit: one step amplifies a mode "
+              f"by {gain:.3g}; lower dt")
+
+
 def _cmd_pme_solve(cfg):
     w = pme.TransitionMatrix(cfg["W"])
     if cfg["p0"].size != w.n:
@@ -189,6 +197,7 @@ def _cmd_pme_solve(cfg):
     # Before integrating: a chain without a unique stationary state fails
     # at once, not after every step.
     stationary = pme.stationary_state(w)
+    _check_rk4_stable(dt, spec.eigenvalues)
     traj = dynamics.integrate(
         lambda y: gen @ y, p0.p, cfg["t_end"], dt,
         entropy=lambda rows: pme.bs_entropy(np.clip(rows, 0.0, 1.0)), stride=cfg["stride"],
@@ -243,6 +252,12 @@ def _cmd_relax_scan(cfg):
     _write_outputs(cfg, summary, csv)
 
 
+# The regular tetrahedron in the Bloch sphere: its vertices are affinely independent, so
+# an identity affine in P that holds to roundoff on them holds everywhere.  Unit vectors
+# would make the embedding (1 +- P)/2 exact and its residual read 0.
+_TETRAHEDRON = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+
+
 def _cmd_lindblad(cfg):
     channel = lindblad.LindbladChannel.from_dict(cfg["channel"])
     if not channel.dissipators:
@@ -252,36 +267,29 @@ def _cmd_lindblad(cfg):
     if not math.isfinite(rate_scale):
         _fail("channel rate scale |h| + sum(A**2 + B**2) is not finite")
     dt = _default_dt(cfg["dt"], rate_scale, "rate scale")
+    # bloch_rhs(P) = M P + c, so these rows form M^T, which has M's eigenvalues.
+    origin = lindblad.bloch_rhs(channel, np.zeros(3))
+    rows = [lindblad.bloch_rhs(channel, e) - origin for e in np.eye(3)]
+    _check_rk4_stable(dt, np.linalg.eigvals(rows))
 
     report = {"dt": dt}
     entropy = None
     if cfg["gradient_check"]:
         p_st = lindblad.stationary_bloch(channel)
         entropy = lambda rows: lindblad.bloch_entropy(channel, rows)
-        rng = np.random.default_rng(cfg["seed"])
-        grad_resid = 0.0
-        six_resid = 0.0
-        for _ in range(20):
-            direction = rng.standard_normal(3)
-            norm = np.linalg.norm(direction)
-            if norm == 0.0:
-                continue
-            sample = direction / norm * rng.uniform(0.0, 1.0)
-            flow = lindblad.bloch_rhs(channel, sample)
-            grad = lindblad.gradient_rhs(channel, sample)
+        grad_resid = six_resid = 0.0
+        for point in _TETRAHEDRON:
+            flow = lindblad.bloch_rhs(channel, point)
+            grad = lindblad.gradient_rhs(channel, point)
+            six = lindblad.extract_bloch(lindblad.qt_six_rhs(channel, lindblad.embed_six(point)))
             grad_resid = max(grad_resid, float(np.max(np.abs(flow - grad))))
-            six = lindblad.extract_bloch(
-                lindblad.qt_six_rhs(channel, lindblad.embed_six(sample))
-            )
             six_resid = max(six_resid, float(np.max(np.abs(six - grad))))
-        report.update(
-            {
-                "P_st": [float(v) for v in p_st],
-                "P_st_abs": float(np.linalg.norm(p_st)),
-                "gradient_identity_residual": grad_resid,
-                "six_variable_equivalence_residual": six_resid,
-            }
-        )
+        report.update({
+            "P_st": [float(v) for v in p_st],
+            "P_st_abs": float(np.linalg.norm(p_st)),
+            "gradient_identity_residual": grad_resid,
+            "six_variable_equivalence_residual": six_resid,
+        })
 
     traj = dynamics.integrate(
         lambda y: lindblad.bloch_rhs(channel, y), cfg["P0"], cfg["t_end"], dt,
@@ -295,14 +303,9 @@ def _cmd_composite(cfg):
     a, c, k = cfg["a"], cfg["c"], cfg["k"]
     system = composite.CompositeSystem.with_lambda_star(a, c, boltzmann_k=k)
     gen = composite.composite_generator(system)
-    rng = np.random.default_rng(cfg["seed"])
-    residual = 0.0
-    for _ in range(20):
-        state = rng.dirichlet(np.ones(4))
-        residual = max(
-            residual,
-            float(np.max(np.abs(composite.qt_flow(system, state) - gen @ state))),
-        )
+    # The pure product states: the flow is affine, so they cover every state.
+    residual = max(float(np.max(np.abs(composite.qt_flow(system, state) - gen @ state)))
+                   for state in np.eye(4))
     stationary = pme.stationary_state(pme.TransitionMatrix(gen))
     q_value = composite.q_parameter(system)
     report = {
@@ -338,9 +341,8 @@ _COMMANDS = {
     "qt-fit": _Command(
         _cmd_qt_fit, "Fit a quadratic-entropy representation to a rate matrix.",
         {"W": (_finite((None, None)), _REQUIRED, "NxN rate matrix"), "out": _OUT},
-        f"The fit is the closed-form Sylvester solve, for N <= {qtfit.MAX_FIT_N}; "
-        "it draws no random numbers, so seed has no effect.  Writes <out>.json "
-        "with fields n, q, r, subsets, norm, residual.  Exit code 3 if the "
+        f"The fit is the closed-form Sylvester solve, for N <= {qtfit.MAX_FIT_N}.  "
+        "Writes <out>.json with fields n, q, r, subsets, norm, residual.  Exit code 3 if the "
         "flow residual is above 1e-8 * max(1, max|L|), L the generator "
         "(the representation is still written).",
     ),
@@ -357,6 +359,7 @@ _COMMANDS = {
             "constrain_omega_zero": (_boolean, False, "bool (default false)"),
             "bins": (_integer(1), 10, "int (default 10)"),
             "out": _OUT,
+            "seed": (_integer(0), 0, "int (default 0)"),
         },
         "Writes <out>.csv (a,b,c,d,e,f,xi,disc,omega,u,v,monotonic) and "
         "<out>.json with the oscillatory fractions.  The sample order in "

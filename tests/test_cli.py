@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtrep import cli, multilinear, qtfit
+from qtrep import cli, composite, lindblad, multilinear, qtfit
 from qtrep.errors import InputError
 
 
@@ -60,9 +60,26 @@ class TestConfigHandling:
     def test_wrong_type_rejected(self, tmp_path, chain3):
         cfg = write_config(
             tmp_path / "c.json",
-            {"W": chain3, "out": str(tmp_path / "r"), "seed": "zero"},
+            {"W": chain3, "out": str(tmp_path / "r"), "precision": "nine"},
         )
         assert run(["qt-fit", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("name, payload", [
+        ("pme-solve", {"W": [[0, 1], [2, 0]], "p0": [0.5, 0.5], "t_end": 0.1}),
+        ("qt-fit", {"W": [[0, 1], [2, 0]]}),
+        ("relax-classify", {"rates": [1, 2, 3, 4, 5, 6]}),
+        ("lindblad", {"channel": {"dissipators": [{"A": [1, 0, 0], "B": [0, 1, 0]}]},
+                      "P0": [0.1, 0.2, 0.3], "t_end": 0.1}),
+        ("composite", {"a": 1.0, "c": 2.0}),
+    ])
+    def test_seed_belongs_to_relax_scan_alone(self, tmp_path, capsys, name, payload):
+        # Only relax-scan draws random numbers; elsewhere seed is an unknown key.
+        cfg = write_config(tmp_path / "c.json", {**payload, "seed": 0, "out": str(tmp_path / "r")})
+        assert run([name, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown config keys for {name}: seed\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 class TestQtFit:
@@ -77,9 +94,7 @@ class TestQtFit:
 
     def test_byte_identical_reruns(self, tmp_path, chain3):
         out = tmp_path / "rep"
-        cfg = write_config(
-            tmp_path / "c.json", {"W": chain3, "out": str(out), "seed": 4}
-        )
+        cfg = write_config(tmp_path / "c.json", {"W": chain3, "out": str(out)})
         assert run(["qt-fit", "--config", cfg]) == 0
         first = (tmp_path / "rep.json").read_bytes()
         assert run(["qt-fit", "--config", cfg]) == 0
@@ -201,6 +216,17 @@ class TestPmeSolve:
             [float(last[1]), float(last[2])], report["final_state"], atol=0
         )
 
+    def test_zero_mode_roundoff_passes_stability_check(self, tmp_path, capsys):
+        # The zero mode reads 3.6e-15, so |R(dt * lambda_0)| = 1 + 4.4e-16;
+        # every other mode is damped (|R| <= 0.32): dt = 0.1 is stable.
+        w = [[0.0, 4.0, 6.0], [2.0, 0.0, 5.0], [9.0, 8.0, 0.0]]
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"W": w, "p0": [0.2, 0.3, 0.5], "t_end": 1.0, "dt": 0.1, "out": str(tmp_path / "r")},
+        )
+        assert run(["pme-solve", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_state_dimension_mismatch(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -320,6 +346,18 @@ class TestRelaxCommands:
         assert run(["relax-scan", "--config", cfg]) == 0
         assert (tmp_path / "scan.csv").read_bytes() == first
 
+    def test_scan_seed_selects_the_sample(self, tmp_path):
+        def scan(name, **seed):
+            cfg = write_config(tmp_path / f"{name}.json",
+                               {"samples": 32, "out": str(tmp_path / name), **seed})
+            assert run(["relax-scan", "--config", cfg]) == 0
+            return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+
+        default = scan("default")
+        assert scan("zero", seed=0) == default
+        assert scan("again", seed=5) == scan("five", seed=5)
+        assert scan("five", seed=5)[0] != default[0]
+
     def test_scalar_ranges_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json", {"samples": 8, "ranges": 5, "out": str(tmp_path / "s")}
@@ -362,6 +400,30 @@ class TestLindblad:
         assert doc["gradient_identity_residual"] < 1e-12
         assert doc["six_variable_equivalence_residual"] < 1e-10
         np.testing.assert_allclose(doc["P_final"], doc["P_st"], atol=1e-2)
+
+    def test_residuals_over_the_tetrahedron(self, tmp_path):
+        # The identities are affine in P: the report checks them on the four
+        # vertices (+-1, +-1, +-1)/sqrt(3) with an even number of minus signs.
+        spec = {"dissipators": [{"A": [0.4, -0.7, -1.4], "B": [-1.5, 0.9, 1.2]}]}
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"channel": spec, "P0": [0.1, 0.2, 0.3], "t_end": 0.01, "out": str(tmp_path / "lb")},
+        )
+        assert run(["lindblad", "--config", cfg]) == 0
+        doc = json.loads((tmp_path / "lb.json").read_text())
+        channel = lindblad.LindbladChannel.from_dict(spec)
+        vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+        grads = [lindblad.gradient_rhs(channel, p) for p in vertices]
+        flows = [lindblad.bloch_rhs(channel, p) for p in vertices]
+        sixes = [lindblad.extract_bloch(lindblad.qt_six_rhs(channel, lindblad.embed_six(p)))
+                 for p in vertices]
+        grad_resid = float(np.max(np.abs(np.subtract(flows, grads))))
+        six_resid = float(np.max(np.abs(np.subtract(sixes, grads))))
+        assert doc["gradient_identity_residual"] == grad_resid
+        assert doc["six_variable_equivalence_residual"] == six_resid
+        # Neither reads 0 on this channel, and another point set gives
+        # other values: the equalities pin the four vertices.
+        assert 0 < grad_resid < 1e-14 and 0 < six_resid < 1e-14
 
     def test_field_channel_rejected_by_default(self, tmp_path, capsys):
         cfg = write_config(
@@ -422,6 +484,18 @@ class TestComposite:
         cfg = write_config(tmp_path / "c.json", {"a": a, "c": c})
         assert run(["composite", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["stationary"] == [0.25] * 4
+
+    def test_residual_over_the_pure_product_states(self, tmp_path, capsys):
+        # The flow is affine in the state: the report checks it on e_1 .. e_4.
+        cfg = write_config(tmp_path / "c.json", {"a": 0.37, "c": 2.9})
+        assert run(["composite", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        system = composite.CompositeSystem.with_lambda_star(0.37, 2.9)
+        gen = composite.composite_generator(system)
+        residual = max(float(np.max(np.abs(composite.qt_flow(system, e) - gen[:, i])))
+                       for i, e in enumerate(np.eye(4)))
+        assert doc["gradient_residual"] == residual
+        assert 0 < residual < 1e-14
 
     def test_bad_rate_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"a": -1.0, "c": 2.0})
@@ -517,7 +591,8 @@ class TestBoundary:
             ("lindblad",
              {"channel": {"dissipators": [{"A": [30, 0, 0], "B": [0, 30, 0]}]},
               "P0": [0.3, -0.2, 0.1], "t_end": 50, "dt": 0.5},
-             2, "error: non-finite state at step 30 (t = 15.0)"),
+             2, "error: dt = 0.5 is beyond RK4's stability limit: one step amplifies a mode "
+             "by 2.72e+10; lower dt"),
             ("lindblad",
              {"channel": {"dissipators": [{"A": [1e300, 0, 0], "B": [0, 1, 0]}]},
               "P0": [0.1, 0, 0], "t_end": 1.0},
@@ -564,6 +639,21 @@ class TestBoundary:
              "error: ranges must be a 2-vector or 6x2 matrix, got shape (2, 2)"),
             ("relax-scan", {"samples": 4, "ranges": [0, float("inf")]}, 2,
              "error: ranges has non-finite entries"),
+            ("pme-solve",
+             {"W": [[0, 1000], [1000, 0]], "p0": [0.9, 0.1], "t_end": 0.05, "dt": 0.01}, 2,
+             "error: dt = 0.01 is beyond RK4's stability limit: one step amplifies a mode "
+             "by 5.51e+03; lower dt"),
+            ("lindblad",
+             {"channel": {"dissipators": [{"A": [700, 0, 0], "B": [0, 700, 0]}]},
+              "P0": [0.1, 0, 0], "t_end": 0.25, "dt": 1 / 64, "gradient_check": False},
+             2, "error: dt = 0.015625 is beyond RK4's stability limit: one step amplifies "
+             "a mode by 2.29e+15; lower dt"),
+            # |R(dt lambda)| overflows to inf - inf = NaN, read as unbounded.
+            ("pme-solve",
+             {"W": [[0, 0, 1e200], [1e200, 0, 0], [0, 1e200, 0]], "p0": [1, 0, 0],
+              "t_end": 1.0, "dt": 1.0}, 2,
+             "error: dt = 1.0 is beyond RK4's stability limit: one step amplifies a mode "
+             "by inf; lower dt"),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capfd, command, cfg, code, message):
@@ -617,8 +707,7 @@ class TestHelp:
             "Integrate a master equation and report its stationary state.\n"
             "Config: {W: NxN rate matrix, p0: length-N probabilities, t_end: "
             "number, dt: number (default 1e-3 / max rate), stride: int "
-            "(default 1), out: path base}. Common keys: seed (int, default 0), "
-            "precision (int, default 17).\n"
+            "(default 1), out: path base}. Common keys: precision (int, default 17).\n"
             "Writes <out>.csv (t, y1..yN, entropy, sum_drift) and <out>.json."
         )
 

@@ -31,13 +31,13 @@ VALID = {
     "qt-fit": {"W": [[0.0, 3.0, 5.0], [1.0, 0.0, 6.0], [2.0, 4.0, 0.0]]},
     "relax-classify": {"rates": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
     "relax-scan": {"samples": 16, "ranges": [0.0, 1.0], "constrain_omega_zero": True,
-                   "bins": 3},
+                   "bins": 3, "seed": 3},
     "lindblad": {"channel": {"dissipators": [{"A": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0]}]},
                  "P0": [0.1, 0.2, 0.3], "t_end": 0.1, "dt": 0.01, "stride": 2,
                  "gradient_check": True},
     "composite": {"a": 1.0, "c": 2.0, "k": 1.0},
 }
-VALID_COMMON = {"seed": 3, "precision": 9}
+VALID_COMMON = {"precision": 9}
 
 SPECIAL = [float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 1e-300,
            -1e-300, 0, 0.0, -1, -2.5, 1e308, 2**31, 2**63, 10**400]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import secrets
 
 import numpy as np
 import pytest
@@ -241,3 +242,28 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert target.stat().st_mode & 0o777 == mode
+
+    def test_process_umask_untouched(self, tmp_path, monkeypatch):
+        # Toggling the umask to read it would race with other threads' files.
+        def umask(mask):
+            raise AssertionError("atomic_write_text changed the process umask")
+
+        monkeypatch.setattr(os, "umask", umask)
+        target = tmp_path / "u.txt"
+        _jsonio.atomic_write_text(str(target), "data\n")
+        assert target.read_text() == "data\n"
+
+    def test_taken_temporary_name_is_left_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(secrets, "token_hex", lambda nbytes: "taken")
+        taken = tmp_path / ".qtrep-taken.tmp"
+        taken.write_text("not ours\n")
+        with pytest.raises(FileExistsError):
+            _jsonio.atomic_write_text(str(tmp_path / "t.txt"), "data\n")
+        assert os.listdir(tmp_path) == [".qtrep-taken.tmp"]
+        assert taken.read_text() == "not ours\n"
+
+    def test_failed_write_removes_its_temporary_file(self, tmp_path):
+        # A lone surrogate cannot be encoded: the write fails after creation.
+        with pytest.raises(UnicodeEncodeError):
+            _jsonio.atomic_write_text(str(tmp_path / "s.txt"), "data \ud800\n")
+        assert os.listdir(tmp_path) == []

@@ -20,7 +20,10 @@ import sys
 import numpy as np
 
 from . import _jsonio, composite, dynamics, lindblad, pme, qtfit, relaxation
-from .errors import FitNonConvergenceError, InputError, QtrepError, _finite_array
+from .errors import (
+    FitNonConvergenceError, InputError, QtrepError,
+    _boolean, _finite_array, _integer, _json_object, _positive,
+)
 
 # No double has more significant digits; higher precisions add nothing.
 MAX_PRECISION = 767
@@ -28,72 +31,30 @@ MAX_PRECISION = 767
 BLOCH_TOL = 1e-12
 
 
-def _fail(message):
-    raise InputError(message)
-
-
 # Readers: each takes a key and its raw JSON value and returns the
 # validated value or raises InputError.
 
 
-def _positive(key, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{key} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        _fail(f"{key} must be finite")
-    if value <= 0.0:
-        _fail(f"{key} must be positive, got {value!r}")
-    return value
-
-
-def _integer(minimum, maximum=None):
-    def read(key, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            _fail(f"{key} must be an integer, got {value!r}")
-        if value < minimum:
-            _fail(f"{key} must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            _fail(f"{key} must be <= {maximum}, got {value}")
-        return value
-
-    return read
-
-
-def _boolean(key, value):
-    if not isinstance(value, bool):
-        _fail(f"{key} must be a boolean, got {value!r}")
-    return value
+def _reader(check, *args):
+    """Reader from a shared check(value, key, *args) of the errors module."""
+    return lambda key, value: check(value, key, *args)
 
 
 def _out(key, value):
     if not isinstance(value, str) or not value:
-        _fail(f"{key} must be a non-empty path string, got {value!r}")
+        raise InputError(f"{key} must be a non-empty path string, got {value!r}")
     directory = os.path.dirname(os.path.abspath(value))
     if not os.path.isdir(directory):
-        _fail(f"{key} directory does not exist: {directory}")
+        raise InputError(f"{key} directory does not exist: {directory}")
     return value
-
-
-def _finite(*shapes):
-    return lambda key, value: _finite_array(value, key, list(shapes))
 
 
 def _bloch_vector(key, value):
     arr = _finite_array(value, key, (3,))
     norm = math.hypot(*arr)  # no overflow, unlike the sum of squares
     if norm > 1.0 + BLOCH_TOL:
-        _fail(f"{key} must lie in the Bloch ball, got |{key}| = {norm!r}")
+        raise InputError(f"{key} must lie in the Bloch ball, got |{key}| = {norm!r}")
     return arr
-
-
-def _object(key, value):
-    if not isinstance(value, dict):
-        _fail(f"missing or malformed key: {key}")
-    return value
 
 
 # A subcommand: its handler, summary line, config keys and help notes.
@@ -103,7 +64,7 @@ _Command = collections.namedtuple("_Command", "handler summary keys notes", defa
 _REQUIRED = object()
 
 # Keys every subcommand accepts.
-_COMMON_KEYS = {"precision": (_integer(1, MAX_PRECISION), 17, "int, default 17")}
+_COMMON_KEYS = {"precision": (_reader(_integer, 1, MAX_PRECISION), 17, "int, default 17")}
 
 
 def _description(command):
@@ -121,24 +82,14 @@ def _load_config(path, name):
         with open(path) as handle:
             data = json.load(handle)
     except OSError as exc:
-        _fail(f"cannot read config {path}: {exc}")
+        raise InputError(f"cannot read config {path}: {exc}")
     except (ValueError, RecursionError) as exc:
-        _fail(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        _fail(f"config {path} must be a JSON object")
+        raise InputError(f"config {path} is not valid JSON: {exc}")
     keys = {**_COMMANDS[name].keys, **_COMMON_KEYS}
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        _fail(f"unknown config keys for {name}: {', '.join(unknown)}")
-    cfg = {}
-    for key, (read, default, _) in keys.items():
-        if key in data:
-            cfg[key] = read(key, data[key])
-        elif default is _REQUIRED:
-            _fail(f"missing required key: {key}")
-        else:
-            cfg[key] = default
-    return cfg
+    required = [key for key, (_, default, _) in keys.items() if default is _REQUIRED]
+    data = _json_object(data, f"{name} config", keys, required)
+    return {key: read(key, data[key]) if key in data else default
+            for key, (read, default, _) in keys.items()}
 
 
 def _write_outputs(cfg, document, csv=None):
@@ -169,25 +120,16 @@ def _default_dt(dt, scale, name):
     if dt is None:
         dt = 1e-3 / scale if scale > 0 else 1e-3
         if not math.isfinite(dt):
-            _fail(f"{name} {scale!r} is too small for the default dt = 1e-3 / {name}; set dt")
+            raise InputError(
+                f"{name} {scale!r} is too small for the default dt = 1e-3 / {name}; set dt"
+            )
     return dt
-
-
-def _check_rk4_stable(dt, eigenvalues):
-    """Reject a dt at which one RK4 step amplifies a mode of the flow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gain = np.abs(np.polyval([1 / 24, 1 / 6, 1 / 2, 1, 1], dt * eigenvalues))
-    # NaN is an overflow to inf - inf; the slack covers a zero mode's roundoff.
-    gain = float(np.max(np.where(np.isnan(gain), np.inf, gain)))
-    if gain > 1 + 1e-12:
-        _fail(f"dt = {dt!r} is beyond RK4's stability limit: one step amplifies a mode "
-              f"by {gain:.3g}; lower dt")
 
 
 def _cmd_pme_solve(cfg):
     w = pme.TransitionMatrix(cfg["W"])
     if cfg["p0"].size != w.n:
-        _fail(f"p0 must have length {w.n}, got {cfg['p0'].size}")
+        raise InputError(f"p0 must have length {w.n}, got {cfg['p0'].size}")
     p0 = pme.ProbabilityState(cfg["p0"])
     dt = _default_dt(cfg["dt"], float(np.max(w.w)), "max rate")
 
@@ -197,7 +139,7 @@ def _cmd_pme_solve(cfg):
     # Before integrating: a chain without a unique stationary state fails
     # at once, not after every step.
     stationary = pme.stationary_state(w)
-    _check_rk4_stable(dt, spec.eigenvalues)
+    dynamics._check_rk4_stable(dt, spec.eigenvalues)
     traj = dynamics.integrate(
         lambda y: gen @ y, p0.p, cfg["t_end"], dt,
         entropy=lambda rows: pme.bs_entropy(np.clip(rows, 0.0, 1.0)), stride=cfg["stride"],
@@ -256,21 +198,24 @@ def _cmd_relax_scan(cfg):
 # an identity affine in P that holds to roundoff on them holds everywhere.  Unit vectors
 # would make the embedding (1 +- P)/2 exact and its residual read 0.
 _TETRAHEDRON = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+# The same for the composite flow, linear in the state, on four independent product
+# states; on the pure ones most products vanish and the residual often reads 0.
+_PRODUCT_STATES = [composite.product_state(p, q) for p in (0.25, 0.75) for q in (0.25, 0.75)]
 
 
 def _cmd_lindblad(cfg):
-    channel = lindblad.LindbladChannel.from_dict(cfg["channel"])
+    channel = cfg["channel"]
     if not channel.dissipators:
-        _fail("channel needs at least one dissipator")
+        raise InputError("channel needs at least one dissipator")
     with np.errstate(over="ignore"):
         rate_scale = float(np.linalg.norm(channel.h)) + sum(channel.weights)
     if not math.isfinite(rate_scale):
-        _fail("channel rate scale |h| + sum(A**2 + B**2) is not finite")
+        raise InputError("channel rate scale |h| + sum(A**2 + B**2) is not finite")
     dt = _default_dt(cfg["dt"], rate_scale, "rate scale")
     # bloch_rhs(P) = M P + c, so these rows form M^T, which has M's eigenvalues.
     origin = lindblad.bloch_rhs(channel, np.zeros(3))
     rows = [lindblad.bloch_rhs(channel, e) - origin for e in np.eye(3)]
-    _check_rk4_stable(dt, np.linalg.eigvals(rows))
+    dynamics._check_rk4_stable(dt, np.linalg.eigvals(rows))
 
     report = {"dt": dt}
     entropy = None
@@ -303,9 +248,8 @@ def _cmd_composite(cfg):
     a, c, k = cfg["a"], cfg["c"], cfg["k"]
     system = composite.CompositeSystem.with_lambda_star(a, c, boltzmann_k=k)
     gen = composite.composite_generator(system)
-    # The pure product states: the flow is affine, so they cover every state.
     residual = max(float(np.max(np.abs(composite.qt_flow(system, state) - gen @ state)))
-                   for state in np.eye(4))
+                   for state in _PRODUCT_STATES)
     stationary = pme.stationary_state(pme.TransitionMatrix(gen))
     q_value = composite.q_parameter(system)
     report = {
@@ -323,16 +267,16 @@ def _cmd_composite(cfg):
 
 _OUT = (_out, _REQUIRED, "path base")
 _OPTIONAL_OUT = (_out, None, "path base (optional, stdout when absent)")
-_STRIDE = (_integer(1), 1, "int (default 1)")
+_STRIDE = (_reader(_integer, 1), 1, "int (default 1)")
 
 _COMMANDS = {
     "pme-solve": _Command(
         _cmd_pme_solve, "Integrate a master equation and report its stationary state.",
         {
-            "W": (_finite((None, None)), _REQUIRED, "NxN rate matrix"),
-            "p0": (_finite((None,)), _REQUIRED, "length-N probabilities"),
-            "t_end": (_positive, _REQUIRED, "number"),
-            "dt": (_positive, None, "number (default 1e-3 / max rate)"),
+            "W": (_reader(_finite_array, (None, None)), _REQUIRED, "NxN rate matrix"),
+            "p0": (_reader(_finite_array, (None,)), _REQUIRED, "length-N probabilities"),
+            "t_end": (_reader(_positive), _REQUIRED, "number"),
+            "dt": (_reader(_positive), None, "number (default 1e-3 / max rate)"),
             "stride": _STRIDE,
             "out": _OUT,
         },
@@ -340,7 +284,7 @@ _COMMANDS = {
     ),
     "qt-fit": _Command(
         _cmd_qt_fit, "Fit a quadratic-entropy representation to a rate matrix.",
-        {"W": (_finite((None, None)), _REQUIRED, "NxN rate matrix"), "out": _OUT},
+        {"W": (_reader(_finite_array, (None, None)), _REQUIRED, "NxN rate matrix"), "out": _OUT},
         f"The fit is the closed-form Sylvester solve, for N <= {qtfit.MAX_FIT_N}.  "
         "Writes <out>.json with fields n, q, r, subsets, norm, residual.  Exit code 3 if the "
         "flow residual is above 1e-8 * max(1, max|L|), L the generator "
@@ -348,18 +292,19 @@ _COMMANDS = {
     ),
     "relax-classify": _Command(
         _cmd_relax_classify, "Classify the relaxation character of a three-state chain.",
-        {"rates": (_finite((6,)), _REQUIRED, "[a, b, c, d, e, f]"), "out": _OPTIONAL_OUT},
+        {"rates": (_reader(_finite_array, (6,)), _REQUIRED, "[a, b, c, d, e, f]"),
+         "out": _OPTIONAL_OUT},
     ),
     "relax-scan": _Command(
         _cmd_relax_scan, "Sample rate space and classify each sample.",
         {
-            "samples": (_integer(1), _REQUIRED, "int"),
-            "ranges": (_finite((2,), (6, 2)), (0.0, 1.0),
+            "samples": (_reader(_integer, 1), _REQUIRED, "int"),
+            "ranges": (_reader(_finite_array, [(2,), (6, 2)]), (0.0, 1.0),
                        "[lo, hi] or six pairs (default [0, 1])"),
-            "constrain_omega_zero": (_boolean, False, "bool (default false)"),
-            "bins": (_integer(1), 10, "int (default 10)"),
+            "constrain_omega_zero": (_reader(_boolean), False, "bool (default false)"),
+            "bins": (_reader(_integer, 1), 10, "int (default 10)"),
             "out": _OUT,
-            "seed": (_integer(0), 0, "int (default 0)"),
+            "seed": (_reader(_integer, 0), 0, "int (default 0)"),
         },
         "Writes <out>.csv (a,b,c,d,e,f,xi,disc,omega,u,v,monotonic) and "
         "<out>.json with the oscillatory fractions.  The sample order in "
@@ -368,13 +313,13 @@ _COMMANDS = {
     "lindblad": _Command(
         _cmd_lindblad, "Integrate a two-level dissipative channel in Bloch form.",
         {
-            "channel": (_object, _REQUIRED,
+            "channel": (lambda _, value: lindblad.LindbladChannel.from_dict(value), _REQUIRED,
                         "{h: [3] (default zero), dissipators: [{A: [3], B: [3]}, ...]}"),
             "P0": (_bloch_vector, _REQUIRED, "[3]"),
-            "t_end": (_positive, _REQUIRED, "number"),
-            "dt": (_positive, None, "number (default 1e-3 / rate scale)"),
+            "t_end": (_reader(_positive), _REQUIRED, "number"),
+            "dt": (_reader(_positive), None, "number (default 1e-3 / rate scale)"),
             "stride": _STRIDE,
-            "gradient_check": (_boolean, True, "bool (default true)"),
+            "gradient_check": (_reader(_boolean), True, "bool (default true)"),
             "out": _OUT,
         },
         "gradient_check requires a single dissipator and h = 0; other "
@@ -383,9 +328,9 @@ _COMMANDS = {
     "composite": _Command(
         _cmd_composite, "Report the coupled two-by-two system at its gradient coupling.",
         {
-            "a": (_positive, _REQUIRED, "rate"),
-            "c": (_positive, _REQUIRED, "rate"),
-            "k": (_positive, 1.0, "Boltzmann constant (default 1)"),
+            "a": (_reader(_positive), _REQUIRED, "rate"),
+            "c": (_reader(_positive), _REQUIRED, "rate"),
+            "k": (_reader(_positive), 1.0, "Boltzmann constant (default 1)"),
             "out": _OPTIONAL_OUT,
         },
     ),

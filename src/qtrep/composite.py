@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import multilinear
-from .errors import InputError, _finite_array
+from .errors import InputError, _finite_array, _positive
 
 __all__ = [
     "CompositeSystem",
@@ -58,11 +58,9 @@ class CompositeSystem:
     boltzmann_k: float = 1.0
 
     def __post_init__(self):
-        for name in ("a", "c", "lam", "boltzmann_k"):
-            value = float(_finite_array(getattr(self, name), name, ()))
-            if value <= 0.0 and name != "lam":
-                raise InputError(f"{name} must be > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+        for name in ("a", "c", "boltzmann_k"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        object.__setattr__(self, "lam", float(_finite_array(self.lam, "lam", ())))
         if not math.isfinite(q_parameter(self)):
             raise InputError(
                 f"k={self.boltzmann_k!r} with a={self.a!r} and c={self.c!r} "
@@ -76,13 +74,13 @@ class CompositeSystem:
 
 def lambda_star(a, c):
     """Coupling 4 (a + c)/(a c) that makes the joint flow a gradient."""
-    a = float(_finite_array(a, "a", ()))
-    c = float(_finite_array(c, "c", ()))
+    a = _positive(a, "a")
+    c = _positive(c, "c")
     total = a + c
     product = a * c
     # Finite rates near the float limits still overflow the sum or the
     # product, or underflow the product to zero.
-    if not (a > 0.0 and c > 0.0 and math.isfinite(total) and 0.0 < product < math.inf):
+    if not (math.isfinite(total) and 0.0 < product < math.inf):
         raise InputError(
             f"rates a={a!r} and c={c!r} must be > 0, with a finite sum and a "
             "finite, positive product"

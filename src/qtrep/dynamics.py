@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, InconclusiveError, InputError, _finite_array
+from .errors import (
+    DivergenceError, InconclusiveError, InputError, _finite_array, _integer, _positive,
+)
 
 __all__ = ["Trajectory", "integrate", "monotonicity_witness"]
 
@@ -72,6 +74,17 @@ def _rk4_step(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_rk4_stable(dt, eigenvalues):
+    """Reject a dt at which one RK4 step amplifies a mode of a linear flow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = np.abs(np.polyval([1 / 24, 1 / 6, 1 / 2, 1, 1], dt * eigenvalues))
+    # NaN is an overflow to inf - inf; the slack covers a zero mode's roundoff.
+    gain = float(np.max(np.where(np.isnan(gain), np.inf, gain)))
+    if gain > 1 + 1e-12:
+        raise InputError(f"dt = {dt!r} is beyond RK4's stability limit: one step amplifies "
+                         f"a mode by {gain:.3g}; lower dt")
+
+
 def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     """Integrate dy/dt = rhs(y) from 0 to t_end with fixed step dt.
 
@@ -82,8 +95,8 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     y0 : array
         Initial state.
     t_end, dt : float
-        Horizon and step; both must be positive.  The last step is
-        shortened to land on t_end exactly.
+        Horizon and step; both must be positive and finite.  The last
+        step is shortened to land on t_end exactly.
     entropy : callable, optional
         Maps the (rows, dim) array of recorded states to one entropy
         value per row.  It is called once, after the last step, and must
@@ -99,20 +112,18 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     Raises
     ------
     InputError
-        When t_end / dt exceeds MAX_STEPS or stride is not a positive
-        integer, before the first step; or when entropy does not return
-        one value per recorded row.
+        When t_end or dt is not a positive finite number, t_end / dt
+        exceeds MAX_STEPS or stride is not a positive integer, before the
+        first step; or when entropy does not return one value per
+        recorded row.
     DivergenceError
         When a step produces a non-finite state, or rhs raises InputError
         on a non-finite stage of it; carries the step index.  The time
         it reports is the one the step reaches, t_end on the last.
     """
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise InputError(f"t_end must be positive and finite, got {t_end!r}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InputError(f"dt must be positive and finite, got {dt!r}")
-    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise InputError(f"stride must be a positive integer, got {stride!r}")
+    t_end = _positive(t_end, "t_end")
+    dt = _positive(dt, "dt")
+    stride = _integer(stride, "stride", 1)
     y = _finite_array(y0, "y0", (None,))
     if y.size == 0:
         raise InputError("y0 must be a non-empty vector")

@@ -1,12 +1,16 @@
-"""Exception types shared across the package, and its one array converter.
+"""Exception types shared across the package, and its readers of outside input.
 
 Everything raised on bad user input derives from InputError (a ValueError),
-so callers can catch one type at API boundaries.  That holds for array
-input too: every record and reader turns outside input into a float array
-through _finite_array, which raises InputError naming the value.  Errors
-that carry partial results (non-converged fits, diverged integrations)
-derive from QtrepError directly and expose their payload as attributes.
+so callers can catch one type at API boundaries.  Each kind of outside
+input has one reader here, which returns the checked value or raises
+InputError naming it: _finite_array, _integer (and _integers for many at
+once), _positive, _boolean, _json_object and _sequence.  Errors that carry
+partial results (non-converged fits, diverged integrations) derive from
+QtrepError directly and expose their payload as attributes.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -123,3 +127,72 @@ def _describe(shape):
     if shape in ((), (None, None)):
         return "matrix" if shape else "scalar"
     return "x".join("N" if n is None else str(n) for n in shape) + " matrix"
+
+
+def _integers(values, name, minimum, maximum=None):
+    """The tuple values as Python ints in [minimum, maximum], in one pass.
+
+    A bool is not an integer here, nor is a float with an integral value.
+    """
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+    values = tuple(map(int, values))
+    if values and min(values) < minimum:
+        raise InputError(f"{name} must be >= {minimum}, got {min(values)}")
+    if values and maximum is not None and max(values) > maximum:
+        raise InputError(f"{name} must be <= {maximum}, got {max(values)}")
+    return values
+
+
+def _integer(x, name, minimum, maximum=None):
+    """x as a Python int in [minimum, maximum]; see _integers."""
+    return _integers((x,), name, minimum, maximum)[0]
+
+
+def _positive(x, name):
+    """x as a positive finite float.  Bools and strings are not numbers here."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InputError(f"{name} must be a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite")
+    if value <= 0.0:
+        raise InputError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _boolean(x, name):
+    """x as a bool; numbers, including 0 and 1, are not booleans here."""
+    if not isinstance(x, (bool, np.bool_)):
+        raise InputError(f"{name} must be a boolean, got {x!r}")
+    return bool(x)
+
+
+def _sequence(x, name):
+    """x as a tuple.  Strings, bytes and dicts are not sequences here."""
+    if not isinstance(x, (str, bytes, dict)):
+        try:
+            return tuple(x)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be a sequence, got {type(x).__name__}")
+
+
+def _json_object(data, name, keys, required=()):
+    """data, a dict whose keys all lie in keys and include every required key.
+
+    Unknown keys are named in sorted order, before any missing key.
+    """
+    if not isinstance(data, dict):
+        raise InputError(f"{name} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(str(key) for key in data if key not in keys)
+    if unknown:
+        raise InputError(f"unknown {name} keys: {', '.join(unknown)}")
+    for key in required:
+        if key not in data:
+            raise InputError(f"missing required {name} key: {key}")
+    return data

@@ -31,6 +31,8 @@ from .errors import (
     GradientFormUnavailableError,
     InputError,
     _finite_array,
+    _json_object,
+    _sequence,
 )
 from .multilinear import check_six_state, six_slot_main_term
 
@@ -66,11 +68,8 @@ class LindbladChannel:
 
     def __post_init__(self):
         h = _finite_array(self.h, "h", (3,))
-        try:
-            entries = tuple(enumerate(self.dissipators))
-        except TypeError as exc:
-            raise InputError("dissipators must be a sequence of (A, B) pairs") from exc
-        pairs = tuple(_checked_pair(idx, pair) for idx, pair in entries)
+        pairs = tuple(_checked_pair(idx, pair)
+                      for idx, pair in enumerate(_sequence(self.dissipators, "dissipators")))
         # An overflow is left to the caller's rate-scale check.
         with np.errstate(over="ignore", invalid="ignore"):
             sources = tuple(2.0 * np.cross(a, b) for a, b in pairs)
@@ -89,22 +88,13 @@ class LindbladChannel:
 
     @classmethod
     def from_dict(cls, data):
-        unknown = sorted(set(data) - {"h", "dissipators"})
-        if unknown:
-            raise InputError(f"unknown channel keys: {', '.join(unknown)}")
-        try:
-            h = data.get("h", (0.0, 0.0, 0.0))
-            dissipators = []
-            for entry in data["dissipators"]:
-                extra = sorted(set(entry) - {"A", "B"})
-                if extra:
-                    raise InputError(
-                        f"unknown dissipator keys: {', '.join(extra)}"
-                    )
-                dissipators.append((entry["A"], entry["B"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad channel document: {exc}") from exc
-        return cls(h=h, dissipators=tuple(dissipators))
+        """Channel from its document {h: [3] (default zero), dissipators: [{A, B}, ...]}."""
+        data = _json_object(data, "channel", ("h", "dissipators"), ["dissipators"])
+        pairs = []
+        for idx, entry in enumerate(_sequence(data["dissipators"], "dissipators")):
+            entry = _json_object(entry, f"dissipator {idx}", ("A", "B"), ("A", "B"))
+            pairs.append((entry["A"], entry["B"]))
+        return cls(h=data.get("h", (0.0, 0.0, 0.0)), dissipators=tuple(pairs))
 
 
 def _checked_pair(idx, pair):

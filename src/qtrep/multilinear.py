@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, SizeError, _finite_array
+from .errors import InputError, SizeError, _finite_array, _integer, _integers, _sequence
 
 # Brute-force permutation sums cost O(N!) and exist to cross-check the
 # closed forms, not to be fast.  Above this cap the factorial cost and
@@ -68,8 +68,7 @@ def normalizer(n):
     double contraction equal to g - mean(g) exactly.  For N = 4 this is
     1/sqrt(8), i.e. the choice fixed by 8 * normalizer**2 = 1.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     try:
         return 1.0 / math.sqrt(n * math.factorial(n - 2))
     except OverflowError:
@@ -82,8 +81,7 @@ def difference_basis(n):
     Returns an (n-1, n) array.  These are the vectors whose size-(N-3)
     subsets parameterize the Hamiltonian-like terms of the flow.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     basis = np.zeros((n - 1, n))
     for b in range(n - 1):
         basis[b, b] = 1.0
@@ -93,13 +91,8 @@ def difference_basis(n):
 
 def _check_subset(subset, n):
     """subset as a tuple of n - 3 distinct indices into difference_basis(n)."""
-    subset = tuple(subset)
-    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in subset):
-        raise InputError(f"subset indices must be integers, got {subset!r}")
-    subset = tuple(int(s) for s in subset)
-    if len(subset) != n - 3 or len(set(subset)) != len(subset) or not all(
-        0 <= s < n - 1 for s in subset
-    ):
+    subset = _integers(_sequence(subset, "subset"), "subset index", 0, n - 2)
+    if len(subset) != n - 3 or len(set(subset)) != len(subset):
         raise InputError(
             f"subset {subset} is not n - 3 = {n - 3} distinct indices in 0..{n - 2}"
         )
@@ -121,8 +114,7 @@ def main_term_bruteforce(g, n):
 
     Factorial cost, capped at n = MAX_BRUTEFORCE_N.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     if n > MAX_BRUTEFORCE_N:
         raise SizeError(
             f"n = {n} exceeds the brute-force cap {MAX_BRUTEFORCE_N}; "
@@ -148,8 +140,7 @@ def main_term_closed(g, n):
     Equal to main_term_bruteforce(g, n) with the default normalizer;
     valid for every n >= 2.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     g = _finite_array(g, "gradient", (n,))
     return g - g.mean()
 
@@ -169,8 +160,7 @@ def ham_term(g, subset, n):
     ones x g.  These terms conserve both sum(p) and the entropy whose
     gradient is g: sum_i out_i = 0 and dot(out, g) = 0 by antisymmetry.
     """
-    if n < 3:
-        raise InputError(f"ham terms need n >= 3, got {n}")
+    n = _integer(n, "n", 3)
     g = _finite_array(g, "gradient", (n,))
     return _ham_matrix(n, _check_subset(subset, n)) @ g
 

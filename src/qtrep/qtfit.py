@@ -40,7 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FitNonConvergenceError, InputError, _finite_array
+from .errors import (
+    FitNonConvergenceError, InputError,
+    _finite_array, _integer, _json_object, _positive, _sequence,
+)
 from .multilinear import _check_subset, _ham_matrix, difference_basis, normalizer
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
@@ -114,15 +117,16 @@ class QTRepresentation:
 
     def __post_init__(self):
         r = _finite_array(self.r, "r", (None,))
-        subsets = tuple(_check_subset(s, self.entropy.n) for s in self.subsets)
+        subsets = tuple(_check_subset(s, self.entropy.n)
+                        for s in _sequence(self.subsets, "subsets"))
         if r.size != len(subsets):
             raise InputError(
                 f"got {r.size} coefficients for {len(subsets)} subsets"
             )
-        norm = float(_finite_array(self.norm, "norm", ()))
+        norm = _positive(self.norm, "norm")
         residual = float(_finite_array(self.residual, "residual", ()))
-        if norm <= 0.0 or residual < 0.0:
-            raise InputError(f"need norm > 0 and residual >= 0, got {norm!r} and {residual!r}")
+        if residual < 0.0:
+            raise InputError(f"residual must be >= 0, got {residual!r}")
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "subsets", subsets)
@@ -145,23 +149,14 @@ class QTRepresentation:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            n = data["n"]
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                raise TypeError(f"n must be an integer, got {n!r}")
-            entropy = QuadraticEntropy(data["q"])
-            rep = cls(
-                entropy=entropy,
-                r=data["r"],
-                subsets=tuple(tuple(s) for s in data["subsets"]),
-                norm=data["norm"],
-                residual=data["residual"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad representation document: {exc}") from exc
+        """Representation from a to_json_dict document; every key is required."""
+        keys = ("n", "q", "r", "subsets", "norm", "residual")
+        data = _json_object(data, "representation", keys, keys)
+        n = _integer(data["n"], "n", 1)
+        entropy = QuadraticEntropy(data["q"])
         if entropy.n != n:
             raise InputError(f"q has size {entropy.n}, document says n = {n}")
-        return rep
+        return cls(entropy, data["r"], data["subsets"], data["norm"], data["residual"])
 
 
 def ham_subsets(n):
@@ -171,8 +166,7 @@ def ham_subsets(n):
     n = 2 (the two-state flow has no Hamiltonian freedom); a single
     empty subset for n = 3.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     if n == 2:
         return ()
     return tuple(itertools.combinations(range(n - 1), n - 3))

@@ -25,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import InputError, _finite_array
+from .errors import InputError, _boolean, _finite_array, _integer
 from .pme import TransitionMatrix
 
 __all__ = [
@@ -191,18 +191,13 @@ class ScanGrid:
             if lo < 0.0 or hi < lo:
                 raise InputError(f"bad range ({lo!r}, {hi!r})")
         object.__setattr__(self, "ranges", ranges)
-        flag = self.constrain_omega_zero
-        if not isinstance(flag, (bool, np.bool_)):
-            raise InputError(f"constrain_omega_zero must be a boolean, got {flag!r}")
+        flag = _boolean(self.constrain_omega_zero, "constrain_omega_zero")
+        object.__setattr__(self, "constrain_omega_zero", flag)
         for name, budget in (("samples", MAX_SAMPLES), ("bins", MAX_BINS)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            if value <= 0:
-                raise InputError(f"{name} must be positive, got {value}")
+            value = _integer(getattr(self, name), name, 1)
             if value > budget:
                 raise InputError(f"{name} = {value} exceeds the budget of {budget} {name}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -256,11 +251,12 @@ def scan(grid, seed=0):
     """Classify a deterministic random sample of rate space.
 
     Sampling is uniform per rate within grid.ranges, driven by a seeded
-    generator, so equal (grid, seed) pairs give identical results.
+    generator, so equal (grid, seed) pairs give identical results.  seed
+    is a non-negative integer.
     """
     if not isinstance(grid, ScanGrid):
         raise InputError(f"grid must be a ScanGrid, got {type(grid).__name__}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     lows = np.array([r[0] for r in grid.ranges])
     highs = np.array([r[1] for r in grid.ranges])
     rates = rng.uniform(lows, highs, size=(grid.samples, 6))

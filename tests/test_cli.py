@@ -78,7 +78,7 @@ class TestConfigHandling:
         assert run([name, "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: unknown config keys for {name}: seed\n"
+        assert captured.err == f"error: unknown {name} config keys: seed\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
@@ -401,6 +401,27 @@ class TestLindblad:
         assert doc["six_variable_equivalence_residual"] < 1e-10
         np.testing.assert_allclose(doc["P_final"], doc["P_st"], atol=1e-2)
 
+    @pytest.mark.parametrize("channel, message", [
+        ({"dissipators": []}, "channel needs at least one dissipator"),
+        ({"dissipators": [[[1, 0, 0], [0, 1, 0]]]},
+         "dissipator 0 must be a JSON object, got list"),
+        ({"dissipators": 5}, "dissipators must be a sequence, got int"),
+        ({"dissipators": "ab"}, "dissipators must be a sequence, got str"),
+        ({"dissipators": [{"A": [1, 0, 0], "B": [0, 1, 0], "C": 1}]},
+         "unknown dissipator 0 keys: C"),
+        ([1, 2], "channel must be a JSON object, got list"),
+    ], ids=["no-dissipator", "pair-list", "int", "string", "unknown-key", "list"])
+    def test_bad_channel_one_error_line(self, tmp_path, capsys, channel, message):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"channel": channel, "P0": [0.0, 0.0, 0.0], "t_end": 0.1, "out": str(tmp_path / "lb")},
+        )
+        assert run(["lindblad", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_residuals_over_the_tetrahedron(self, tmp_path):
         # The identities are affine in P: the report checks them on the four
         # vertices (+-1, +-1, +-1)/sqrt(3) with an even number of minus signs.
@@ -485,15 +506,18 @@ class TestComposite:
         assert run(["composite", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["stationary"] == [0.25] * 4
 
-    def test_residual_over_the_pure_product_states(self, tmp_path, capsys):
-        # The flow is affine in the state: the report checks it on e_1 .. e_4.
+    def test_residual_over_four_mixed_product_states(self, tmp_path, capsys):
+        # The flow is linear in the state: the report checks it on the four
+        # product states with marginals in {1/4, 3/4}, a basis of R^4.
         cfg = write_config(tmp_path / "c.json", {"a": 0.37, "c": 2.9})
         assert run(["composite", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         system = composite.CompositeSystem.with_lambda_star(0.37, 2.9)
         gen = composite.composite_generator(system)
-        residual = max(float(np.max(np.abs(composite.qt_flow(system, e) - gen[:, i])))
-                       for i, e in enumerate(np.eye(4)))
+        states = [composite.product_state(p, q) for p in (0.25, 0.75) for q in (0.25, 0.75)]
+        assert np.linalg.matrix_rank(states) == 4
+        residual = max(float(np.max(np.abs(composite.qt_flow(system, w) - gen @ w)))
+                       for w in states)
         assert doc["gradient_residual"] == residual
         assert 0 < residual < 1e-14
 

@@ -261,7 +261,7 @@ class TestThinning:
 
     @pytest.mark.parametrize("stride", [0, -1, 1.5, True, "2", None])
     def test_bad_stride_rejected(self, stride):
-        with pytest.raises(InputError, match="stride must be a positive integer"):
+        with pytest.raises(InputError, match=r"^stride must be (an integer|>= 1), got "):
             dynamics.integrate(decay_rhs(1.0), np.array([1.0]), 1.0, 0.1, stride=stride)
 
 

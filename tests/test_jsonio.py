@@ -41,6 +41,12 @@ class TestDumps:
     def test_trailing_newline(self):
         assert _jsonio.dumps({}).endswith("\n")
 
+    @pytest.mark.parametrize("value, kind", [({1, 2}, "set"), (1j, "complex"),
+                                             (np.int64(1), "int64")])
+    def test_unsupported_type_rejected(self, value, kind):
+        with pytest.raises(InputError, match=rf"^cannot serialize {kind}$"):
+            _jsonio.dumps({"a": [value]})
+
     def test_bools_are_not_numbers(self):
         assert '"x": true' in _jsonio.dumps({"x": True})
 

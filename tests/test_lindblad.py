@@ -56,7 +56,7 @@ class TestChannel:
          r"dissipator 1 must be an \(A, B\) pair"),
         (({"A": [1, 0, 0]},), r"dissipator 0 must be an \(A, B\) pair"),
         ((None,), r"dissipator 0 must be an \(A, B\) pair"),
-        (5, r"dissipators must be a sequence of \(A, B\) pairs"),
+        (5, r"^dissipators must be a sequence, got int$"),
     ], ids=["flat-vector", "three-vectors", "dict-entry", "one-key-dict", "none",
             "not-iterable"])
     def test_malformed_dissipators_rejected(self, dissipators, match):

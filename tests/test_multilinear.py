@@ -46,6 +46,20 @@ class TestNormalizer:
         with pytest.raises(InputError):
             ml.normalizer(1)
 
+    @pytest.mark.parametrize("call", [
+        ml.normalizer, ml.difference_basis,
+        lambda n: ml.main_term_bruteforce(np.zeros(1), n),
+        lambda n: ml.main_term_closed(np.zeros(1), n),
+        lambda n: ml.ham_term(np.zeros(1), (), n),
+    ], ids=["normalizer", "difference_basis", "main_term_bruteforce", "main_term_closed",
+            "ham_term"])
+    def test_size_read_as_a_bounded_integer(self, call):
+        with pytest.raises(InputError, match=r"^n must be >= \d, got \d$"):
+            call(1)
+        for size in (2.0, True, "2"):
+            with pytest.raises(InputError, match=r"^n must be an integer, got "):
+                call(size)
+
     def test_largest_float_size(self):
         # n * (n-2)! fits a float up to n = 171; above, an InputError names n
         assert ml.normalizer(171) == 1.0 / math.sqrt(171 * math.factorial(169))

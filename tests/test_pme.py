@@ -69,6 +69,13 @@ class TestProbabilityState:
         ps = pme.ProbabilityState([1.0 + 1e-13, -1e-13])
         assert ps.p[1] == -1e-13
 
+    def test_array_copy_is_writable_and_unaliased(self):
+        ps = pme.ProbabilityState([0.25, 0.75])
+        copy = np.array(ps, copy=True)
+        copy[0] = 1.0
+        assert ps.p.tolist() == [0.25, 0.75]
+        assert np.asarray(ps) is not copy and not np.shares_memory(copy, ps.p)
+
 
 class TestGenerator:
     def test_two_state_example(self):

@@ -76,6 +76,10 @@ class TestCatalog:
         maxsize = multilinear._ham_matrix.cache_parameters()["maxsize"]
         assert len(qtfit.ham_subsets(qtfit.MAX_FIT_N)) <= maxsize < 4851
 
+    def test_fewer_than_two_states_rejected(self):
+        with pytest.raises(InputError, match=r"^n must be >= 2, got 1$"):
+            qtfit.ham_subsets(1)
+
     def test_parameter_count_matches_generator_dof(self):
         for n in range(2, 7):
             q_dof = n * (n + 1) // 2 - 1
@@ -99,6 +103,10 @@ class TestTwoState:
         np.testing.assert_allclose(
             qtfit.qt_rhs(rep, p), pme.pme_rhs(w, p), atol=1e-14
         )
+
+    def test_three_states_rejected(self):
+        with pytest.raises(InputError, match=r"^two_state_entropy needs n = 2, got n = 3$"):
+            qtfit.two_state_entropy(random_chain(3, seed=2))
 
     def test_entropy_increases_along_flow(self):
         w = random_chain(2, seed=1)

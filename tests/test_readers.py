@@ -1,0 +1,191 @@
+"""The shared readers of outside input, and the entry points that use them.
+
+Each kind of outside value has one reader in qtrep.errors: _integer
+(and _integers), _positive, _boolean, _json_object and _sequence, next
+to the array converter _finite_array.  Bad input raises InputError,
+never a TypeError, AttributeError or KeyError.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qtrep import composite, dynamics, lindblad, qtfit, relaxation
+from qtrep.errors import (
+    InputError,
+    _boolean,
+    _integer,
+    _integers,
+    _json_object,
+    _positive,
+    _sequence,
+)
+
+CHAIN3 = [[0.0, 3.0, 5.0], [1.0, 0.0, 6.0], [2.0, 4.0, 0.0]]
+
+
+class TestInteger:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 10**30])
+    def test_integers_accepted_as_python_ints(self, value):
+        got = _integer(value, "k", 0)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("value", [True, np.True_, 3.0, "3", None, [3], np.array(3)])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(InputError, match=r"^k must be an integer, got "):
+            _integer(value, "k", 0)
+
+    def test_bounds(self):
+        assert _integer(5, "k", 5, 5) == 5
+        with pytest.raises(InputError, match=r"^k must be >= 1, got 0$"):
+            _integer(0, "k", 1)
+        with pytest.raises(InputError, match=r"^k must be <= 4, got 5$"):
+            _integer(5, "k", 1, 4)
+
+    def test_one_pass_over_a_sequence(self):
+        assert _integers((), "i", 0, 0) == ()
+        assert _integers((2, np.int32(0), 1), "i", 0, 2) == (2, 0, 1)
+        with pytest.raises(InputError, match=r"^i must be an integer, got False$"):
+            _integers((0, False), "i", 0)
+        with pytest.raises(InputError, match=r"^i must be <= 2, got 7$"):
+            _integers((0, 7, 1), "i", 0, 2)
+
+
+class TestPositive:
+    @pytest.mark.parametrize("value", [2, 2.5, np.float32(0.5), np.int64(3), 1e-300])
+    def test_numbers_accepted_as_floats(self, value):
+        got = _positive(value, "x")
+        assert got == float(value) and type(got) is float
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1", None, [1.0], np.array(1.0), 1j])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(InputError, match=r"^x must be a number, got "):
+            _positive(value, "x")
+
+    @pytest.mark.parametrize("value, message", [
+        (0, "x must be positive, got 0.0"), (-1.5, "x must be positive, got -1.5"),
+        (math.nan, "x must be finite"), (math.inf, "x must be finite"),
+        (10**400, "x must be finite"),
+    ])
+    def test_out_of_range_rejected(self, value, message):
+        with pytest.raises(InputError, match=rf"^{message}$"):
+            _positive(value, "x")
+
+
+class TestBoolean:
+    def test_flags_accepted(self):
+        assert _boolean(True, "f") is True
+        assert _boolean(np.False_, "f") is False
+
+    @pytest.mark.parametrize("value", [0, 1, 1.0, "true", None, [True]])
+    def test_non_flags_rejected(self, value):
+        with pytest.raises(InputError, match=r"^f must be a boolean, got "):
+            _boolean(value, "f")
+
+
+class TestSequence:
+    def test_iterables_become_tuples(self):
+        assert _sequence([1, 2], "s") == (1, 2)
+        assert _sequence(np.arange(2), "s") == (0, 1)
+        assert _sequence(iter("ab"), "s") == ("a", "b")
+
+    @pytest.mark.parametrize("value, kind", [
+        (5, "int"), (None, "NoneType"), ("ab", "str"), (b"ab", "bytes"),
+        ({"A": 1}, "dict"), (np.array(5), "ndarray"),
+    ])
+    def test_non_sequences_rejected(self, value, kind):
+        with pytest.raises(InputError, match=rf"^s must be a sequence, got {kind}$"):
+            _sequence(value, "s")
+
+
+class TestJsonObject:
+    def test_known_keys_pass(self):
+        data = {"a": 1}
+        assert _json_object(data, "doc", ("a", "b"), ("a",)) is data
+
+    @pytest.mark.parametrize("value, kind", [
+        ([], "list"), ([1], "list"), ("a", "str"), (None, "NoneType"), (True, "bool"),
+    ])
+    def test_non_objects_rejected(self, value, kind):
+        with pytest.raises(InputError, match=rf"^doc must be a JSON object, got {kind}$"):
+            _json_object(value, "doc", ("a",))
+
+    def test_unknown_keys_named_sorted_before_missing_ones(self):
+        with pytest.raises(InputError, match=r"^unknown doc keys: 1, x, y$"):
+            _json_object({"y": 0, "x": 0, 1: 0}, "doc", ("a",), ("a",))
+        with pytest.raises(InputError, match=r"^missing required doc key: b$"):
+            _json_object({"a": 0}, "doc", ("a", "b"), ("a", "b"))
+
+
+# Each library entry point named for the outside value it reads.  None
+# of them takes a bool, a string, None or a list there.
+ENTRY_POINTS = {
+    "integrate.t_end": lambda x: dynamics.integrate(lambda y: -y, [1.0], x, 0.1),
+    "integrate.dt": lambda x: dynamics.integrate(lambda y: -y, [1.0], 1.0, x),
+    "integrate.stride": lambda x: dynamics.integrate(lambda y: -y, [1.0], 1.0, 0.1, stride=x),
+    "CompositeSystem.a": lambda x: composite.CompositeSystem(a=x, c=1.0, lam=1.0),
+    "CompositeSystem.c": lambda x: composite.CompositeSystem(a=1.0, c=x, lam=1.0),
+    "CompositeSystem.boltzmann_k":
+        lambda x: composite.CompositeSystem(a=1.0, c=1.0, lam=1.0, boltzmann_k=x),
+    "lambda_star": lambda x: composite.lambda_star(x, 1.0),
+    "scan.seed": lambda x: relaxation.scan(relaxation.ScanGrid((0.0, 1.0), 4), seed=x),
+    "ScanGrid.samples": lambda x: relaxation.ScanGrid((0.0, 1.0), x),
+    "LindbladChannel.from_dict": lindblad.LindbladChannel.from_dict,
+    "QTRepresentation.from_json_dict": qtfit.QTRepresentation.from_json_dict,
+}
+BAD_VALUES = {"bool": True, "string": "1", "none": None, "list": [1]}
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_rejects_wrong_type(entry, bad):
+    with pytest.raises(InputError):
+        ENTRY_POINTS[entry](BAD_VALUES[bad])
+
+
+def _channel(dissipators):
+    return {"dissipators": dissipators}
+
+
+def _representation(**change):
+    return {**qtfit.fit(CHAIN3).to_json_dict(), **change}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: relaxation.scan(relaxation.ScanGrid((0.0, 1.0), 4), seed=-1),
+     "seed must be >= 0, got -1"),
+    (lambda: relaxation.scan(relaxation.ScanGrid((0.0, 1.0), 4), seed="x"),
+     "seed must be an integer, got 'x'"),
+    (lambda: lindblad.LindbladChannel.from_dict([]), "channel must be a JSON object, got list"),
+    (lambda: lindblad.LindbladChannel.from_dict({}), "missing required channel key: dissipators"),
+    (lambda: lindblad.LindbladChannel.from_dict(_channel([[[1, 0, 0], [0, 1, 0]]])),
+     "dissipator 0 must be a JSON object, got list"),
+    (lambda: lindblad.LindbladChannel.from_dict(_channel(5)),
+     "dissipators must be a sequence, got int"),
+    (lambda: lindblad.LindbladChannel.from_dict(_channel("ab")),
+     "dissipators must be a sequence, got str"),
+    (lambda: lindblad.LindbladChannel.from_dict(
+        _channel([{"A": [1, 0, 0], "B": [0, 1, 0]}, {"A": [1, 0, 0], "a": 1}])),
+     "unknown dissipator 1 keys: a"),
+    (lambda: lindblad.LindbladChannel.from_dict(_channel([{"A": [1, 0, 0]}])),
+     "missing required dissipator 0 key: B"),
+    (lambda: qtfit.QTRepresentation.from_json_dict([1]),
+     "representation must be a JSON object, got list"),
+    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(extra=1)),
+     "unknown representation keys: extra"),
+    (lambda: qtfit.QTRepresentation.from_json_dict({"n": 3}),
+     "missing required representation key: q"),
+    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=5)),
+     "subsets must be a sequence, got int"),
+    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[7])),
+     "subset must be a sequence, got int"),
+], ids=["seed-negative", "seed-string", "channel-list", "channel-no-dissipators-key",
+        "dissipator-pair-list", "dissipators-int", "dissipators-string",
+        "dissipator-unknown-key", "dissipator-missing-key", "representation-list",
+        "representation-unknown-key", "representation-missing-key",
+        "representation-subsets-int", "representation-subset-int"])
+def test_document_errors_name_the_value(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

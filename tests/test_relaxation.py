@@ -125,6 +125,10 @@ class TestScan:
         with pytest.raises(InputError, match="ranges must be a numeric 2-vector or 6x2 matrix"):
             relaxation.ScanGrid(ranges=(0.0, 10**400), samples=4)
 
+    def test_grid_must_be_a_scan_grid(self):
+        with pytest.raises(InputError, match=r"^grid must be a ScanGrid, got dict$"):
+            relaxation.scan({"ranges": (0.0, 1.0), "samples": 4})
+
     def test_deterministic(self):
         grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=100)
         r1 = relaxation.scan(grid, seed=9)

@@ -229,11 +229,12 @@ def _cmd_lindblad(cfg):
             six = lindblad.extract_bloch(lindblad.qt_six_rhs(channel, lindblad.embed_six(point)))
             grad_resid = max(grad_resid, float(np.max(np.abs(flow - grad))))
             six_resid = max(six_resid, float(np.max(np.abs(six - grad))))
+        # Relative to the rate scale, as qt-fit's tolerance is to max|L|.
         report.update({
             "P_st": [float(v) for v in p_st],
             "P_st_abs": float(np.linalg.norm(p_st)),
-            "gradient_identity_residual": grad_resid,
-            "six_variable_equivalence_residual": six_resid,
+            "gradient_identity_residual": grad_resid / max(1.0, rate_scale),
+            "six_variable_equivalence_residual": six_resid / max(1.0, rate_scale),
         })
 
     traj = dynamics.integrate(
@@ -248,8 +249,9 @@ def _cmd_composite(cfg):
     a, c, k = cfg["a"], cfg["c"], cfg["k"]
     system = composite.CompositeSystem.with_lambda_star(a, c, boltzmann_k=k)
     gen = composite.composite_generator(system)
+    # Relative to a + c, which is max|L| for this generator.
     residual = max(float(np.max(np.abs(composite.qt_flow(system, state) - gen @ state)))
-                   for state in _PRODUCT_STATES)
+                   for state in _PRODUCT_STATES) / max(1.0, a + c)
     stationary = pme.stationary_state(pme.TransitionMatrix(gen))
     q_value = composite.q_parameter(system)
     report = {

@@ -91,16 +91,19 @@ def _finite_array(x, name, shape):
     shape has at most two axes; a None allows any size along its axis,
     and () asks for a scalar.  A list of such shapes accepts any of
     them.  Raises InputError naming name when x is not numeric, has
-    another shape, or holds a NaN or an infinity.  Strings and complex
-    numbers are not numeric here: numpy would parse the one and drop the
-    imaginary part of the other.
+    another shape, or holds a NaN or an infinity.  Bools, strings and
+    complex numbers are not numeric here: numpy would read the first as
+    0/1, parse the second and drop the imaginary part of the third.
     """
     try:
         raw = np.asarray(x)
-        if raw.dtype.kind in "USc" or (raw.dtype.kind == "O" and any(
-            isinstance(v, (str, bytes, complex, np.complexfloating)) for v in raw.flat
-        )):
-            raise TypeError("string or complex entries")
+        kind = raw.dtype.kind
+        # numpy casts a bool among numbers to a number: scan a list, trust an ndarray's dtype.
+        if kind in "bUSc" or (kind == "O" or raw.ndim and raw is not x) and any(
+            issubclass(cls, (bool, np.bool_, str, bytes, complex, np.complexfloating))
+            for cls in set(map(type, np.asarray(x, dtype=object).flat))
+        ):
+            raise TypeError("bool, string or complex entries")
         arr = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be a numeric {_describe(shape)}") from exc

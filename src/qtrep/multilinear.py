@@ -13,10 +13,11 @@ so after attaching the normalizer 1/sqrt(N*(N-2)!) to both epsilon
 factors the double contraction collapses to the centered gradient
 g_i - mean(g), the orthogonal projection of g onto the simplex tangent
 space.  A contraction of epsilon with fixed vectors is a determinant:
-the signs are evaluated as determinants, the ham-term matrices as their
-closed form, a 3x3 block table, and the rank-6 three-pair kernel as
-+-g/2 per pair.  Only main_term_bruteforce is a permutation sum: the
-oracle for the closed form, capped at N = 8.
+the signs are evaluated as determinants, each ham-term matrix as their
+closed form, the wedge of two integer cut vectors (a sum of terms is
+one antisymmetric matrix between the cut vectors), and the rank-6
+three-pair kernel as +-g/2 per pair.  Only main_term_bruteforce is a
+permutation sum: the oracle for the closed form, capped at N = 8.
 
 All functions are pure and safe to call from multiple threads.
 """
@@ -162,29 +163,27 @@ def ham_term(g, subset, n):
     """
     n = _integer(n, "n", 3)
     g = _finite_array(g, "gradient", (n,))
-    return _ham_matrix(n, _check_subset(subset, n)) @ g
+    return _ham_sum(n, [_check_subset(subset, n)], [1.0]) @ g
 
 
-# Bounded: one n = MAX_FIT_N fit uses 406 matrices, and an unbounded
-# cache kept all 4,851 of a loaded n = 100 representation, 388 MB.
-@lru_cache(maxsize=512)
-def _ham_matrix(n, subset):
-    """Matrix of ham_term(., subset, n), its determinants in closed form.
+def _ham_sum(n, subsets, coeffs):
+    """sum_a coeffs[a] * (matrix of ham_term(., subsets[a], n)), in closed form.
 
-    Entry [i, k] is det[e_i; ones; e_k; v_s1; ...].  The subset leaves
-    out two cuts a < b of 0..n-2, which split the states into blocks
-    0..a, a+1..b and b+1..n-1 of sizes s0, s1, s2.  Moving i or k inside
-    its block adds a subset row v_s to its row: the entry is unchanged.  The
-    block indicators sum to ones, so every row and column sums to zero,
-    which fixes the antisymmetric block table up to one sign.
+    Each subset leaves out two cuts a < b of 0..n-2.  With the integer
+    cut vectors c_a = n [i <= a] - (a + 1), dual to the basis
+    (v_s . c_a = n delta_sa), its determinants det[e_i; ones; e_k; v_s1;
+    ...] form the wedge (-1)**(n+a+b+1) (c_a c_b^T - c_b c_a^T) / n.  So
+    the sum is C^T W C / n, W antisymmetric with the signed coefficients
+    as entries; repeated subsets add.  One term with coefficient 1 has
+    integer entries, exact in floats.
     """
-    a, b = sorted(set(range(n - 1)).difference(subset))
-    s0, s1, s2 = a + 1, b - a, n - 1 - b
-    table = np.array([[0, s2, -s1], [-s2, 0, s0], [s1, -s0, 0]])
-    block = np.searchsorted([a, b], np.arange(n))
-    mat = ((-1) ** (n + a + b + 1) * table[np.ix_(block, block)]).astype(float)
-    mat.setflags(write=False)
-    return mat
+    w = np.zeros((n - 1, n - 1))
+    cuts = set(range(n - 1))
+    for coeff, subset in zip(coeffs, subsets):
+        a, b = sorted(cuts.difference(subset))
+        w[a, b] += coeff if (n + a + b) % 2 else -coeff
+    c = n * np.tri(n - 1, n) - np.arange(1.0, n)[:, None]
+    return c.T @ (w - w.T) @ c / n
 
 
 def check_six_state(s):

@@ -21,14 +21,17 @@ freedom of a generator with zero column sums.
 fit() solves the matching problem in closed form.  With U an
 orthonormal tangent basis, the main term is the projection U U^T and
 the ham terms span the antisymmetric maps U K U^T, one-to-one through
-K = norm**2 sum_a r_a U^T ham_a U, so L = U (I + K) U^T q.  Symmetry of
-U^T q U is the Sylvester equation B K + K B^T = B - B^T with
-B = U^T L U, solved for r by linear least squares; then
-U^T q = (I + K)^-1 U^T L and the gauge q[N-1, N-1] = 0 fixes the rest
-of q.  With K fixed, q is linear in L: one refinement pass of the q map
-on the flow mismatch removes the roundoff the first pass leaves on
-stiff chains.  The fit has no random start.  It is capped at
-N = MAX_FIT_N, a bound on the size of the Sylvester least squares.
+K = norm**2 sum_a r_a U^T ham_a U, so L = U (I + K) U^T q.  Each ham_a
+is a wedge of two integer cut vectors, so sum_a r_a ham_a = C^T W C / N
+with the signed r_a the entries of one antisymmetric (N-1) x (N-1) W
+(multilinear._ham_sum).  Symmetry of U^T q U is the Sylvester equation
+B K + K B^T = B - B^T with B = U^T L U, solved for r by linear least
+squares; then U^T q = (I + K)^-1 U^T L and the gauge q[N-1, N-1] = 0
+fixes the rest of q.  With K fixed, q is linear in L: one refinement
+pass of the q map on the flow mismatch removes the roundoff the first
+pass leaves on stiff chains.  The fit has no random start.  It is
+capped at N = MAX_FIT_N, a bound on the size of the Sylvester least
+squares.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     FitNonConvergenceError, InputError,
     _finite_array, _integer, _json_object, _positive, _sequence,
 )
-from .multilinear import _check_subset, _ham_matrix, difference_basis, normalizer
+from .multilinear import _check_subset, _ham_sum, difference_basis, normalizer
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
 
@@ -182,10 +185,7 @@ def _main_scale(norm, n):
 
 def _flow_operator(n, norm, r, subsets):
     """Matrix that multiplies q in the represented flow."""
-    op = _main_scale(norm, n) * (np.eye(n) - 1.0 / n)
-    for coeff, subset in zip(r, subsets):
-        op += (norm * norm * coeff) * _ham_matrix(n, subset)
-    return op
+    return _main_scale(norm, n) * (np.eye(n) - 1.0 / n) + norm * norm * _ham_sum(n, subsets, r)
 
 
 def qt_rhs(rep, p):
@@ -253,7 +253,7 @@ def _tangent_frame(n):
     u = np.linalg.qr(difference_basis(n).T)[0]
     frame = np.column_stack([u, np.full(n, n ** -0.5)])
     r_to_k = normalizer(n) ** 2 * np.column_stack(
-        [(u.T @ _ham_matrix(n, s) @ u).ravel() for s in ham_subsets(n)]
+        [(u.T @ _ham_sum(n, [s], [1.0]) @ u).ravel() for s in ham_subsets(n)]
     )
     for arr in (frame, r_to_k):
         arr.setflags(write=False)

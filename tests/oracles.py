@@ -6,7 +6,11 @@
 * The rank-6 three-pair kernel as two loops over all 720 permutations,
   for the closed form of qtrep.multilinear.six_slot_main_term.
 * The ham-term matrix as a batched stack of n**4 determinants, for the
-  closed-form block table of qtrep.multilinear._ham_matrix.
+  wedge form of qtrep.multilinear._ham_sum: the subset leaving out the
+  cuts a < b gives (-1)**(n+a+b+1) (c_a c_b^T - c_b c_a^T) / n, with
+  integer cut vectors c_a = n [i <= a] - (a + 1), so a sum of terms is
+  C^T W C / n, W antisymmetric with the signed coefficients r_a as its
+  entries.
 * The CSV writer as one Python ``%`` row template per row, for the
   numpy digit path of qtrep._jsonio.csv_text.
 
@@ -108,7 +112,7 @@ def literal_six_slot_main_term(g3):
 
 
 def ham_matrix_det(n, subset):
-    """multilinear._ham_matrix as one determinant per entry.
+    """multilinear._ham_sum(n, [subset], [1.0]) as one determinant per entry.
 
     Entry [i, k] is det[e_i; ones; e_k; v_s1; ...; v_s(n-3)] with
     v_s = e_s - e_{s+1}: an (n, n, n, n) stack through np.linalg.det.

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtrep import cli, composite, lindblad, multilinear, qtfit
+from qtrep import cli, composite, lindblad, qtfit
 from qtrep.errors import InputError
 
 
@@ -125,7 +125,6 @@ class TestQtFit:
         np.fill_diagonal(w, 0.0)
         cfg = write_config(tmp_path / "c.json", {"W": w.tolist(), "out": str(tmp_path / "r")})
         qtfit._tangent_frame.cache_clear()
-        multilinear._ham_matrix.cache_clear()
         assert run(["qt-fit", "--config", cfg]) == 0
         assert capsys.readouterr().err == ""
         doc = json.loads((tmp_path / "r.json").read_text())
@@ -438,13 +437,29 @@ class TestLindblad:
         flows = [lindblad.bloch_rhs(channel, p) for p in vertices]
         sixes = [lindblad.extract_bloch(lindblad.qt_six_rhs(channel, lindblad.embed_six(p)))
                  for p in vertices]
-        grad_resid = float(np.max(np.abs(np.subtract(flows, grads))))
-        six_resid = float(np.max(np.abs(np.subtract(sixes, grads))))
+        # Both are relative to the rate scale |h| + sum(A**2 + B**2), h = 0 here.
+        a, b = np.array(spec["dissipators"][0]["A"]), np.array(spec["dissipators"][0]["B"])
+        scale = float(a @ a + b @ b)
+        assert scale > 1
+        grad_resid = float(np.max(np.abs(np.subtract(flows, grads)))) / scale
+        six_resid = float(np.max(np.abs(np.subtract(sixes, grads)))) / scale
         assert doc["gradient_identity_residual"] == grad_resid
         assert doc["six_variable_equivalence_residual"] == six_resid
         # Neither reads 0 on this channel, and another point set gives
         # other values: the equalities pin the four vertices.
         assert 0 < grad_resid < 1e-14 and 0 < six_resid < 1e-14
+
+    def test_residuals_relative_to_the_rate_scale(self, tmp_path):
+        # Rate scale 7.11e8: the absolute roundoff mismatch reaches 1e-7.
+        spec = {"dissipators": [{"A": [4e3, -7e3, -1.4e4], "B": [-1.5e4, 9e3, 1.2e4]}]}
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"channel": spec, "P0": [0.1, 0.2, 0.3], "t_end": 1e-9, "out": str(tmp_path / "lb")},
+        )
+        assert run(["lindblad", "--config", cfg]) == 0
+        doc = json.loads((tmp_path / "lb.json").read_text())
+        assert 0 < doc["gradient_identity_residual"] < 1e-15
+        assert 0 < doc["six_variable_equivalence_residual"] < 1e-15
 
     def test_field_channel_rejected_by_default(self, tmp_path, capsys):
         cfg = write_config(
@@ -516,10 +531,17 @@ class TestComposite:
         gen = composite.composite_generator(system)
         states = [composite.product_state(p, q) for p in (0.25, 0.75) for q in (0.25, 0.75)]
         assert np.linalg.matrix_rank(states) == 4
+        # Relative to a + c = max|L|.
         residual = max(float(np.max(np.abs(composite.qt_flow(system, w) - gen @ w)))
-                       for w in states)
+                       for w in states) / (0.37 + 2.9)
         assert doc["gradient_residual"] == residual
         assert 0 < residual < 1e-14
+
+    def test_residual_relative_to_the_rate_scale(self, tmp_path, capsys):
+        # a = 2**53: one unit in the last place of L is 0.5 in absolute terms.
+        cfg = write_config(tmp_path / "c.json", {"a": 2**53, "c": 2})
+        assert run(["composite", "--config", cfg]) == 0
+        assert 0 < json.loads(capsys.readouterr().out)["gradient_residual"] < 1e-15
 
     def test_bad_rate_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"a": -1.0, "c": 2.0})

@@ -1,9 +1,12 @@
 """Representation fitting: closed forms, round trips, conventions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ham_matrix_det, ham_term_bruteforce
 from qtrep import multilinear, pme, qtfit
@@ -46,20 +49,19 @@ class TestCatalog:
 
     @pytest.mark.parametrize("n", [*range(3, 13), 20, 30])
     def test_ham_matrix_matches_determinants(self, n):
-        # the block table against one determinant per entry: every subset
-        # up to n = 12, five seeded ones above
+        # the wedge of two cut vectors against one determinant per entry:
+        # every subset up to n = 12, five seeded ones above
         subsets = qtfit.ham_subsets(n)
         if n > 12:
             picks = np.random.default_rng(n).choice(len(subsets), size=5, replace=False)
             subsets = [subsets[a] for a in picks]
         for subset in subsets:
-            np.testing.assert_array_equal(multilinear._ham_matrix(n, subset),
+            np.testing.assert_array_equal(multilinear._ham_sum(n, [subset], [1.0]),
                                           ham_matrix_det(n, subset))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_ham_matrix_matches_ham_term(self, n):
-        # the block table against the literal permutation sum, column by column
-        assert qtfit._ham_matrix is multilinear._ham_matrix
+        # the wedge form against the literal permutation sum, column by column
         for subset in qtfit.ham_subsets(n):
             oracle = np.column_stack(
                 [ham_term_bruteforce(np.eye(n)[k], subset, n) for k in range(n)]
@@ -67,14 +69,43 @@ class TestCatalog:
             terms = np.column_stack(
                 [multilinear.ham_term(np.eye(n)[k], subset, n) for k in range(n)]
             )
-            np.testing.assert_array_equal(multilinear._ham_matrix(n, subset), oracle)
+            np.testing.assert_array_equal(multilinear._ham_sum(n, [subset], [1.0]), oracle)
             np.testing.assert_array_equal(terms, oracle)
 
-    def test_ham_matrix_cache_holds_the_largest_fit(self):
-        # bounded, so a loaded large representation cannot keep all its
-        # matrices, yet no fit up to the cap misses its own
-        maxsize = multilinear._ham_matrix.cache_parameters()["maxsize"]
-        assert len(qtfit.ham_subsets(qtfit.MAX_FIT_N)) <= maxsize < 4851
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_ham_sum_matches_determinants(self, data):
+        # drawn subsets, repeats included, with drawn coefficients: the
+        # one antisymmetric matrix adds the terms the determinants give
+        n = data.draw(st.integers(min_value=3, max_value=9), label="n")
+        subsets = data.draw(st.lists(st.sampled_from(qtfit.ham_subsets(n)), max_size=12),
+                            label="subsets")
+        coeffs = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(subsets),
+                                    max_size=len(subsets)), label="coeffs")
+        oracle = np.zeros((n, n))
+        for coeff, subset in zip(coeffs, subsets):
+            oracle += coeff * ham_matrix_det(n, subset)
+        tol = 4 * np.finfo(float).eps * n**3 * sum(map(abs, coeffs))
+        np.testing.assert_allclose(multilinear._ham_sum(n, subsets, coeffs), oracle,
+                                   rtol=0, atol=tol)
+
+    def test_flow_matrix_of_a_large_representation_stays_small(self):
+        # a loaded n = 100 representation: its 4,851 terms fold into one
+        # 99 x 99 matrix, not one n x n matrix each
+        n = 100
+        subsets = qtfit.ham_subsets(n)
+        rng = np.random.default_rng(0)
+        q = rng.standard_normal((n, n))
+        rep = qtfit.QTRepresentation(qtfit.QuadraticEntropy(q + q.T),
+                                     rng.standard_normal(len(subsets)), subsets,
+                                     multilinear.normalizer(n), 0.0)
+        tracemalloc.start()
+        try:
+            qtfit.flow_matrix(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_fewer_than_two_states_rejected(self):
         with pytest.raises(InputError, match=r"^n must be >= 2, got 1$"):

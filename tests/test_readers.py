@@ -6,15 +6,17 @@ to the array converter _finite_array.  Bad input raises InputError,
 never a TypeError, AttributeError or KeyError.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qtrep import composite, dynamics, lindblad, qtfit, relaxation
+from qtrep import cli, composite, dynamics, lindblad, pme, qtfit, relaxation
 from qtrep.errors import (
     InputError,
     _boolean,
+    _finite_array,
     _integer,
     _integers,
     _json_object,
@@ -116,6 +118,66 @@ class TestJsonObject:
             _json_object({"y": 0, "x": 0, 1: 0}, "doc", ("a",), ("a",))
         with pytest.raises(InputError, match=r"^missing required doc key: b$"):
             _json_object({"a": 0}, "doc", ("a", "b"), ("a", "b"))
+
+
+class TestFiniteArrayBools:
+    # numpy reads a bool as 0/1, and casts one mixed with numbers in a
+    # list to a number: every bool is rejected, alone or mixed
+    @pytest.mark.parametrize("value", [
+        True, np.True_, [True, False], [[False, True], [True, False]],
+        [[0, True], [1.5, 0]], [1, np.False_], (0.5, True), np.array([True, False]),
+        np.array([1.0, True], dtype=object), [np.array([True, False]), [0.0, 1.0]],
+    ])
+    def test_bools_rejected(self, value):
+        with pytest.raises(InputError, match=r"^x must be a numeric "):
+            _finite_array(value, "x", [(), (None,), (None, None)])
+
+    @pytest.mark.parametrize("value", [
+        1, 2.5, np.int64(3), [0, 1], [[0, 1.5], [2, 0]], (0.5, np.float32(1)),
+        np.array([0, 1]), np.array([1.0, 2], dtype=object),
+    ])
+    def test_numbers_accepted(self, value):
+        np.testing.assert_array_equal(_finite_array(value, "x", [(), (None,), (None, None)]),
+                                      np.asarray(value, dtype=float))
+
+    @pytest.mark.parametrize("call", [
+        lambda: composite.CompositeSystem(a=1.0, c=1.0, lam=True),
+        lambda: pme.ProbabilityState([True, False]),
+        lambda: pme.TransitionMatrix([[0, True], [1.5, 0]]),
+        lambda: lindblad.LindbladChannel(h=[True, 0, 0], dissipators=()),
+        lambda: relaxation.ThreeStateRates(1.0, True, 1.0, 1.0, 1.0, 1.0),
+    ], ids=["lam", "ProbabilityState", "TransitionMatrix", "channel-h", "ThreeStateRates"])
+    def test_entry_points_reject_bools(self, call):
+        with pytest.raises(InputError, match=r" must be a numeric "):
+            call()
+
+
+# Every config whose exit code a bool in an array moves from 0 to 2.
+BOOL_CONFIGS = {
+    "qt-fit-W": ("qt-fit", {"W": [[False, True], [True, False]]}, "W"),
+    "qt-fit-W-mixed": ("qt-fit", {"W": [[0, True], [1.5, 0]]}, "W"),
+    "pme-solve-p0": ("pme-solve", {"W": CHAIN3, "p0": [True, 0, 0], "t_end": 1}, "p0"),
+    "relax-classify-rates": ("relax-classify", {"rates": [1, 2, 3, 4, 5, True]}, "rates"),
+    "relax-scan-ranges": ("relax-scan", {"samples": 4, "ranges": [0, True]}, "ranges"),
+    "lindblad-P0": ("lindblad", {"channel": {"dissipators": [{"A": [1, 0, 0], "B": [0, 1, 0]}]},
+                                 "P0": [0, 0, True], "t_end": 1}, "P0"),
+    "lindblad-h": ("lindblad", {"channel": {"h": [0, 0, True], "dissipators": [
+        {"A": [1, 0, 0], "B": [0, 1, 0]}]}, "P0": [0, 0, 0], "t_end": 1,
+        "gradient_check": False}, "h"),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_CONFIGS)
+def test_cli_rejects_bool_arrays(name, tmp_path, capsys):
+    command, cfg, key = BOOL_CONFIGS[name]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**cfg, "out": str(tmp_path / "o")}))
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must be a numeric ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # Each library entry point named for the outside value it reads.  None

@@ -98,10 +98,12 @@ def _finite_array(x, name, shape):
     try:
         raw = np.asarray(x)
         kind = raw.dtype.kind
-        # numpy casts a bool among numbers to a number: scan a list, trust an ndarray's dtype.
+        # numpy casts a bool among numbers to a number: scan a list, trust an ndarray's
+        # dtype, also for an array inside a list.
         if kind in "bUSc" or (kind == "O" or raw.ndim and raw is not x) and any(
             issubclass(cls, (bool, np.bool_, str, bytes, complex, np.complexfloating))
-            for cls in set(map(type, np.asarray(x, dtype=object).flat))
+            for entries in [np.asarray(x, dtype=object).ravel()]
+            for cls in set(map(type, entries)) | {v.dtype.type for v in entries if type(v) is np.ndarray}
         ):
             raise TypeError("bool, string or complex entries")
         arr = np.array(raw, dtype=float)

@@ -166,23 +166,36 @@ def ham_term(g, subset, n):
     return _ham_sum(n, [_check_subset(subset, n)], [1.0]) @ g
 
 
+def _cut_vectors(n):
+    """Integer cut vectors c_a = n [i <= a] - (a + 1) as rows: C = n G^-1 V, G = V V^T."""
+    return n * np.tri(n - 1, n) - np.arange(1.0, n)[:, None]
+
+
+def _cut_pairs(n, subsets):
+    """(a, b, sign) per subset: the two cuts a < b of 0..n-2 it leaves out.
+
+    The determinants det[e_i; ones; e_k; v_s1; ...] of the subset form
+    the wedge sign * (c_a c_b^T - c_b c_a^T) / n of two cut vectors,
+    sign = (-1)**(n+a+b+1).
+    """
+    cuts = set(range(n - 1))
+    for subset in subsets:
+        a, b = sorted(cuts.difference(subset))
+        yield a, b, 1.0 if (n + a + b) % 2 else -1.0
+
+
 def _ham_sum(n, subsets, coeffs):
     """sum_a coeffs[a] * (matrix of ham_term(., subsets[a], n)), in closed form.
 
-    Each subset leaves out two cuts a < b of 0..n-2.  With the integer
-    cut vectors c_a = n [i <= a] - (a + 1), dual to the basis
-    (v_s . c_a = n delta_sa), its determinants det[e_i; ones; e_k; v_s1;
-    ...] form the wedge (-1)**(n+a+b+1) (c_a c_b^T - c_b c_a^T) / n.  So
-    the sum is C^T W C / n, W antisymmetric with the signed coefficients
-    as entries; repeated subsets add.  One term with coefficient 1 has
+    Each term is the wedge of its two cut vectors (_cut_pairs), so the
+    sum is C^T W C / n, W antisymmetric with the signed coefficients as
+    entries; repeated subsets add.  One term with coefficient 1 has
     integer entries, exact in floats.
     """
     w = np.zeros((n - 1, n - 1))
-    cuts = set(range(n - 1))
-    for coeff, subset in zip(coeffs, subsets):
-        a, b = sorted(cuts.difference(subset))
-        w[a, b] += coeff if (n + a + b) % 2 else -coeff
-    c = n * np.tri(n - 1, n) - np.arange(1.0, n)[:, None]
+    for coeff, (a, b, sign) in zip(coeffs, _cut_pairs(n, subsets)):
+        w[a, b] += sign * coeff
+    c = _cut_vectors(n)
     return c.T @ (w - w.T) @ c / n
 
 

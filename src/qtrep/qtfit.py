@@ -18,20 +18,21 @@ q -> q + k * ones changes nothing on the simplex), the coefficients
 contribute (N-1)(N-2)/2, together N(N-1), matching the degrees of
 freedom of a generator with zero column sums.
 
-fit() solves the matching problem in closed form.  With U an
-orthonormal tangent basis, the main term is the projection U U^T and
-the ham terms span the antisymmetric maps U K U^T, one-to-one through
-K = norm**2 sum_a r_a U^T ham_a U, so L = U (I + K) U^T q.  Each ham_a
-is a wedge of two integer cut vectors, so sum_a r_a ham_a = C^T W C / N
-with the signed r_a the entries of one antisymmetric (N-1) x (N-1) W
-(multilinear._ham_sum).  Symmetry of U^T q U is the Sylvester equation
-B K + K B^T = B - B^T with B = U^T L U, solved for r by linear least
-squares; then U^T q = (I + K)^-1 U^T L and the gauge q[N-1, N-1] = 0
-fixes the rest of q.  With K fixed, q is linear in L: one refinement
-pass of the q map on the flow mismatch removes the roundoff the first
-pass leaves on stiff chains.  The fit has no random start.  It is
-capped at N = MAX_FIT_N, a bound on the size of the Sylvester least
-squares.
+fit() solves the matching problem in closed form, in cut coordinates.
+With V = difference_basis(N), G = V V^T and the integer cut vectors
+C = N G^-1 V, sum_a r_a ham_a = C^T W C / N (multilinear._ham_sum), so
+V L = (G + K) G^-1 V q with K antisymmetric, r_a its one entry
+K[i, j] = sign * r_a / (N-2)! at the cut pair (i, j, sign) of its subset
+(multilinear._cut_pairs).  Symmetry of q is B K + K B^T = Lambda -
+Lambda^T, Lambda = V L V^T and B = Lambda G^-1, one equation per entry
+above the diagonal: a square system of side C(N-1, 2), solved by least
+squares for the minimum-norm r where three or more closed classes make
+it singular.  Then V q = G (G + K)^-1 V L gives the rows of q as tail
+sums, the last row fixed by symmetry and the gauge q[N-1, N-1] = 0.
+With K fixed, q is linear in L: one refinement pass of the q map on the
+flow mismatch removes the roundoff the first pass leaves on stiff
+chains.  There is no random start; N is capped at MAX_FIT_N, a bound on
+the size of the least squares.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +47,9 @@ from .errors import (
     FitNonConvergenceError, InputError,
     _finite_array, _integer, _json_object, _positive, _sequence,
 )
-from .multilinear import _check_subset, _ham_sum, difference_basis, normalizer
+from .multilinear import (
+    _check_subset, _cut_pairs, _cut_vectors, _ham_sum, difference_basis, normalizer,
+)
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
 
@@ -67,9 +69,9 @@ __all__ = [
 ACCEPT_TOL = 1e-8
 
 # Largest state count fit accepts; a larger W is rejected before any
-# frame is built.  The cap bounds the Sylvester lstsq, an (N-1)**2 by
-# (N-1)(N-2)/2 system: a warm fit takes 74 ms at N = 30, 281 ms at
-# N = 40 and 783 ms at N = 50 (2-core Xeon, numpy 2.4).
+# matrix is built.  The cap bounds the Sylvester lstsq, a square system
+# of side (N-1)(N-2)/2 that takes most of a warm fit: 40 ms at N = 30,
+# 182 ms at N = 40 and 545 ms at N = 50 (2-core Xeon, numpy 2.4).
 MAX_FIT_N = 30
 
 
@@ -242,55 +244,42 @@ def _residual_metric(diff, n):
     return float(np.max(np.abs(diff @ dirs.T)))
 
 
-@lru_cache(maxsize=None)
-def _tangent_frame(n):
-    """Orthonormal frame [U, e] of R^n and the map from r to K.
-
-    U spans the simplex tangent space and e = ones / sqrt(n).  Column a
-    of the map is vec(norm**2 U^T ham_a U); the ham terms span the
-    antisymmetric maps of the tangent space, so r -> K is one-to-one.
-    """
-    u = np.linalg.qr(difference_basis(n).T)[0]
-    frame = np.column_stack([u, np.full(n, n ** -0.5)])
-    r_to_k = normalizer(n) ** 2 * np.column_stack(
-        [(u.T @ _ham_sum(n, [s], [1.0]) @ u).ravel() for s in ham_subsets(n)]
-    )
-    for arr in (frame, r_to_k):
-        arr.setflags(write=False)
-    return frame, r_to_k
-
-
 def _closed_form(gen):
-    """(r, q) solving L = (P + U K U^T) q through the Sylvester equation."""
+    """(r, q) solving V L = (G + K) G^-1 V q through the Sylvester equation."""
     n = gen.shape[0]
     m = n - 1
-    frame, r_to_k = _tangent_frame(n)
-    u = frame[:, :m]
-    b = u.T @ gen @ u
-    # Column a of the operator is B K_a + K_a B^T, K_a the image of r_a.
-    # lstsq gives the minimum-norm r where the chain is reducible and
-    # the operator singular.
-    ks = r_to_k.T.reshape(-1, m, m)
-    sylvester = (b @ ks + ks @ b.T).reshape(len(ks), m * m).T
-    r = np.linalg.lstsq(sylvester, (b - b.T).ravel(), rcond=None)[0]
-    # I + K is invertible for antisymmetric K.
-    i_plus_k = np.eye(m) + (r_to_k @ r).reshape(m, m)
+    v = difference_basis(n)
+    g = v @ v.T
+    vl = v @ gen
+    lam = vl @ v.T
+    # B = Lambda G^-1, with G^-1 V^T = C^T / n from the integer cut vectors.
+    b = vl @ _cut_vectors(n).T / n
+    # Row (p, q), column (i, j) of K -> B K + K B^T, over the cut pairs: the
+    # entries above the diagonal, each once.  lstsq gives the minimum-norm K
+    # where three or more closed classes make the system singular.
+    subsets = ham_subsets(n)
+    i, j, sign = (np.array(col) for col in zip(*_cut_pairs(n, subsets)))
+    bi, bj, ei, ej = b[i], b[j], np.eye(m)[i], np.eye(m)[j]
+    sylvester = bi[:, i] * ej[:, j] - bi[:, j] * ej[:, i] + ei[:, i] * bj[:, j] - ei[:, j] * bj[:, i]
+    k = np.zeros((m, m))
+    k[i, j] = np.linalg.lstsq(sylvester, (lam - lam.T)[i, j], rcond=None)[0]
+    r = sign * math.factorial(n - 2) * k[i, j]
+    k -= k.T
 
     def q_map(target):
-        # Symmetric q, gauge q[n-1, n-1] = 0, with U^T q = (I + K)^-1 U^T target.
-        y = np.linalg.solve(i_plus_k, u.T @ target @ frame)
-        z = np.zeros((n, n))
-        z[:m] = y
-        z[m, :m] = y[:, m]
-        q = frame @ z @ frame.T
-        q = 0.5 * (q + q.T)
-        return q - q[-1, -1]
+        # Symmetric q, gauge q[n-1, n-1] = 0, with V q = G (G + K)^-1 V target: row i
+        # is the tail sum of V q from i plus the last row, by symmetry the last column.
+        vq = g @ np.linalg.solve(g + k, v @ target)
+        tails = np.zeros((n, n))
+        tails[:m] = np.cumsum(vq[::-1], axis=0)[::-1]
+        q = tails + tails[:, m]
+        return 0.5 * (q + q.T)
 
     # q is linear in L once K is fixed: a second pass on the flow
     # mismatch removes the roundoff the first leaves on stiff chains
-    # (stiff_chain(1e7) in the CLI tests reads 1.4e-8 without it).
+    # (stiff_chain(1e7) in the CLI tests reads 7.1e-9 without it, 3.9e-9 with it).
     q = q_map(gen)
-    q += q_map(gen - _flow_operator(n, normalizer(n), r, ham_subsets(n)) @ q)
+    q += q_map(gen - _flow_operator(n, normalizer(n), r, subsets) @ q)
     return r, q
 
 
@@ -318,11 +307,6 @@ def fit(w):
         If the flow residual lies above ACCEPT_TOL * max(1, max|L|),
         ACCEPT_TOL = 1e-8, L the generator.  The error carries the
         representation found, with its absolute residual.
-
-    Notes
-    -----
-    The closed form of the module docstring, with one refinement pass
-    of the q map.
     """
     w = _as_transition_matrix(w)
     n = w.n

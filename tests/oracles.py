@@ -11,10 +11,17 @@
   integer cut vectors c_a = n [i <= a] - (a + 1), so a sum of terms is
   C^T W C / n, W antisymmetric with the signed coefficients r_a as its
   entries.
+* The fit in an orthonormal QR frame, for the cut-coordinate closed
+  form of qtrep.qtfit: _tangent_frame maps r to K through one ham-term
+  matrix per subset, and _closed_form solves the Sylvester equation on
+  all (N-1)**2 entries of K by least squares.  It is the earlier
+  implementation, kept verbatim, so it calls qtrep's _ham_sum (checked
+  against the determinants above), ham_subsets and flow operator.
 * The CSV writer as one Python ``%`` row template per row, for the
   numpy digit path of qtrep._jsonio.csv_text.
 
-No oracle shares code with the implementation it checks.
+Apart from the QR-frame fit, no oracle shares code with the
+implementation it checks.
 """
 
 import itertools
@@ -23,6 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from qtrep.errors import InputError
+from qtrep.multilinear import _ham_sum, difference_basis, normalizer
+from qtrep.qtfit import _flow_operator, ham_subsets
 
 
 def levi_civita_sign(indices):
@@ -125,6 +134,58 @@ def ham_matrix_det(n, subset):
     rows[:, :, 2] = eye[None, :, :]
     rows[:, :, 3:] = (eye[:-1] - eye[1:])[list(subset)]
     return np.rint(np.linalg.det(rows))
+
+
+@lru_cache(maxsize=None)
+def _tangent_frame(n):
+    """Orthonormal frame [U, e] of R^n and the map from r to K.
+
+    U spans the simplex tangent space and e = ones / sqrt(n).  Column a
+    of the map is vec(norm**2 U^T ham_a U); the ham terms span the
+    antisymmetric maps of the tangent space, so r -> K is one-to-one.
+    """
+    u = np.linalg.qr(difference_basis(n).T)[0]
+    frame = np.column_stack([u, np.full(n, n ** -0.5)])
+    r_to_k = normalizer(n) ** 2 * np.column_stack(
+        [(u.T @ _ham_sum(n, [s], [1.0]) @ u).ravel() for s in ham_subsets(n)]
+    )
+    for arr in (frame, r_to_k):
+        arr.setflags(write=False)
+    return frame, r_to_k
+
+
+def _closed_form(gen):
+    """(r, q) solving L = (P + U K U^T) q through the Sylvester equation."""
+    n = gen.shape[0]
+    m = n - 1
+    frame, r_to_k = _tangent_frame(n)
+    u = frame[:, :m]
+    b = u.T @ gen @ u
+    # Column a of the operator is B K_a + K_a B^T, K_a the image of r_a.
+    # lstsq gives the minimum-norm r where the chain is reducible and
+    # the operator singular.
+    ks = r_to_k.T.reshape(-1, m, m)
+    sylvester = (b @ ks + ks @ b.T).reshape(len(ks), m * m).T
+    r = np.linalg.lstsq(sylvester, (b - b.T).ravel(), rcond=None)[0]
+    # I + K is invertible for antisymmetric K.
+    i_plus_k = np.eye(m) + (r_to_k @ r).reshape(m, m)
+
+    def q_map(target):
+        # Symmetric q, gauge q[n-1, n-1] = 0, with U^T q = (I + K)^-1 U^T target.
+        y = np.linalg.solve(i_plus_k, u.T @ target @ frame)
+        z = np.zeros((n, n))
+        z[:m] = y
+        z[m, :m] = y[:, m]
+        q = frame @ z @ frame.T
+        q = 0.5 * (q + q.T)
+        return q - q[-1, -1]
+
+    # q is linear in L once K is fixed: a second pass on the flow
+    # mismatch removes the roundoff the first leaves on stiff chains
+    # (stiff_chain(1e7) in the CLI tests reads 1.4e-8 without it).
+    q = q_map(gen)
+    q += q_map(gen - _flow_operator(n, normalizer(n), r, ham_subsets(n)) @ q)
+    return r, q
 
 
 def csv_text_template(header, columns, precision=17):

@@ -208,7 +208,7 @@ class TestSixSlotMainTerm:
             assert err <= 2.0**-52 * np.max(np.abs(g3))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(min_value=2, max_value=6),
     st.integers(min_value=0, max_value=2**32 - 1),

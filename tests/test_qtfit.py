@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _closed_form as qr_closed_form
 from oracles import ham_matrix_det, ham_term_bruteforce
 from qtrep import multilinear, pme, qtfit
 from qtrep.errors import FitNonConvergenceError, InputError
@@ -261,6 +262,25 @@ class TestFitRoundTrip:
             qtfit.flow_matrix(rep), pme.build_generator(pme.TransitionMatrix(w)),
             rtol=0, atol=1e-8,
         )
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 12), st.sampled_from([1, 3, 4, 5]), st.sampled_from([0.0, 0.3, 1.0]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_qr_frame_fit(self, n, classes, zero, seed):
+        # The cut-coordinate solve against the earlier QR-frame one, on
+        # rates over four decades with some or all of them zero, and on
+        # chains split into three to five closed classes, where lstsq
+        # returns the minimum-norm r of a singular system.
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(-2.0, 2.0, (n, n))
+        w[rng.random((n, n)) < zero] = 0.0
+        labels = rng.permutation(np.arange(n) % min(classes, n))
+        w *= labels[:, None] == labels[None, :]
+        np.fill_diagonal(w, 0.0)
+        rep = qtfit.fit(w)
+        r, q = qr_closed_form(pme.build_generator(w))
+        np.testing.assert_allclose(rep.r, r, rtol=0, atol=1e-11 * max(1.0, np.max(np.abs(r))))
+        np.testing.assert_allclose(rep.entropy.q, q, rtol=0, atol=1e-11 * np.max(np.abs(q)))
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_beyond_bruteforce_cap(self, n):

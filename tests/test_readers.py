@@ -127,6 +127,7 @@ class TestFiniteArrayBools:
         True, np.True_, [True, False], [[False, True], [True, False]],
         [[0, True], [1.5, 0]], [1, np.False_], (0.5, True), np.array([True, False]),
         np.array([1.0, True], dtype=object), [np.array([True, False]), [0.0, 1.0]],
+        [np.array(True), 1.5], [[np.array(True), 1.5], [0.0, 1.0]],
     ])
     def test_bools_rejected(self, value):
         with pytest.raises(InputError, match=r"^x must be a numeric "):

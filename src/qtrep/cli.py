@@ -3,8 +3,9 @@
 Every subcommand reads one JSON config file, validates it against its
 entry in the _COMMANDS table (unknown keys are rejected), computes, and
 writes results atomically.  The same table builds each subcommand's
---help text.  Outputs are byte-identical for identical configs.  Exit
-codes: 0 success, 2 invalid input, 3 fit residual above
+--help text; main builds its argparse parser once per process and
+parses every call with it.  Outputs are byte-identical for identical
+configs.  Exit codes: 0 success, 2 invalid input, 3 fit residual above
 1e-8 * max(1, max|L|), L the generator of the rates.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import math
 import os
@@ -340,6 +342,7 @@ _COMMANDS = {
 
 
 def build_parser():
+    """A fresh parser of the _COMMANDS table; main keeps its own."""
     parser = argparse.ArgumentParser(
         prog="qtrep",
         description="Quasithermodynamic representations of Markov master equations.",
@@ -356,8 +359,14 @@ def build_parser():
     return parser
 
 
+# main's parser, built on its first call.  argparse reads sys.stdout,
+# sys.stderr and the terminal width when it prints, not when it builds,
+# so the cached parser prints what a fresh one would.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.command)
         # A handler returns its exit code only when that is not 0.

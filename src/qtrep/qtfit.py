@@ -324,7 +324,10 @@ def fit(w):
             with np.errstate(over="raise"):
                 r, q = _closed_form(gen)
         except FloatingPointError as exc:
-            raise InputError(f"rate matrix too large to fit: {exc}") from exc
+            raise InputError(
+                "rate matrix too large to fit: the solve overflows at max rate "
+                f"{float(np.max(w.w))!r}"
+            ) from exc
         entropy = QuadraticEntropy(q)
     # Residual first, so the representation is built and validated once.
     resid = _residual_metric(_flow_operator(n, norm, r, subsets) @ entropy.q - gen, n)

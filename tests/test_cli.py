@@ -768,3 +768,52 @@ class TestHelp:
             assert text.splitlines()[0] == command.summary
             for key in [*command.keys, *cli._COMMON_KEYS]:
                 assert key in text, (name, key)
+
+
+class TestParseOnce:
+    """main parses every call with one parser; its bytes stay a fresh parser's."""
+
+    @pytest.mark.parametrize("argv", [["nosuch"], ["qt-fit"], []])
+    def test_usage_error_repeats(self, capsys, argv):
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: qtrep")
+            errs.append(captured.err)
+        assert errs[0] == errs[1]
+
+    @pytest.mark.parametrize("columns", ["50", "200"])
+    @pytest.mark.parametrize("name", [None, *cli._COMMANDS])
+    def test_help_repeats_a_fresh_parsers_bytes(self, capsys, monkeypatch, name, columns):
+        # The width is read at print time, so the cached parser follows it.
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = ["--help"] if name is None else [name, "--help"]
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        fresh = cli.build_parser()
+        if name is not None:
+            fresh = fresh._subparsers._group_actions[0].choices[name]
+        assert texts[0] == texts[1] == fresh.format_help()
+
+    def test_valid_op_after_failed_parse(self, tmp_path, capsys, chain3):
+        with pytest.raises(SystemExit):
+            cli.main(["qt-fit"])
+        cfg = write_config(tmp_path / "c.json", {"W": chain3, "out": str(tmp_path / "fit")})
+        capsys.readouterr()
+        assert run(["qt-fit", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "fit.json").exists()
+
+    def test_build_parser_is_fresh(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() is cli._parser()
+        assert cli._parser() not in (first, second)

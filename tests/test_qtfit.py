@@ -309,7 +309,8 @@ class TestFitRoundTrip:
     @pytest.mark.filterwarnings("error")
     def test_rates_near_the_float_limit(self):
         # The Sylvester operator overflows: out of range, not a misfit.
-        with pytest.raises(InputError, match="rate matrix too large to fit: overflow"):
+        with pytest.raises(InputError, match=r"^rate matrix too large to fit: the solve "
+                                             r"overflows at max rate 1e\+308$"):
             qtfit.fit([[0, 3, 5], [1, 0, 1e308], [2, 4, 0]])
         # Rates of 1e300 solve; their roundoff tops 1e-8 in absolute terms
         # but not relative to max|L| = 2e300.

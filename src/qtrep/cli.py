@@ -143,7 +143,7 @@ def _cmd_pme_solve(cfg):
     stationary = pme.stationary_state(w)
     dynamics._check_rk4_stable(dt, spec.eigenvalues)
     traj = dynamics.integrate(
-        lambda y: gen @ y, p0.p, cfg["t_end"], dt,
+        gen.dot, p0.p, cfg["t_end"], dt,
         entropy=lambda rows: pme.bs_entropy(np.clip(rows, 0.0, 1.0)), stride=cfg["stride"],
     )
     report = {

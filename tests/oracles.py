@@ -19,6 +19,9 @@
   against the determinants above), ham_subsets and flow operator.
 * The CSV writer as one Python ``%`` row template per row, for the
   numpy digit path of qtrep._jsonio.csv_text.
+* One RK4 step as its own function, for the step that
+  qtrep.dynamics.integrate runs inline in its loop.  It is the earlier
+  implementation, kept verbatim.
 
 Apart from the QR-frame fit, no oracle shares code with the
 implementation it checks.
@@ -212,3 +215,20 @@ def csv_text_template(header, columns, precision=17):
     template = ",".join(fmts) + "\n"
     rows = zip(*(col.tolist() for col in arrays))
     return ",".join(header) + "\n" + "".join(template % row for row in rows)
+
+
+def _rk4_step(rhs, y, h):
+    """One RK4 step from a finite y, or the non-finite stage rhs rejected."""
+    k1 = rhs(y)
+    stage = y + 0.5 * h * k1
+    try:
+        k2 = rhs(stage)
+        stage = y + 0.5 * h * k2
+        k3 = rhs(stage)
+        stage = y + h * k3
+        k4 = rhs(stage)
+    except InputError:
+        if np.all(np.isfinite(stage)):
+            raise
+        return stage
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

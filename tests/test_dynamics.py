@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import _rk4_step
 from qtrep import dynamics, lindblad, pme
 from qtrep.errors import DivergenceError, InconclusiveError, InputError
 
@@ -102,6 +105,34 @@ class TestIntegrate:
             dynamics.integrate(rhs, np.array([0.0]), 1.05, 0.1)
         assert err.value.step == 11
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", [
+        # rhs turns infinite past t = 1.02: the state after step 11 is.
+        (lambda y: np.array([1.0 if y[0] < 1.02 else np.inf]), np.array([0.0]), 5.0, 0.1),
+        # bloch_rhs rejects the overflowed stage of step 30.
+        (lambda y, channel=lindblad.LindbladChannel(
+            h=np.zeros(3), dissipators=(([30.0, 0, 0], [0, 30.0, 0]),)):
+         lindblad.bloch_rhs(channel, y), np.array([0.3, -0.2, 0.1]), 50.0, 0.5),
+    ], ids=["infinite-state", "rejected-stage"])
+    def test_divergence_between_recorded_rows_matches_oracle(self, case):
+        with pytest.raises(DivergenceError) as err:
+            dynamics.integrate(*case, stride=7)
+        with pytest.raises(DivergenceError) as want:
+            reference_integrate(*case)
+        assert err.value.step % 7 != 0
+        assert err.value.step == want.value.step
+        assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize("t_end, dt, stride, steps, rows", [
+        (0.1, 0.01, 1, 10, 11),
+        (0.1, 0.01, 11, 10, 2),
+        (1.0, 0.3, 3, 4, 3),  # three full steps and a truncated one
+    ])
+    def test_steps_counts_every_step_taken(self, t_end, dt, stride, steps, rows):
+        traj = dynamics.integrate(decay_rhs(1.0), np.array([1.0]), t_end, dt, stride=stride)
+        assert traj.steps == steps
+        assert traj.times.size == rows
+
     def test_entropy_must_give_one_value_per_row(self):
         with pytest.raises(InputError, match=r"^entropy gave shape \(\), not \(3,\)$"):
             dynamics.integrate(decay_rhs(1.0), np.array([1.0]), 0.1, 0.05,
@@ -148,7 +179,11 @@ class TestIntegrate:
 
 
 def reference_integrate(rhs, y0, t_end, dt, entropy=None):
-    """Per-step recorder: monitors evaluated as each step is accepted."""
+    """Per-step recorder: monitors evaluated as each step is accepted.
+
+    Each step is the oracle's _rk4_step, followed by the earlier loop's
+    np.isfinite check and DivergenceError.
+    """
     y = np.array(y0, dtype=float)
     n_full = int(t_end / dt)
     remainder = t_end - n_full * dt
@@ -161,17 +196,20 @@ def reference_integrate(rhs, y0, t_end, dt, entropy=None):
     s_values = s_delta = None
     if entropy is not None:
         s_values, s_delta = [float(entropy(y))], [0.0]
-    for step in range(1, steps + 1):
-        h = dt if step <= n_full else remainder
-        y = dynamics._rk4_step(rhs, y, h)
-        t = step * dt if step <= n_full else t_end
-        times.append(min(t, t_end))
-        states.append(y.copy())
-        drift.append(abs(math.fsum(y.tolist()) - sum0))
-        if entropy is not None:
-            value = float(entropy(y))
-            s_delta.append(value - s_values[-1])
-            s_values.append(value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            h = dt if step <= n_full else remainder
+            y = _rk4_step(rhs, y, h)
+            t = step * dt if step <= n_full else t_end
+            if not np.isfinite(y).all():
+                raise DivergenceError(f"non-finite state at step {step} (t = {t!r})", step)
+            times.append(min(t, t_end))
+            states.append(y.copy())
+            drift.append(abs(math.fsum(y.tolist()) - sum0))
+            if entropy is not None:
+                value = float(entropy(y))
+                s_delta.append(value - s_values[-1])
+                s_values.append(value)
     times[-1] = t_end
     arrays = [times, states, drift, s_values, s_delta]
     return [None if a is None else np.array(a) for a in arrays]
@@ -227,6 +265,42 @@ class TestRecorder:
             assert g.tobytes() == w.tobytes()
 
 
+def recorded_rows(steps, stride):
+    """Rows 0, stride, 2 * stride, ... and the last of a full record."""
+    rows = list(range(0, steps + 1, stride))
+    if rows[-1] != steps:
+        rows.append(steps)
+    return rows
+
+
+class TestGeneratorDot:
+    """pme-solve's rhs gen.dot steps to the bytes of gen @ y under the oracle step."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([0.0, 0.3]), st.booleans(), st.sampled_from([1, 7, "past"]))
+    def test_matches_matmul_reference_bitwise(self, n, seed, zero_share, truncated, stride):
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(-2.0, 2.0, (n, n))
+        w[rng.random((n, n)) < zero_share] = 0.0
+        np.fill_diagonal(w, 0.0)
+        gen = pme.build_generator(w)
+        p0 = rng.dirichlet(np.ones(n))
+        # dt * (largest exit rate) <= 1/2 puts every Gershgorin disc of
+        # dt * L inside |z + 1/2| <= 1/2, where RK4 is stable.
+        dt = 0.5 / max(1.0, float(np.max(-np.diag(gen))))
+        t_end = dt * (20.37 if truncated else 20)
+        times, states, drift, _, _ = reference_integrate(lambda y: gen @ y, p0, t_end, dt)
+        steps = times.size - 1
+        stride = steps + 1 if stride == "past" else stride
+        traj = dynamics.integrate(gen.dot, p0, t_end, dt, stride=stride)
+        rows = recorded_rows(steps, stride)
+        assert traj.steps == steps
+        for got, want in zip([traj.times, traj.states, traj.sum_drift], [times, states, drift]):
+            assert got.shape == want[rows].shape
+            assert got.tobytes() == want[rows].tobytes()
+
+
 def smallest_divisor(steps):
     return next(d for d in range(2, steps + 1) if steps % d == 0)
 
@@ -246,9 +320,7 @@ class TestThinning:
         steps = full.times.size - 1
         stride = {"divisor": smallest_divisor(steps), "past": steps + 5}.get(stride, stride)
         thin = dynamics.integrate(*case, stride=stride)
-        rows = list(range(0, steps + 1, stride))
-        if rows[-1] != steps:
-            rows.append(steps)
+        rows = recorded_rows(steps, stride)
         assert thin.times[-1] == case[2]
         for got, want in zip(
             [thin.times, thin.states, thin.sum_drift, thin.entropy],

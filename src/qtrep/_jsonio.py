@@ -6,9 +6,12 @@ round-tripping), dictionary order is insertion order, and files are
 written to a temporary name in the target directory and renamed into
 place so readers never observe partial content.
 
-CSV tables are built from column arrays, in blocks of ``CSV_BLOCK_ROWS``
-rows, with the bytes of one ``'%.{p}g'`` row template (``format_float``
-per cell).  For p <= 17 numpy computes those bytes.  For a finite
+CSV tables are built from column arrays, in blocks of whole rows of at
+most ``CSV_BLOCK_CELLS`` cells (one row where a row has more), with the
+bytes of one ``'%.{p}g'`` row template (``format_float`` per cell).  For
+p <= 17 numpy computes those bytes into one buffer: each block's cells
+become fixed-width records in the buffer's free tail, and a boolean
+mask over them keeps the bytes each cell prints.  For a finite
 nonzero cell x it estimates E = floor(log10|x|) and forms
 v = |x| * 10**(p-1-E) in long double, from a table of powers of ten
 each rounded to nearest on a 64-bit significand.  The table entry and
@@ -98,11 +101,13 @@ def atomic_write_text(path, text):
         raise
 
 
-# Rows formatted per block by csv_text.  At 256 rows and up to 20 columns
-# a block's largest arrays (25 bytes a cell) stay below malloc's 128 KB
-# mmap threshold and reuse heap memory; 512-row blocks raised the peak
-# RSS of the trajectory and scan benchmarks by about 1 MB.
-CSV_BLOCK_ROWS = 256
+# Cells formatted per block by csv_text: max(1, CSV_BLOCK_CELLS // columns)
+# rows.  The digit path's temporaries peak at about 73 bytes a cell (x87,
+# numpy 2.4), so a block holds about 0.6 MB besides the table's own text
+# buffer: below the 256-row blocks of 227 bytes a cell it replaces, on
+# 11 or 12 columns.  12288-cell blocks wrote the 6000-row scan table no
+# faster and raised the peak RSS of the trajectory benchmark by 0.3 MB.
+CSV_BLOCK_CELLS = 8192
 # Tables with fewer cells take the % template: below this the fixed cost
 # of the digit path's numpy calls exceeds the per-cell cost of %.
 CSV_DIGITS_MIN_CELLS = 1024
@@ -157,19 +162,24 @@ def _significands(a, precision):
     """
     powers = _powers()
     low, high = powers[_MAX_POWER + precision - 1], powers[_MAX_POWER + precision]
-    a = a.astype(np.longdouble)
-    exp = np.floor(np.log10(a.astype(np.float64))).astype(np.int64)
-    v = a * powers[_MAX_POWER + precision - 1 - exp]
+    # int16 holds every decimal exponent of a double, -324..308
+    exp = np.floor(np.log10(a)).astype(np.int16)
+    # The gathered powers become v in place: float64 a widens exactly.
+    v = powers[_MAX_POWER + precision - 1 - exp]
+    v *= a
     n = np.rint(v)
     # log10 may be one off next to a power of ten: correct E once.
-    shift = (n > high).astype(np.int64) - (v < low)
+    shift = (n > high).astype(np.int8) - (v < low)
     fix = np.flatnonzero(shift)
     if fix.size:
         exp[fix] += shift[fix]
-        v[fix] = a[fix] * powers[_MAX_POWER + precision - 1 - exp[fix]]
+        v[fix] = powers[_MAX_POWER + precision - 1 - exp[fix]] * a[fix]
         n[fix] = np.rint(v[fix])
     # v - n is exact; its float64 rounding is far below the window.
-    unproved = np.abs(np.abs((v - n).astype(np.float64)) - 0.5) < _WINDOW
+    v -= n
+    d = np.abs(v.astype(np.float64))
+    d -= 0.5
+    unproved = np.abs(d, out=d) < _WINDOW
     top = n == high
     n[top] = low
     exp[top] += 1
@@ -182,8 +192,9 @@ def _digit_matrix(n, precision):
     pairs = np.empty((n.size, width // 2), np.uint16)
     upper = n // np.uint64(10**8)
     lower = (n - upper * np.uint64(10**8)).astype(np.uint32)
+    upper = upper.astype(np.uint32)
     col = width // 2
-    for part, count in ((lower, min(4, col)), (upper.astype(np.uint32), col - 4)):
+    for part, count in ((lower, min(4, col)), (upper, col - 4)):
         for _ in range(count):
             quot = part // 100
             col -= 1
@@ -230,18 +241,24 @@ def _sorted_records(x, flags, precision, width):
     bounds = np.concatenate(([0], np.cumsum(np.bincount(kind, minlength=fixed_kinds + 6))))
     # NaN and bool cells print no '-'; the rest print one when negative.
     start = (~(np.signbit(x) & ~nan & ~flags)).view(np.uint8)
+    # The % text of the unproved cells is made now, so that x can go: del
+    # frees it unless the caller holds it.
+    cells, fb = x.size, fixed_kinds + _FALLBACK
+    fallback = _percent_cells(np.abs(x[order[bounds[fb]:bounds[fb + 1]]]), precision)
+    del x
 
     regular = order[:bounds[fixed_kinds + _SCI + 1]]
-    exp = exp[regular]
-    digits = _digit_matrix(n[regular], precision)
+    exp, n = exp[regular], n[regular]
+    digits = _digit_matrix(n, precision)
+    del n
     # significant digits left once trailing zeros are stripped
     ndig = np.full(regular.size, precision, np.int8)
     trailing = np.flatnonzero(digits[:, -1] == 48)
     ndig[trailing] -= np.argmax(digits[trailing, ::-1] != 48, axis=1)
 
-    records = np.empty((x.size, width), np.uint8)
+    records = np.empty((cells, width), np.uint8)
     records[:, 0] = _MINUS
-    ends = np.empty(x.size, np.uint8)
+    ends = np.empty(cells, np.uint8)
     for k in np.flatnonzero(np.diff(bounds)):
         rows = slice(bounds[k], bounds[k + 1])
         b = records[rows]
@@ -274,9 +291,8 @@ def _sorted_records(x, flags, precision, width):
             b[r, at + 4] = units
             ends[rows] = at + 4 + three
         elif k == fixed_kinds + _FALLBACK:
-            text = _percent_cells(np.abs(x[order[rows]]), precision)
-            ends[rows] = [1 + len(t) for t in text]
-            padded = "".join([t.ljust(width - 1) for t in text]).encode("ascii")
+            ends[rows] = [1 + len(t) for t in fallback]
+            padded = "".join([t.ljust(width - 1) for t in fallback]).encode("ascii")
             b[:, 1:] = np.frombuffer(padded, np.uint8).reshape(-1, width - 1)
         else:
             word = _WORDS[k - fixed_kinds]
@@ -298,28 +314,29 @@ def _digit_rows(cols, precision, text, size):
 
     Each cell is one fixed-width record: its text, then ',' or newline
     at its end; a mask over the records keeps the bytes each cell
-    prints.  Returns the new size.
+    prints.  The records are laid out in text[size:] itself, which must
+    have room for precision + 8 bytes a cell.  Returns the new size.
     """
     # "-0.000" + p digits, or "-d." + p - 1 digits + "e-308"; then the separator
     width = precision + 8
-    x = np.stack(cols, axis=1, dtype=np.float64).ravel()
-    flags = np.tile([col.dtype == bool for col in cols], len(cols[0]))
-    records, ends, order, start = _sorted_records(x, flags, precision, width)
-    # back to row-major cell order
+    rows = len(cols[0])
+    flags = np.tile([col.dtype == bool for col in cols], rows)
+    records, ends, order, start = _sorted_records(
+        np.stack(cols, axis=1, dtype=np.float64).ravel(), flags, precision, width)
+    # back to row-major cell order, where the block's text will go
     record = np.dtype((np.void, width))
-    out = np.empty_like(records)
+    out = text[size:size + records.size].reshape(records.shape)
     out.view(record)[order] = records.view(record)
     end = np.empty_like(ends)
     end[order] = ends
     del records, ends, order
-    flat = out.reshape(-1)
     seps = np.full(len(cols), ord(","), np.uint8)
     seps[-1] = ord("\n")
-    flat[np.arange(x.size) * width + end] = np.tile(seps, len(cols[0]))
-    mask = _keep(width)[start, end].view(bool).reshape(-1)
-    end = size + int(np.count_nonzero(mask))
-    np.compress(mask, flat, out=text[size:end])
-    return end
+    out[np.arange(end.size), end] = np.tile(seps, rows)
+    # The kept bytes are copied out before they overwrite their records.
+    kept = out.reshape(-1)[_keep(width)[start, end].view(bool).reshape(-1)]
+    text[size:size + kept.size] = kept
+    return size + kept.size
 
 
 def csv_text(header, columns, precision=DEFAULT_PRECISION):
@@ -343,8 +360,8 @@ def csv_text(header, columns, precision=DEFAULT_PRECISION):
         raise InputError(f"columns must be 1-D of length {count}, got shapes "
                          f"{[col.shape for col in arrays]}")
     head = ",".join(header) + "\n"
-    blocks = ([col[start:start + CSV_BLOCK_ROWS] for col in arrays]
-              for start in range(0, count, CSV_BLOCK_ROWS))
+    rows = max(1, CSV_BLOCK_CELLS // len(arrays))
+    blocks = ([col[start:start + rows] for col in arrays] for start in range(0, count, rows))
     if not (_EXTENDED and 1 <= precision <= _DIGITS_MAX_PRECISION
             and count * len(arrays) >= CSV_DIGITS_MIN_CELLS):
         return "".join([head, *(_template_rows(cols, precision) for cols in blocks)])

@@ -23,6 +23,7 @@ component of the gradient flow.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -119,9 +120,16 @@ def bloch_rhs(channel, p):
 
     Evaluated on Python floats: np.cross on 3-vectors costs far more than
     its arithmetic.  Every operation is the one numpy performs, in the
-    same order, so the result is the same to the bit.
+    same order, so the result is the same to the bit.  A float64
+    3-vector, the state integrate passes, is checked by math.isfinite on
+    its Python floats; any other p, and a non-finite one, goes through
+    _finite_array, which raises its InputError.
     """
-    p = tuple(_finite_array(p, "P", (3,)).tolist())
+    plain = type(p) is np.ndarray and p.dtype == np.float64 and p.shape == (3,)
+    values = p.tolist() if plain else None
+    if values is None or not all(map(math.isfinite, values)):
+        values = _finite_array(p, "P", (3,)).tolist()
+    p = tuple(values)
     h, terms = channel._floats
     o0, o1, o2 = _cross(h, p)
     for a, b, (s0, s1, s2) in terms:

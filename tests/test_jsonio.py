@@ -2,6 +2,8 @@ import json
 import math
 import os
 import secrets
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +107,11 @@ def _binary_ties(precision, count, rng):
     return np.array(out)
 
 
+def _block_rows(columns):
+    """Rows csv_text formats per block for a table of this many columns."""
+    return max(1, _jsonio.CSV_BLOCK_CELLS // columns)
+
+
 def _tiled(values, columns=2):
     """values repeated over `columns` columns of DIGIT_CELLS cells or more."""
     rows = max(len(values), -(-DIGIT_CELLS // columns))
@@ -128,7 +135,7 @@ class TestCsvText:
         digit_rows = _spy(monkeypatch, "_digit_rows")
         rng = np.random.default_rng(12)
         # more than two blocks, with a partial last block
-        count = 2 * _jsonio.CSV_BLOCK_ROWS + 37
+        count = 2 * _block_rows(4) + 37
         floats = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
         floats[: len(SPECIAL)] = SPECIAL
         integral = np.round(rng.uniform(-1e6, 1e6, count))
@@ -192,17 +199,26 @@ class TestCsvText:
         _check(header[::2], flags)
         assert bool(digit_rows) == DIGITS_RUN
 
-    @pytest.mark.parametrize("rows", [
-        _jsonio.CSV_BLOCK_ROWS - 1, _jsonio.CSV_BLOCK_ROWS, _jsonio.CSV_BLOCK_ROWS + 1,
-        3 * _jsonio.CSV_BLOCK_ROWS,
-    ])
-    def test_block_boundaries(self, rows):
-        rng = np.random.default_rng(rows)
-        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
-                   for _ in range(4)]
-        columns.append(rng.random(rows) < 0.5)
-        header = ["a", "b", "c", "d", "flag"]
-        _check(header, columns)
+    # 1, 12 and 40 columns, and a table wider than the block budget,
+    # which formats one row per block
+    @pytest.mark.parametrize("width", [1, 12, 40, _jsonio.CSV_BLOCK_CELLS + 1],
+                             ids=["1col", "12cols", "40cols", "wide"])
+    @pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (3, 0)],
+                             ids=["one-row-short", "one", "one-row-over", "three"])
+    def test_block_boundaries(self, monkeypatch, width, blocks):
+        digit_rows = _spy(monkeypatch, "_digit_rows")
+        per_block = _block_rows(width)
+        rows = blocks[0] * per_block + blocks[1]
+        rng = np.random.default_rng([width, rows])
+        # every fifth column a bool column
+        columns = [rng.random(rows) < 0.5 if c % 5 == 4
+                   else rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+                   for c in range(width)]
+        _check([f"c{c}" for c in range(width)], columns)
+        digits = DIGITS_RUN and rows * width >= DIGIT_CELLS
+        assert len(digit_rows) == math.ceil(rows / per_block) * digits
+        sizes = [len(cols[0]) for cols in digit_rows]
+        assert sizes[:-1] == [per_block] * (len(sizes) - 1)
 
     def test_inf_cell_rejected(self):
         for rows in (4, DIGIT_CELLS):
@@ -213,6 +229,34 @@ class TestCsvText:
     def test_unequal_columns_rejected(self):
         with pytest.raises(InputError, match="columns must be 1-D of length 3"):
             _jsonio.csv_text(["x", "y"], [np.ones(3), np.ones(4)])
+
+    @pytest.mark.skipif(not DIGITS_RUN, reason="the digit path needs an x87 long double")
+    @pytest.mark.parametrize("rows, width", [(6000, 12), (1025, 11)], ids=["scan", "solve"])
+    def test_block_memory_per_cell(self, rows, width):
+        # Besides the text buffer, the peak is the returned str or one
+        # block's temporaries: about 74 bytes a cell on these tables (numpy
+        # 2.4), and the bound allows 100.  np.compress, which built an int64
+        # index per kept byte, took about 227.  64 KiB cover small objects.
+        rng = np.random.default_rng(rows)
+        if width == 12:  # relax-scan: six rates, five derived values, a flag
+            columns = [rng.uniform(0.1, 2.0, rows) for _ in range(6)]
+            columns += [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 3, rows)
+                        for _ in range(5)]
+            columns.append(rng.random(rows) < 0.5)
+        else:  # pme-solve at n = 8, stride 1: t, y1..y8, entropy, sum_drift
+            columns = [np.arange(rows) / 256, *rng.dirichlet(np.ones(8), rows).T,
+                       -rng.random(rows), rng.standard_normal(rows) * 1e-16]
+        header = [f"c{c}" for c in range(width)]
+        _jsonio.csv_text(header, columns)  # fills the cached tables
+        tracemalloc.start()
+        try:
+            text = _jsonio.csv_text(header, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = len(",".join(header)) + 1 + rows * width * 25
+        block_cells = min(rows, _block_rows(width)) * width
+        assert peak - buffer <= max(sys.getsizeof(text), 100 * block_cells) + 2**16
 
     def test_without_extended_precision_bytes_hold(self, monkeypatch):
         rng = np.random.default_rng(5)

@@ -205,6 +205,41 @@ class TestBlochRhs:
             atol=1e-13,
         )
 
+    @pytest.mark.parametrize("p, match", [
+        (np.array([np.nan, 0.0, 0.0]), "^P has non-finite entries$"),
+        (np.array([0.0, -np.inf, 0.0]), "^P has non-finite entries$"),
+        (np.array([0.0, 0.0, np.inf], np.float32), "^P has non-finite entries$"),
+        ([0.1, np.nan, 0.3], "^P has non-finite entries$"),
+        (np.zeros(2), r"^P must be a 3-vector, got shape \(2,\)$"),
+        (np.zeros((1, 3)), r"^P must be a 3-vector, got shape \(1, 3\)$"),
+        (np.zeros(3, complex), "^P must be a numeric 3-vector$"),
+        ([True, 0.0, 0.0], "^P must be a numeric 3-vector$"),
+        ("abc", "^P must be a numeric 3-vector$"),
+    ], ids=["nan", "inf", "inf-float32", "nan-list", "length", "row", "complex", "bool",
+            "string"])
+    def test_bad_state_rejected(self, p, match):
+        ch = lb.LindbladChannel(h=np.ones(3), dissipators=(unit_pair(12),))
+        with pytest.raises(InputError, match=match):
+            lb.bloch_rhs(ch, p)
+
+    def test_finite_float64_state_skips_the_converter(self, monkeypatch):
+        ch = lb.LindbladChannel(h=np.ones(3), dissipators=(unit_pair(13),))
+        p = np.array([0.25, -0.5, 1e-300])
+        # other inputs go through the converter to the same float64 values
+        for q in (p.tolist(), p.astype(np.float32), np.array([1, 0, -2])):
+            assert bits(lb.bloch_rhs(ch, q)) == bits(literal_bloch_rhs(ch, np.asarray(q, float)))
+
+        def converter(*args):
+            raise AssertionError("_finite_array called on a finite float64 state")
+
+        monkeypatch.setattr(lb, "_finite_array", converter)
+        assert bits(lb.bloch_rhs(ch, p)) == bits(literal_bloch_rhs(ch, p))
+        # a strided view and a read-only array are float64 3-vectors too
+        assert bits(lb.bloch_rhs(ch, np.repeat(p, 2)[::2])) == bits(literal_bloch_rhs(ch, p))
+        frozen = p.copy()
+        frozen.setflags(write=False)
+        assert bits(lb.bloch_rhs(ch, frozen)) == bits(literal_bloch_rhs(ch, p))
+
 
 class TestStationary:
     def test_reference_values(self):

@@ -209,8 +209,7 @@ def _cmd_lindblad(cfg):
     channel = cfg["channel"]
     if not channel.dissipators:
         raise InputError("channel needs at least one dissipator")
-    with np.errstate(over="ignore"):
-        rate_scale = float(np.linalg.norm(channel.h)) + sum(channel.weights)
+    rate_scale = math.hypot(*channel.h) + sum(channel.weights)
     if not math.isfinite(rate_scale):
         raise InputError("channel rate scale |h| + sum(A**2 + B**2) is not finite")
     dt = _default_dt(cfg["dt"], rate_scale, "rate scale")
@@ -234,7 +233,7 @@ def _cmd_lindblad(cfg):
         # Relative to the rate scale, as qt-fit's tolerance is to max|L|.
         report.update({
             "P_st": [float(v) for v in p_st],
-            "P_st_abs": float(np.linalg.norm(p_st)),
+            "P_st_abs": math.hypot(*p_st),
             "gradient_identity_residual": grad_resid / max(1.0, rate_scale),
             "six_variable_equivalence_residual": six_resid / max(1.0, rate_scale),
         })

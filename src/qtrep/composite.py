@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import multilinear
-from .errors import InputError, _finite_array, _positive
+from .errors import InputError, _finite_array, _instance, _positive
 
 __all__ = [
     "CompositeSystem",
@@ -104,6 +104,7 @@ def product_state(p1, q1):
 
 def composite_generator(system):
     """Joint generator, the Kronecker sum of the two flip generators."""
+    system = _instance(system, CompositeSystem, "system")
     a, c = system.a, system.c
     return np.array([
         [-(a + c), c, a, 0.0],
@@ -113,15 +114,16 @@ def composite_generator(system):
     ])
 
 
-def _balanced(w):
-    """Balanced components (V_A . w, V_B . w, V_C . w) of joint state w."""
-    w = _finite_array(w, "composite state", (4,))
-    return float(_V_A @ w), float(_V_B @ w), float(_V_C @ w)
+def _balanced(system, w):
+    """(V_A . w, V_B . w, V_C . w), each summed left to right, for a checked system."""
+    _instance(system, CompositeSystem, "system")
+    w0, w1, w2, w3 = _finite_array(w, "composite state", (4,)).tolist()
+    return w0 + w1 - w2 - w3, w0 - w1 + w2 - w3, w0 - w1 - w2 + w3
 
 
 def subsystem_entropies(system, w):
     """Marginal entropies (S_A, S_B) at joint state w."""
-    d_a, d_b, _ = _balanced(w)
+    d_a, d_b, _ = _balanced(system, w)
     return (
         -(system.a / 4.0) * d_a * d_a,
         -(system.c / 4.0) * d_b * d_b,
@@ -141,7 +143,7 @@ def composite_entropy(system, w):
     This expanded form is what the flow machinery differentiates; it
     agrees with the literal product expression on product states.
     """
-    d_a, d_b, d_c = _balanced(w)
+    d_a, d_b, d_c = _balanced(system, w)
     return (
         -(system.a / 4.0) * d_a * d_a
         - (system.c / 4.0) * d_b * d_b
@@ -151,7 +153,7 @@ def composite_entropy(system, w):
 
 def entropy_gradient(system, w):
     """Gradient of the expanded composite entropy; sums to zero."""
-    d_a, d_b, d_c = _balanced(w)
+    d_a, d_b, d_c = _balanced(system, w)
     return (
         -(system.a / 2.0) * d_a * _V_A
         - (system.c / 2.0) * d_b * _V_B
@@ -177,4 +179,5 @@ def q_parameter(system):
     (1 - q)/k equals -(a + c)/4, the coefficient in front of the entropy
     product of the composition rule.
     """
+    system = _instance(system, CompositeSystem, "system")
     return 1.0 + system.boltzmann_k * (system.a + system.c) / 4.0

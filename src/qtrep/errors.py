@@ -4,9 +4,9 @@ Everything raised on bad user input derives from InputError (a ValueError),
 so callers can catch one type at API boundaries.  Each kind of outside
 input has one reader here, which returns the checked value or raises
 InputError naming it: _finite_array, _integer (and _integers for many at
-once), _positive, _boolean, _json_object and _sequence.  Errors that carry
-partial results (non-converged fits, diverged integrations) derive from
-QtrepError directly and expose their payload as attributes.
+once), _positive, _boolean, _json_object, _sequence and _instance.  Errors
+carrying partial results (non-converged fits, diverged integrations)
+derive from QtrepError directly and expose their payload as attributes.
 """
 
 import math
@@ -185,6 +185,13 @@ def _sequence(x, name):
         except TypeError:
             pass
     raise InputError(f"{name} must be a sequence, got {type(x).__name__}")
+
+
+def _instance(x, cls, name):
+    """x, when it is a cls: a channel or system argument of the library."""
+    if isinstance(x, cls):
+        return x
+    raise InputError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
 
 
 def _json_object(data, name, keys, required=()):

@@ -32,6 +32,7 @@ from .errors import (
     GradientFormUnavailableError,
     InputError,
     _finite_array,
+    _instance,
     _json_object,
     _sequence,
 )
@@ -55,10 +56,10 @@ class LindbladChannel:
     """Field vector plus a tuple of (A, B) dissipator pairs.
 
     Each pair is validated once, here, which also derives its read-only
-    source 2 (A x B) and its weight |A|**2 + |B|**2.  The vectors are
-    read-only copies; the caller's arrays stay as they were.  bloch_rhs
-    reads h and each (A, B, source) triple as Python floats, kept in
-    _floats.
+    source 2 (A x B) and its weight |A|**2 + |B|**2, summed by _dot3.
+    The vectors are read-only copies; the caller's arrays stay as they
+    were.  bloch_rhs reads h and each (A, B, source) triple as Python
+    floats, kept in _floats.
     """
 
     h: np.ndarray
@@ -74,7 +75,7 @@ class LindbladChannel:
         # An overflow is left to the caller's rate-scale check.
         with np.errstate(over="ignore", invalid="ignore"):
             sources = tuple(2.0 * np.cross(a, b) for a, b in pairs)
-            weights = tuple(float(a @ a + b @ b) for a, b in pairs)
+            weights = tuple(float(_dot3(a, a) + _dot3(b, b)) for a, b in pairs)
         for vec in (h, *sum(pairs, ()), *sources):
             vec.setflags(write=False)
         object.__setattr__(self, "h", h)
@@ -108,6 +109,11 @@ def _checked_pair(idx, pair):
     return _finite_array(a, f"A[{idx}]", (3,)), _finite_array(b, f"B[{idx}]", (3,))
 
 
+def _dot3(u, v):
+    """u . v as u0 v0 + u1 v1 + u2 v2, per row of a (rows, 3) stack too: no BLAS."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
 def _cross(u, v):
     """u x v of two 3-tuples of floats, in np.cross's operation order."""
     u0, u1, u2 = u
@@ -130,7 +136,10 @@ def bloch_rhs(channel, p):
     if values is None or not all(map(math.isfinite, values)):
         values = _finite_array(p, "P", (3,)).tolist()
     p = tuple(values)
-    h, terms = channel._floats
+    try:
+        h, terms = channel._floats
+    except AttributeError:
+        h, terms = _instance(channel, LindbladChannel, "channel")._floats
     o0, o1, o2 = _cross(h, p)
     for a, b, (s0, s1, s2) in terms:
         x0, x1, x2 = _cross(a, _cross(p, a))
@@ -156,25 +165,23 @@ def stationary_bloch(channel):
 def bloch_entropy(channel, p):
     """Entropy whose gradient flow is the single-dissipator channel.
 
-    p is one Bloch vector, or a 2-D stack of them for one value per row.
-    Each row keeps its own 3-vector dot products: a matmul over the rows
-    would regroup the sums and move the last bits.
+    p is one Bloch vector, or a 2-D stack of them for one value per row,
+    with the bits of the one-vector call.  Squares are products: libm's
+    pow(x, 2) is not always x * x.
     """
     a, b = require_gradient_form(channel)
     p = _finite_array(p, "P", [(3,), (None, 3)])
-    source, weight = channel.sources[0], channel.weights[0]
-    values = np.array([
-        source @ row - (row @ row) * weight / 2.0 + (a @ row) ** 2 / 2.0 + (b @ row) ** 2 / 2.0
-        for row in p.reshape(-1, 3)
-    ])
-    return float(values[0]) if p.ndim == 1 else values
+    ap, bp = _dot3(a, p), _dot3(b, p)
+    values = (_dot3(channel.sources[0], p) - _dot3(p, p) * channel.weights[0] / 2.0
+              + ap * ap / 2.0 + bp * bp / 2.0)
+    return float(values) if p.ndim == 1 else values
 
 
 def gradient_rhs(channel, p):
     """Analytic gradient of bloch_entropy with respect to P."""
     a, b = require_gradient_form(channel)
     p = _finite_array(p, "P", (3,))
-    return channel.sources[0] - p * channel.weights[0] + a * (a @ p) + b * (b @ p)
+    return channel.sources[0] - p * channel.weights[0] + a * _dot3(a, p) + b * _dot3(b, p)
 
 
 def embed_six(p):
@@ -211,6 +218,7 @@ def require_gradient_form(channel):
     The gradient and six-variable machinery cover exactly the channels
     with h = 0 and a single dissipator.
     """
+    channel = _instance(channel, LindbladChannel, "channel")
     if np.any(channel.h != 0.0):
         raise GradientFormUnavailableError(
             "gradient form unavailable: channel has a field term"

@@ -74,22 +74,27 @@ def literal_bloch_rhs(channel, p):
     return out
 
 
+def dot3(u, v):
+    """u . v in the library's fixed order; `@` is BLAS ddot, whose bits vary by kernel."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def literal_stationary_bloch(a, b):
     cross = np.cross(a, b)
-    return 2.0 * cross / float(a @ a + b @ b)
+    return 2.0 * cross / float(dot3(a, a) + dot3(b, b))
 
 
 def literal_bloch_entropy(a, b, p):
-    return float(
-        2.0 * np.cross(a, b) @ p
-        - (p @ p) * (a @ a + b @ b) / 2.0
-        + (a @ p) ** 2 / 2.0
-        + (b @ p) ** 2 / 2.0
-    )
+    """bloch_entropy of one state on Python floats."""
+    source = (2.0 * np.cross(a, b)).tolist()
+    a, b, p = (np.asarray(v, dtype=float).tolist() for v in (a, b, p))
+    ap, bp = dot3(a, p), dot3(b, p)
+    weight = dot3(a, a) + dot3(b, b)
+    return dot3(source, p) - dot3(p, p) * weight / 2.0 + ap * ap / 2.0 + bp * bp / 2.0
 
 
 def literal_gradient_rhs(a, b, p):
-    return 2.0 * np.cross(a, b) - p * (a @ a + b @ b) + a * (a @ p) + b * (b @ p)
+    return 2.0 * np.cross(a, b) - p * (dot3(a, a) + dot3(b, b)) + a * dot3(a, p) + b * dot3(b, p)
 
 
 def random_pair(rng):
@@ -104,6 +109,16 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def offset_copy(x, offset):
+    """x copied into a view of a larger buffer, starting offset bytes past a 32-byte boundary."""
+    buffer = np.empty(x.size + 4)
+    start = (offset - buffer.ctypes.data) % 32 // 8
+    view = buffer[start:start + x.size].reshape(x.shape)
+    view[...] = x
+    assert view.ctypes.data % 32 == offset
+    return view
+
+
 class TestDerivedConstants:
     def test_values(self):
         rng = np.random.default_rng(900)
@@ -112,7 +127,7 @@ class TestDerivedConstants:
         for (a, b), source, weight in zip(pairs, ch.sources, ch.weights):
             assert bits(source) == bits(2.0 * np.cross(a, b))
             assert type(weight) is float
-            assert weight == float(a @ a + b @ b)
+            assert weight == float(dot3(a, a) + dot3(b, b))
 
     def test_read_only(self):
         ch = single(*unit_pair(901))
@@ -142,6 +157,35 @@ class TestDerivedConstants:
         assert ch.weights == (np.inf, np.inf)
         assert ch.sources[0][2] == np.inf
         assert np.isnan(ch.sources[1][2])
+
+
+class TestAlignment:
+    """No bit depends on where a vector sits in memory.
+
+    BLAS ddot on a 3-vector gives other bits at another address mod 32
+    under some OpenBLAS kernels (Core2, Prescott); the library's dot
+    products are fixed-order sums instead.
+    """
+
+    @pytest.mark.parametrize("offset", [0, 8, 16, 24])
+    def test_entropy_of_offset_rows(self, offset):
+        a, b = unit_pair(47)
+        ch = single(a, b)
+        # Rows of a stack start 24 bytes apart, so every offset mod 32 occurs.
+        rows = offset_copy(np.random.default_rng(48).uniform(-0.9, 0.9, (200, 3)), offset)
+        got = lb.bloch_entropy(ch, rows)
+        assert bits(got) == bits([lb.bloch_entropy(ch, row) for row in rows])
+        assert bits(got) == bits([literal_bloch_entropy(a, b, row) for row in rows])
+
+    @pytest.mark.parametrize("offset", [0, 8, 16, 24])
+    def test_weights_of_offset_vectors(self, offset):
+        rng = np.random.default_rng(49)
+        for _ in range(100):
+            a, b = random_pair(rng)
+            shifted = lb.LindbladChannel(
+                h=np.zeros(3), dissipators=((offset_copy(a, offset), offset_copy(b, offset)),))
+            assert shifted.weights == single(a.copy(), b.copy()).weights
+            assert shifted.weights == (float(dot3(a, a) + dot3(b, b)),)
 
 
 class TestBitwiseAgainstLiteralFormulas:

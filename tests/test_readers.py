@@ -1,8 +1,8 @@
 """The shared readers of outside input, and the entry points that use them.
 
 Each kind of outside value has one reader in qtrep.errors: _integer
-(and _integers), _positive, _boolean, _json_object and _sequence, next
-to the array converter _finite_array.  Bad input raises InputError,
+(and _integers), _positive, _boolean, _json_object, _sequence and
+_instance, next to the array converter _finite_array.  Bad input raises InputError,
 never a TypeError, AttributeError or KeyError.
 """
 
@@ -17,6 +17,7 @@ from qtrep.errors import (
     InputError,
     _boolean,
     _finite_array,
+    _instance,
     _integer,
     _integers,
     _json_object,
@@ -120,6 +121,17 @@ class TestJsonObject:
             _json_object({"a": 0}, "doc", ("a", "b"), ("a", "b"))
 
 
+class TestInstance:
+    def test_instances_returned_as_they_are(self):
+        system = composite.CompositeSystem.with_lambda_star(1.0, 2.0)
+        assert _instance(system, composite.CompositeSystem, "system") is system
+        assert _instance(True, int, "flag") is True
+
+    def test_other_types_rejected(self):
+        with pytest.raises(InputError, match=r"^system must be a CompositeSystem, got dict$"):
+            _instance({"a": 1.0}, composite.CompositeSystem, "system")
+
+
 class TestFiniteArrayBools:
     # numpy reads a bool as 0/1, and casts one mixed with numbers in a
     # list to a number: every bool is rejected, alone or mixed
@@ -205,6 +217,38 @@ BAD_VALUES = {"bool": True, "string": "1", "none": None, "list": [1]}
 def test_entry_point_rejects_wrong_type(entry, bad):
     with pytest.raises(InputError):
         ENTRY_POINTS[entry](BAD_VALUES[bad])
+
+
+# Every library function that takes a channel or a composite system, its
+# other arguments valid.
+_P = np.zeros(3)
+_W = composite.product_state(0.25, 0.75)
+OBJECT_ARGUMENTS = {
+    "bloch_rhs": lambda x: lindblad.bloch_rhs(x, _P),
+    "stationary_bloch": lindblad.stationary_bloch,
+    "bloch_entropy": lambda x: lindblad.bloch_entropy(x, _P),
+    "gradient_rhs": lambda x: lindblad.gradient_rhs(x, _P),
+    "qt_six_rhs": lambda x: lindblad.qt_six_rhs(x, lindblad.embed_six(_P)),
+    "require_gradient_form": lindblad.require_gradient_form,
+    "composite_generator": composite.composite_generator,
+    "subsystem_entropies": lambda x: composite.subsystem_entropies(x, _W),
+    "composite_entropy": lambda x: composite.composite_entropy(x, _W),
+    "entropy_gradient": lambda x: composite.entropy_gradient(x, _W),
+    "qt_flow": lambda x: composite.qt_flow(x, _W),
+    "q_parameter": composite.q_parameter,
+}
+BAD_OBJECTS = {"none": None, "dict": {}, "object": object(), "string": "channel"}
+
+
+@pytest.mark.parametrize("bad", BAD_OBJECTS)
+@pytest.mark.parametrize("entry", OBJECT_ARGUMENTS)
+def test_object_argument_rejected(entry, bad):
+    value = BAD_OBJECTS[bad]
+    name, cls = (("system", "CompositeSystem") if entry in composite.__all__
+                 else ("channel", "LindbladChannel"))
+    with pytest.raises(InputError) as info:
+        OBJECT_ARGUMENTS[entry](value)
+    assert str(info.value) == f"{name} must be a {cls}, got {type(value).__name__}"
 
 
 def _channel(dissipators):

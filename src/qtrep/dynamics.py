@@ -2,15 +2,24 @@
 
 One integrator serves every flow in the package.  Its loop carries the
 RK4 step inline, with no call per step: stages y + (h/2) k1,
-y + (h/2) k2 and y + h k3, then y + (h/6) (k1 + 2 k2 + 2 k3 + k4).
-Every new state is checked finite before the next step evaluates rhs on
-it, by math.isfinite over its Python floats: on a float64 state that is
-np.isfinite(y).all()'s answer at a fraction of its dispatch cost.  A
-non-finite state, or an InputError from rhs on a non-finite stage, is a
-DivergenceError at that step.  The loop records the initial state,
-every stride-th accepted state and the final one in one array.  After
-the run it derives from each recorded state the drift of the component
-sum (the conserved energy of the probability flows).
+y + (h/2) k2 and y + h k3, then y + (h/6) (((k1 + 2 k2) + 2 k3) + k4),
+rounded in that order.  The 2 and the step scalars h/2, h and h/6 are
+0-d float64 arrays, the latter built again only for a truncated last
+step: numpy multiplies by those without converting a Python float on
+every call.  Each scaled product goes into one scratch buffer and the
+weighted sum of the stages into another, both owned by the loop.  Every
+stage and every new state is a fresh array, so rhs is never handed a
+buffer that the loop overwrites later, and an rhs that returns its
+argument, or a view of it, stays correct.  The first rhs result must be
+a real numeric ndarray of y0's shape.  Every new state is checked finite
+before the next step evaluates rhs on it, by math.isfinite over its
+Python floats: on a float64 state that is np.isfinite(y).all()'s answer
+at a fraction of its dispatch cost.  A non-finite state, or an
+InputError from rhs on a non-finite stage, is a DivergenceError at that
+step.  The loop records the initial state, every stride-th accepted
+state and the final one in one array.  After the run it derives from
+each recorded state the drift of the component sum (the conserved
+energy of the probability flows).
 When an entropy callable is supplied, it is called once on the whole
 array of recorded states, and gives each row's entropy; the increments
 between recorded rows follow from those values.
@@ -26,7 +35,8 @@ import math
 import numpy as np
 
 from .errors import (
-    DivergenceError, InconclusiveError, InputError, _finite_array, _integer, _positive,
+    DivergenceError, InconclusiveError, InputError, _finite_array, _instance, _integer,
+    _positive,
 )
 
 __all__ = ["Trajectory", "integrate", "monotonicity_witness"]
@@ -78,13 +88,27 @@ def _check_rk4_stable(dt, eigenvalues):
                          f"a mode by {gain:.3g}; lower dt")
 
 
+def _step_scalars(h):
+    """h/2, h and h/6 of one RK4 step, as 0-d float64 arrays."""
+    return np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+
+
+def _check_rhs_result(k, y):
+    """Raise InputError unless k, rhs's first result, is a real numeric array of y's shape."""
+    if isinstance(k, np.ndarray) and k.dtype.kind in "iuf" and k.shape == y.shape:
+        return
+    got = f"{k.dtype} array of shape {k.shape}" if isinstance(k, np.ndarray) else type(k).__name__
+    raise InputError(f"rhs must return a real numeric array of shape {y.shape}, got {got}")
+
+
 def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     """Integrate dy/dt = rhs(y) from 0 to t_end with fixed step dt.
 
     Parameters
     ----------
     rhs : callable
-        Maps a state vector to its time derivative.
+        Maps a state vector to its time derivative, a real numeric
+        ndarray of the state's shape.  It must not modify its argument.
     y0 : array
         Initial state.
     t_end, dt : float
@@ -107,8 +131,10 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     InputError
         When t_end or dt is not a positive finite number, t_end / dt
         exceeds MAX_STEPS or stride is not a positive integer, before the
-        first step; or when entropy does not return one value per
-        recorded row.
+        first step; when the first rhs result is not a real numeric
+        ndarray of y0's shape (later results are cast into float64
+        buffers, which numpy checks); or when entropy does not return one
+        value per recorded row.
     DivergenceError
         When a step produces a non-finite state, or rhs raises InputError
         on a non-finite stage of it; carries the step index.  The time
@@ -139,20 +165,30 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     states = np.empty((recorded.size, y.size))
     states[0] = y
     row = 1
+    half, full, sixth = _step_scalars(dt)
+    two = np.array(2.0)
+    scratch, acc = np.empty_like(y), np.empty_like(y)
+    # Bound to locals: a module lookup per ufunc call is a measurable share of a step.
+    add, multiply = np.add, np.multiply
     # A step that overflows is caught by the finiteness check, which
     # raises DivergenceError; an overflowing monitor leaves a non-finite
     # value in its column.  numpy's warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            h = dt if step <= n_full else remainder
-            a = 0.5 * h
+            if step > n_full:
+                half, full, sixth = _step_scalars(remainder)
             k1 = rhs(y)
-            stage = y + a * k1
+            if step == 1:
+                _check_rhs_result(k1, y)
+            multiply(half, k1, scratch)
+            stage = add(y, scratch)
             try:
                 k2 = rhs(stage)
-                stage = y + a * k2
+                multiply(half, k2, scratch)
+                stage = add(y, scratch)
                 k3 = rhs(stage)
-                stage = y + h * k3
+                multiply(full, k3, scratch)
+                stage = add(y, scratch)
                 k4 = rhs(stage)
             except InputError:
                 # rhs rejected a stage: a finite one is bad input, a
@@ -161,7 +197,14 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
                     raise
                 y = stage
             else:
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                # acc = ((k1 + 2 k2) + 2 k3) + k4, then (h/6) acc.
+                multiply(two, k2, scratch)
+                add(k1, scratch, acc)
+                multiply(two, k3, scratch)
+                add(acc, scratch, acc)
+                add(acc, k4, acc)
+                multiply(sixth, acc, acc)
+                y = add(y, acc)
             # k1 = rhs(y) of the next step relies on a finite y.
             if not all(map(math.isfinite, y.tolist())):
                 t = step * dt if step <= n_full else t_end
@@ -173,7 +216,7 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
         times = recorded * dt
         times[-1] = t_end
         sum0 = math.fsum(states[0].tolist())
-        drift = np.array([abs(math.fsum(row.tolist()) - sum0) for row in states])
+        drift = np.abs(np.array(list(map(math.fsum, states.tolist()))) - sum0)
         s_values = s_delta = None
         if entropy is not None:
             s_values = np.array(entropy(states), dtype=float)
@@ -195,6 +238,7 @@ def monotonicity_witness(trajectory, stationary):
     have converged (final distance below 1e-6 in every component);
     otherwise raises InconclusiveError.
     """
+    trajectory = _instance(trajectory, Trajectory, "trajectory")
     st = _finite_array(stationary, "stationary", trajectory.states.shape[1:])
     dist = np.abs(trajectory.states - st)
     final_gap = float(dist[-1].max())

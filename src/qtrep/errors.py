@@ -188,7 +188,7 @@ def _sequence(x, name):
 
 
 def _instance(x, cls, name):
-    """x, when it is a cls: a channel or system argument of the library."""
+    """x, when it is a cls: a channel, system, representation or trajectory argument."""
     if isinstance(x, cls):
         return x
     raise InputError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")

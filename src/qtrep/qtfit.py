@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (
     FitNonConvergenceError, InputError,
-    _finite_array, _integer, _json_object, _positive, _sequence,
+    _finite_array, _instance, _integer, _json_object, _positive, _sequence,
 )
 from .multilinear import (
     _check_subset, _cut_pairs, _cut_vectors, _ham_sum, difference_basis, normalizer,
@@ -197,6 +197,7 @@ def qt_rhs(rep, p):
 
 def flow_matrix(rep):
     """The represented flow as a matrix acting on states."""
+    rep = _instance(rep, QTRepresentation, "rep")
     op = _flow_operator(rep.n, rep.norm, rep.r, rep.subsets)
     return op @ rep.entropy.q
 

@@ -337,6 +337,84 @@ class TestThinning:
             dynamics.integrate(decay_rhs(1.0), np.array([1.0]), 1.0, 0.1, stride=stride)
 
 
+def assert_matches_reference(traj, rhs, y0, t_end, dt, stride=1):
+    """traj holds, bit for bit, the rows of reference_integrate's full record."""
+    times, states, drift, _, _ = reference_integrate(rhs, y0, t_end, dt)
+    rows = recorded_rows(times.size - 1, stride)
+    assert traj.steps == times.size - 1
+    for got, want in zip([traj.times, traj.states, traj.sum_drift], [times, states, drift]):
+        assert got.shape == want[rows].shape
+        assert got.tobytes() == want[rows].tobytes()
+
+
+class TestStepBuffers:
+    """The loop's owned buffers: fresh stages and states, checked first rhs result.
+
+    The loop writes its scaled products and its stage sum into two
+    buffers of its own; an rhs must never see those, nor an array that
+    the loop changes after handing it over.
+    """
+
+    @pytest.mark.parametrize("rhs", [
+        lambda y: y,
+        lambda y: y[::-1],
+        lambda y: y.reshape(3)[:],
+        # 2 k on a uint8 result is 2.0 * k, not a wrapping k + k.
+        lambda y: np.full(y.shape, 200, dtype=np.uint8),
+    ], ids=["argument", "reversed-view", "view", "uint8"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_matches_oracle_bitwise(self, rhs, stride):
+        y0 = np.array([0.5, -0.25, 1.0])
+        traj = dynamics.integrate(rhs, y0, 1.05, 0.1, stride=stride)
+        assert_matches_reference(traj, rhs, y0, 1.05, 0.1, stride)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_truncated_last_step(self, stride):
+        # 1.3 / 0.0137 leaves a last step of 0.0122 after 94 full ones,
+        # whose scalars h/2, h and h/6 the loop builds again.
+        rhs, y0, *_ = lindblad_case()
+        traj = dynamics.integrate(rhs, y0, 1.3, 0.0137, stride=stride)
+        assert traj.steps == 95
+        assert_matches_reference(traj, rhs, y0, 1.3, 0.0137, stride)
+
+    def test_stages_handed_to_rhs_are_never_overwritten(self):
+        gen = pme.build_generator([[0.0, 0.7, 0.2], [0.4, 0.0, 0.9], [0.3, 0.5, 0.0]])
+        seen = []
+
+        def rhs(y):
+            seen.append((y, y.copy()))
+            return gen @ y
+
+        y0 = np.array([0.5, 0.3, 0.2])
+        traj = dynamics.integrate(rhs, y0, 0.37, 0.1)
+        assert len(seen) == 4 * traj.steps
+        for got, kept in seen:
+            assert got.tobytes() == kept.tobytes()
+        assert_matches_reference(traj, lambda y: gen @ y, y0, 0.37, 0.1)
+
+    def test_caller_state_is_not_modified(self):
+        y0 = np.array([0.5, -0.25, 1.0])
+        kept = y0.copy()
+        dynamics.integrate(lambda y: y, y0, 1.0, 0.1)
+        assert y0.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("result, got", [
+        (lambda y: y.tolist(), "list"),
+        (lambda y: float(y[0]), "float"),
+        (lambda y: y[0], "float64"),
+        (lambda y: y.astype(complex), "complex128 array of shape (2,)"),
+        (lambda y: y > 0, "bool array of shape (2,)"),
+        (lambda y: y.astype(object), "object array of shape (2,)"),
+        (lambda y: y[None, :], "float64 array of shape (1, 2)"),
+        (lambda y: y[:1], "float64 array of shape (1,)"),
+    ], ids=["list", "float", "numpy-scalar", "complex", "bool", "object", "2-d", "short"])
+    def test_first_rhs_result_checked(self, result, got):
+        message = f"rhs must return a real numeric array of shape (2,), got {got}"
+        with pytest.raises(InputError) as info:
+            dynamics.integrate(result, np.array([1.0, 2.0]), 1.0, 0.1)
+        assert str(info.value) == message
+
+
 class TestMonotonicityWitness:
     def test_two_state_relaxation_is_monotone(self):
         w = pme.TransitionMatrix([[0.0, 1.0], [2.0, 0.0]])

@@ -219,23 +219,30 @@ def test_entry_point_rejects_wrong_type(entry, bad):
         ENTRY_POINTS[entry](BAD_VALUES[bad])
 
 
-# Every library function that takes a channel or a composite system, its
-# other arguments valid.
+# Every library function that takes a channel, a composite system, a
+# fitted representation or a trajectory, its other arguments valid, with
+# the argument's name and type.
 _P = np.zeros(3)
 _W = composite.product_state(0.25, 0.75)
+_CHANNEL = ("channel", "LindbladChannel")
+_SYSTEM = ("system", "CompositeSystem")
 OBJECT_ARGUMENTS = {
-    "bloch_rhs": lambda x: lindblad.bloch_rhs(x, _P),
-    "stationary_bloch": lindblad.stationary_bloch,
-    "bloch_entropy": lambda x: lindblad.bloch_entropy(x, _P),
-    "gradient_rhs": lambda x: lindblad.gradient_rhs(x, _P),
-    "qt_six_rhs": lambda x: lindblad.qt_six_rhs(x, lindblad.embed_six(_P)),
-    "require_gradient_form": lindblad.require_gradient_form,
-    "composite_generator": composite.composite_generator,
-    "subsystem_entropies": lambda x: composite.subsystem_entropies(x, _W),
-    "composite_entropy": lambda x: composite.composite_entropy(x, _W),
-    "entropy_gradient": lambda x: composite.entropy_gradient(x, _W),
-    "qt_flow": lambda x: composite.qt_flow(x, _W),
-    "q_parameter": composite.q_parameter,
+    "bloch_rhs": (lambda x: lindblad.bloch_rhs(x, _P), _CHANNEL),
+    "stationary_bloch": (lindblad.stationary_bloch, _CHANNEL),
+    "bloch_entropy": (lambda x: lindblad.bloch_entropy(x, _P), _CHANNEL),
+    "gradient_rhs": (lambda x: lindblad.gradient_rhs(x, _P), _CHANNEL),
+    "qt_six_rhs": (lambda x: lindblad.qt_six_rhs(x, lindblad.embed_six(_P)), _CHANNEL),
+    "require_gradient_form": (lindblad.require_gradient_form, _CHANNEL),
+    "composite_generator": (composite.composite_generator, _SYSTEM),
+    "subsystem_entropies": (lambda x: composite.subsystem_entropies(x, _W), _SYSTEM),
+    "composite_entropy": (lambda x: composite.composite_entropy(x, _W), _SYSTEM),
+    "entropy_gradient": (lambda x: composite.entropy_gradient(x, _W), _SYSTEM),
+    "qt_flow": (lambda x: composite.qt_flow(x, _W), _SYSTEM),
+    "q_parameter": (composite.q_parameter, _SYSTEM),
+    "flow_matrix": (qtfit.flow_matrix, ("rep", "QTRepresentation")),
+    "qt_rhs": (lambda x: qtfit.qt_rhs(x, _P), ("rep", "QTRepresentation")),
+    "monotonicity_witness":
+        (lambda x: dynamics.monotonicity_witness(x, _P), ("trajectory", "Trajectory")),
 }
 BAD_OBJECTS = {"none": None, "dict": {}, "object": object(), "string": "channel"}
 
@@ -244,10 +251,9 @@ BAD_OBJECTS = {"none": None, "dict": {}, "object": object(), "string": "channel"
 @pytest.mark.parametrize("entry", OBJECT_ARGUMENTS)
 def test_object_argument_rejected(entry, bad):
     value = BAD_OBJECTS[bad]
-    name, cls = (("system", "CompositeSystem") if entry in composite.__all__
-                 else ("channel", "LindbladChannel"))
+    call, (name, cls) = OBJECT_ARGUMENTS[entry]
     with pytest.raises(InputError) as info:
-        OBJECT_ARGUMENTS[entry](value)
+        call(value)
     assert str(info.value) == f"{name} must be a {cls}, got {type(value).__name__}"
 
 

@@ -29,6 +29,7 @@ significand (then float64, as on arm64).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -63,8 +64,20 @@ def _render(obj, precision, level):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{inner}{_render(value, precision, level + 1)}" for value in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            # A row of floats: one finiteness pass, one '%' template.  It
+            # prints what format_float prints, cell by cell.
+            bad = next(itertools.filterfalse(math.isfinite, obj), None)
+            if bad is not None:
+                raise InputError(f"cannot serialize non-finite value {bad!r}")
+            template = (",\n" + inner).join([f"%.{precision}g"] * len(obj))
+            return "[\n" + inner + template % tuple(obj) + "\n" + pad + "]"
+        if kinds == {int}:
+            parts = map(str, obj)
+        else:
+            parts = [_render(value, precision, level + 1) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

@@ -32,6 +32,11 @@ import numpy as np
 
 from .errors import InputError, SizeError, _finite_array, _integer, _integers, _sequence
 
+# Largest state count of normalizer, difference_basis, ham_term and
+# qtfit.ham_subsets: n * (n-2)!, the square of 1 / normalizer(n), is a
+# finite float up to n = 171.  Each checks it before it allocates.
+MAX_N = 171
+
 # Brute-force permutation sums cost O(N!) and exist to cross-check the
 # closed forms, not to be fast.  Above this cap the factorial cost and
 # the N**(N-2) intermediate tensor stop being reasonable.
@@ -62,6 +67,17 @@ def _signed_permutations(n):
     return tuple(zip(signs.tolist(), perms))
 
 
+def _size(n, minimum=2):
+    """n as a Python int in [minimum, MAX_N]."""
+    n = _integer(n, "n", minimum)
+    if n > MAX_N:
+        raise InputError(
+            f"n = {n} is too large: the size cap is MAX_N = {MAX_N}, above which "
+            "n * (n-2)! exceeds the float range"
+        )
+    return n
+
+
 def normalizer(n):
     """Normalization constant 1/sqrt(N * (N-2)!) for the rank-N kernel.
 
@@ -69,11 +85,8 @@ def normalizer(n):
     double contraction equal to g - mean(g) exactly.  For N = 4 this is
     1/sqrt(8), i.e. the choice fixed by 8 * normalizer**2 = 1.
     """
-    n = _integer(n, "n", 2)
-    try:
-        return 1.0 / math.sqrt(n * math.factorial(n - 2))
-    except OverflowError:
-        raise InputError(f"n = {n} is too large: n * (n-2)! exceeds the float range") from None
+    n = _size(n)
+    return 1.0 / math.sqrt(n * math.factorial(n - 2))
 
 
 def difference_basis(n):
@@ -82,7 +95,7 @@ def difference_basis(n):
     Returns an (n-1, n) array.  These are the vectors whose size-(N-3)
     subsets parameterize the Hamiltonian-like terms of the flow.
     """
-    n = _integer(n, "n", 2)
+    n = _size(n)
     basis = np.zeros((n - 1, n))
     for b in range(n - 1):
         basis[b, b] = 1.0
@@ -161,7 +174,7 @@ def ham_term(g, subset, n):
     ones x g.  These terms conserve both sum(p) and the entropy whose
     gradient is g: sum_i out_i = 0 and dot(out, g) = 0 by antisymmetry.
     """
-    n = _integer(n, "n", 3)
+    n = _size(n, 3)
     g = _finite_array(g, "gradient", (n,))
     return _ham_sum(n, [_check_subset(subset, n)], [1.0]) @ g
 
@@ -172,31 +185,39 @@ def _cut_vectors(n):
 
 
 def _cut_pairs(n, subsets):
-    """(a, b, sign) per subset: the two cuts a < b of 0..n-2 it leaves out.
+    """(a, b, sign) arrays, one entry per subset: the two cuts a < b of 0..n-2 it leaves out.
 
     The determinants det[e_i; ones; e_k; v_s1; ...] of the subset form
     the wedge sign * (c_a c_b^T - c_b c_a^T) / n of two cut vectors,
     sign = (-1)**(n+a+b+1).
     """
     cuts = set(range(n - 1))
-    for subset in subsets:
-        a, b = sorted(cuts.difference(subset))
-        yield a, b, 1.0 if (n + a + b) % 2 else -1.0
+    pairs = np.array([sorted(cuts.difference(subset)) for subset in subsets], np.intp)
+    a, b = pairs.reshape(-1, 2).T.copy()
+    return a, b, np.where((n + a + b) % 2, 1.0, -1.0)
+
+
+def _wedge_sum(cuts, pairs, coeffs):
+    """C^T W C / n from the cut vectors C = _cut_vectors(n) and the _cut_pairs of the terms.
+
+    W is antisymmetric with entry W[a, b] = sign * coeff per term;
+    repeated pairs add in term order, each onto +0.0 first.
+    """
+    a, b, sign = pairs
+    n = cuts.shape[1]
+    w = np.zeros((n - 1, n - 1))
+    np.add.at(w, (a, b), sign * coeffs)
+    return cuts.T @ (w - w.T) @ cuts / n
 
 
 def _ham_sum(n, subsets, coeffs):
     """sum_a coeffs[a] * (matrix of ham_term(., subsets[a], n)), in closed form.
 
     Each term is the wedge of its two cut vectors (_cut_pairs), so the
-    sum is C^T W C / n, W antisymmetric with the signed coefficients as
-    entries; repeated subsets add.  One term with coefficient 1 has
-    integer entries, exact in floats.
+    sum is C^T W C / n (_wedge_sum); repeated subsets add.  One term
+    with coefficient 1 has integer entries, exact in floats.
     """
-    w = np.zeros((n - 1, n - 1))
-    for coeff, (a, b, sign) in zip(coeffs, _cut_pairs(n, subsets)):
-        w[a, b] += sign * coeff
-    c = _cut_vectors(n)
-    return c.T @ (w - w.T) @ c / n
+    return _wedge_sum(_cut_vectors(n), _cut_pairs(n, subsets), coeffs)
 
 
 def check_six_state(s):

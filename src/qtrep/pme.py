@@ -110,8 +110,9 @@ def build_generator(w):
     """
     w = _as_transition_matrix(w)
     gen = np.array(w.w)
-    for k in range(w.n):
-        gen[k, k] = -math.fsum(gen[i, k] for i in range(w.n) if i != k)
+    for k, col in enumerate(w.w.T.tolist()):
+        del col[k]
+        gen[k, k] = -math.fsum(col)
     return gen
 
 
@@ -149,10 +150,14 @@ def stationary_state(w):
     for k in range(states.size - 1, 0, -1):  # censor the chain to states 0..k-1
         fe, ee = _frexp_sum(frac[:k, k], expo[:k, k])
         exits[k] = float(fe), int(ee)
-        # rate(i -> j) += rate(i -> k) * rate(k -> j) / exits[k]
-        frac[:k, :k], expo[:k, :k] = _frexp_sum(
-            np.stack([frac[:k, :k], np.outer(frac[:k, k] / fe, frac[k, :k])]),
-            np.stack([expo[:k, :k], np.add.outer(expo[:k, k] - ee, expo[k, :k])]))
+        # rate(i -> j) += rate(i -> k) * rate(k -> j) / exits[k]: two terms,
+        # shifted to their larger exponent as _frexp_sum shifts a sum's terms
+        via = np.outer(frac[:k, k] / fe, frac[k, :k])
+        via_expo = np.add.outer(expo[:k, k] - ee, expo[k, :k])
+        top = np.maximum(expo[:k, :k], via_expo)
+        f, e = np.frexp(np.ldexp(frac[:k, :k], np.maximum(expo[:k, :k] - top, -1100))
+                        + np.ldexp(via, np.maximum(via_expo - top, -1100)))
+        frac[:k, :k], expo[:k, :k] = f, e + top
     # Balance each state against the ones before it.  p[i] = f * 2**e with an
     # int exponent, so no entry or product leaves the float range.
     fracs, expos, p = frac.tolist(), expo.tolist(), [(0.5, 0)]

@@ -32,12 +32,16 @@ sums, the last row fixed by symmetry and the gauge q[N-1, N-1] = 0.
 With K fixed, q is linear in L: one refinement pass of the q map on the
 flow mismatch removes the roundoff the first pass leaves on stiff
 chains.  There is no random start; N is capped at MAX_FIT_N, a bound on
-the size of the least squares.
+the size of the least squares.  The arrays fixed by N (V, G, the cut
+vectors and pairs, the Sylvester gather) are built once per N, and the
+flow operator of the refinement pass also gives the fit's residual.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -48,7 +52,7 @@ from .errors import (
     _finite_array, _instance, _integer, _json_object, _positive, _sequence,
 )
 from .multilinear import (
-    _check_subset, _cut_pairs, _cut_vectors, _ham_sum, difference_basis, normalizer,
+    _check_subset, _cut_pairs, _cut_vectors, _size, _wedge_sum, difference_basis, normalizer,
 )
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
@@ -145,8 +149,8 @@ class QTRepresentation:
     def to_json_dict(self):
         return {
             "n": self.n,
-            "q": [[float(v) for v in row] for row in self.entropy.q],
-            "r": [float(v) for v in self.r],
+            "q": self.entropy.q.tolist(),
+            "r": self.r.tolist(),
             "subsets": [list(s) for s in self.subsets],
             "norm": float(self.norm),
             "residual": float(self.residual),
@@ -171,7 +175,7 @@ def ham_subsets(n):
     n = 2 (the two-state flow has no Hamiltonian freedom); a single
     empty subset for n = 3.
     """
-    n = _integer(n, "n", 2)
+    n = _size(n)
     if n == 2:
         return ()
     return tuple(itertools.combinations(range(n - 1), n - 3))
@@ -185,9 +189,9 @@ def _main_scale(norm, n):
         raise InputError(f"n = {n} is too large: (n-2)! exceeds the float range") from None
 
 
-def _flow_operator(n, norm, r, subsets):
-    """Matrix that multiplies q in the represented flow."""
-    return _main_scale(norm, n) * (np.eye(n) - 1.0 / n) + norm * norm * _ham_sum(n, subsets, r)
+def _flow_operator(n, norm, r, cuts, pairs):
+    """Matrix that multiplies q in the represented flow, from the terms' _cut_pairs."""
+    return _main_scale(norm, n) * (np.eye(n) - 1.0 / n) + norm * norm * _wedge_sum(cuts, pairs, r)
 
 
 def qt_rhs(rep, p):
@@ -198,7 +202,7 @@ def qt_rhs(rep, p):
 def flow_matrix(rep):
     """The represented flow as a matrix acting on states."""
     rep = _instance(rep, QTRepresentation, "rep")
-    op = _flow_operator(rep.n, rep.norm, rep.r, rep.subsets)
+    op = _flow_operator(rep.n, rep.norm, rep.r, _cut_vectors(rep.n), _cut_pairs(rep.n, rep.subsets))
     return op @ rep.entropy.q
 
 
@@ -239,32 +243,51 @@ def three_state_kappa_r(rates):
     return kappa, (1.0 - kappa) / (1.0 + kappa)
 
 
-def _residual_metric(diff, n):
-    """Worst flow mismatch over tangent directions and the centroid."""
-    dirs = np.vstack([difference_basis(n), np.full(n, 1.0 / n)])
-    return float(np.max(np.abs(diff @ dirs.T)))
+# The arrays fixed by n, read-only: V = difference_basis(n), G = V V^T,
+# the cut vectors and the (i, j, sign) _cut_pairs of the subsets,
+# r_scale = sign * (n-2)! (r from K[i, j]), the residual's directions
+# (V and the centroid) as rows, and the 0/1 factors eye[i][:, i],
+# eye[j][:, j], eye[j][:, i] and eye[i][:, j] of the Sylvester gather.
+_Frame = collections.namedtuple("_Frame", "subsets pairs cuts basis gram dirs r_scale gathers")
+
+
+@functools.lru_cache(maxsize=MAX_FIT_N)
+def _fit_frame(n):
+    """The _Frame of n, built once per n <= MAX_FIT_N."""
+    subsets = ham_subsets(n)
+    i, j, sign = pairs = _cut_pairs(n, subsets)
+    v = difference_basis(n)
+    ei, ej = np.eye(n - 1, dtype=bool)[i], np.eye(n - 1, dtype=bool)[j]
+    frame = _Frame(subsets, pairs, _cut_vectors(n), v, v @ v.T,
+                   np.vstack([v, np.full(n, 1.0 / n)]), sign * math.factorial(n - 2),
+                   (ei[:, i], ej[:, j], ej[:, i], ei[:, j]))
+    for arr in (*pairs, *frame[2:-1], *frame.gathers):
+        arr.setflags(write=False)
+    return frame
 
 
 def _closed_form(gen):
-    """(r, q) solving V L = (G + K) G^-1 V q through the Sylvester equation."""
+    """(r, q, flow operator) solving V L = (G + K) G^-1 V q through the Sylvester equation."""
     n = gen.shape[0]
     m = n - 1
-    v = difference_basis(n)
-    g = v @ v.T
+    frame = _fit_frame(n)
+    v, g = frame.basis, frame.gram
+    i, j, _ = frame.pairs
     vl = v @ gen
     lam = vl @ v.T
     # B = Lambda G^-1, with G^-1 V^T = C^T / n from the integer cut vectors.
-    b = vl @ _cut_vectors(n).T / n
+    b = vl @ frame.cuts.T / n
     # Row (p, q), column (i, j) of K -> B K + K B^T, over the cut pairs: the
     # entries above the diagonal, each once.  lstsq gives the minimum-norm K
     # where three or more closed classes make the system singular.
-    subsets = ham_subsets(n)
-    i, j, sign = (np.array(col) for col in zip(*_cut_pairs(n, subsets)))
-    bi, bj, ei, ej = b[i], b[j], np.eye(m)[i], np.eye(m)[j]
-    sylvester = bi[:, i] * ej[:, j] - bi[:, j] * ej[:, i] + ei[:, i] * bj[:, j] - ei[:, j] * bj[:, i]
+    ei_i, ej_j, ej_i, ei_j = frame.gathers
+    sylvester = b[i[:, None], i] * ej_j
+    sylvester -= b[i[:, None], j] * ej_i
+    sylvester += b[j[:, None], j] * ei_i
+    sylvester -= b[j[:, None], i] * ei_j
     k = np.zeros((m, m))
-    k[i, j] = np.linalg.lstsq(sylvester, (lam - lam.T)[i, j], rcond=None)[0]
-    r = sign * math.factorial(n - 2) * k[i, j]
+    k[i, j] = solution = np.linalg.lstsq(sylvester, (lam - lam.T)[i, j], rcond=None)[0]
+    r = frame.r_scale * solution
     k -= k.T
 
     def q_map(target):
@@ -280,8 +303,9 @@ def _closed_form(gen):
     # mismatch removes the roundoff the first leaves on stiff chains
     # (stiff_chain(1e7) in the CLI tests reads 7.1e-9 without it, 3.9e-9 with it).
     q = q_map(gen)
-    q += q_map(gen - _flow_operator(n, normalizer(n), r, subsets) @ q)
-    return r, q
+    op = _flow_operator(n, normalizer(n), r, frame.cuts, frame.pairs)
+    q += q_map(gen - op @ q)
+    return r, q, op
 
 
 def fit(w):
@@ -314,24 +338,27 @@ def fit(w):
     if n > MAX_FIT_N:
         raise InputError(f"n = {n} exceeds the fit cap MAX_FIT_N = {MAX_FIT_N}")
     gen = build_generator(w)
+    frame = _fit_frame(n)
+    subsets = frame.subsets
     if n == 2:
-        entropy, r, subsets, norm = two_state_entropy(w), np.zeros(0), (), 1.0
+        entropy, r, norm = two_state_entropy(w), np.zeros(0), 1.0
+        op = _flow_operator(n, norm, r, frame.cuts, frame.pairs)
     else:
         norm = normalizer(n)
-        subsets = ham_subsets(n)
         # Rates within a few factors of the float limit overflow the
         # solve itself: that is input out of range, not a misfit.
         try:
             with np.errstate(over="raise"):
-                r, q = _closed_form(gen)
+                r, q, op = _closed_form(gen)
         except FloatingPointError as exc:
             raise InputError(
                 "rate matrix too large to fit: the solve overflows at max rate "
                 f"{float(np.max(w.w))!r}"
             ) from exc
         entropy = QuadraticEntropy(q)
-    # Residual first, so the representation is built and validated once.
-    resid = _residual_metric(_flow_operator(n, norm, r, subsets) @ entropy.q - gen, n)
+    # Residual first, so the representation is built and validated once: the
+    # worst flow mismatch over the tangent directions and the centroid.
+    resid = float(np.max(np.abs((op @ entropy.q - gen) @ frame.dirs.T)))
     rep = QTRepresentation(entropy, r, subsets, norm, resid)
     tol = ACCEPT_TOL * max(1.0, float(np.max(np.abs(gen))))
     if not resid <= tol:

@@ -16,25 +16,43 @@
   matrix per subset, and _closed_form solves the Sylvester equation on
   all (N-1)**2 entries of K by least squares.  It is the earlier
   implementation, kept verbatim, so it calls qtrep's _ham_sum (checked
-  against the determinants above), ham_subsets and flow operator.
+  against the determinants above), ham_subsets and the per-call flow
+  operator below.
+* The cut-coordinate fit as it ran before qtrep.qtfit built its fixed
+  structure once per n: fit_per_call rebuilds V, G, the cut vectors, the
+  cut pairs and the Sylvester gather on every call, adds the ham terms
+  one by one and builds the flow operator twice.  With it, the earlier
+  build_generator (one numpy scalar per entry), the stationary state
+  with the censoring update summed over a stacked axis, and dumps with
+  every list rendered item by item.  They are the earlier code, kept
+  verbatim as byte references; they share with qtrep only the parts
+  that did not change: the records, normalizer, ham_subsets,
+  two_state_entropy, _main_scale and format_float.
 * The CSV writer as one Python ``%`` row template per row, for the
   numpy digit path of qtrep._jsonio.csv_text.
 * One RK4 step as its own function, for the step that
   qtrep.dynamics.integrate runs inline in its loop.  It is the earlier
   implementation, kept verbatim.
 
-Apart from the QR-frame fit, no oracle shares code with the
-implementation it checks.
+Apart from the QR-frame fit and the per-call references, no oracle
+shares code with the implementation it checks.
 """
 
 import itertools
+import json
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from qtrep.errors import InputError
+from qtrep._jsonio import format_float
+from qtrep.errors import DegenerateChainError, FitNonConvergenceError, InputError
 from qtrep.multilinear import _ham_sum, difference_basis, normalizer
-from qtrep.qtfit import _flow_operator, ham_subsets
+from qtrep.pme import ProbabilityState, _as_transition_matrix
+from qtrep.qtfit import (
+    ACCEPT_TOL, MAX_FIT_N, QTRepresentation, QuadraticEntropy, _main_scale, ham_subsets,
+    two_state_entropy,
+)
 
 
 def levi_civita_sign(indices):
@@ -187,8 +205,202 @@ def _closed_form(gen):
     # mismatch removes the roundoff the first leaves on stiff chains
     # (stiff_chain(1e7) in the CLI tests reads 1.4e-8 without it).
     q = q_map(gen)
-    q += q_map(gen - _flow_operator(n, normalizer(n), r, ham_subsets(n)) @ q)
+    q += q_map(gen - flow_operator_per_call(n, normalizer(n), r, ham_subsets(n)) @ q)
     return r, q
+
+
+def cut_vectors_per_call(n):
+    """Integer cut vectors c_a = n [i <= a] - (a + 1) as rows: C = n G^-1 V, G = V V^T."""
+    return n * np.tri(n - 1, n) - np.arange(1.0, n)[:, None]
+
+
+def cut_pairs_per_call(n, subsets):
+    """(a, b, sign) per subset: the two cuts a < b of 0..n-2 it leaves out."""
+    cuts = set(range(n - 1))
+    for subset in subsets:
+        a, b = sorted(cuts.difference(subset))
+        yield a, b, 1.0 if (n + a + b) % 2 else -1.0
+
+
+def ham_sum_loop(n, subsets, coeffs):
+    """multilinear._ham_sum with one Python += per term."""
+    w = np.zeros((n - 1, n - 1))
+    for coeff, (a, b, sign) in zip(coeffs, cut_pairs_per_call(n, subsets)):
+        w[a, b] += sign * coeff
+    c = cut_vectors_per_call(n)
+    return c.T @ (w - w.T) @ c / n
+
+
+def flow_operator_per_call(n, norm, r, subsets):
+    """Matrix that multiplies q in the represented flow."""
+    return _main_scale(norm, n) * (np.eye(n) - 1.0 / n) + norm * norm * ham_sum_loop(n, subsets, r)
+
+
+def residual_metric(diff, n):
+    """Worst flow mismatch over tangent directions and the centroid."""
+    dirs = np.vstack([difference_basis(n), np.full(n, 1.0 / n)])
+    return float(np.max(np.abs(diff @ dirs.T)))
+
+
+def closed_form_per_call(gen):
+    """(r, q) solving V L = (G + K) G^-1 V q, with every fixed array built anew."""
+    n = gen.shape[0]
+    m = n - 1
+    v = difference_basis(n)
+    g = v @ v.T
+    vl = v @ gen
+    lam = vl @ v.T
+    b = vl @ cut_vectors_per_call(n).T / n
+    subsets = ham_subsets(n)
+    i, j, sign = (np.array(col) for col in zip(*cut_pairs_per_call(n, subsets)))
+    bi, bj, ei, ej = b[i], b[j], np.eye(m)[i], np.eye(m)[j]
+    sylvester = bi[:, i] * ej[:, j] - bi[:, j] * ej[:, i] + ei[:, i] * bj[:, j] - ei[:, j] * bj[:, i]
+    k = np.zeros((m, m))
+    k[i, j] = np.linalg.lstsq(sylvester, (lam - lam.T)[i, j], rcond=None)[0]
+    r = sign * math.factorial(n - 2) * k[i, j]
+    k -= k.T
+
+    def q_map(target):
+        vq = g @ np.linalg.solve(g + k, v @ target)
+        tails = np.zeros((n, n))
+        tails[:m] = np.cumsum(vq[::-1], axis=0)[::-1]
+        q = tails + tails[:, m]
+        return 0.5 * (q + q.T)
+
+    q = q_map(gen)
+    q += q_map(gen - flow_operator_per_call(n, normalizer(n), r, subsets) @ q)
+    return r, q
+
+
+def build_generator_per_entry(w):
+    """pme.build_generator with each diagonal an fsum over numpy scalars."""
+    w = _as_transition_matrix(w)
+    gen = np.array(w.w)
+    for k in range(w.n):
+        gen[k, k] = -math.fsum(gen[i, k] for i in range(w.n) if i != k)
+    return gen
+
+
+def fit_per_call(w):
+    """qtfit.fit on closed_form_per_call, with the flow operator built again for the residual."""
+    w = _as_transition_matrix(w)
+    n = w.n
+    if n > MAX_FIT_N:
+        raise InputError(f"n = {n} exceeds the fit cap MAX_FIT_N = {MAX_FIT_N}")
+    gen = build_generator_per_entry(w)
+    if n == 2:
+        entropy, r, subsets, norm = two_state_entropy(w), np.zeros(0), (), 1.0
+    else:
+        norm = normalizer(n)
+        subsets = ham_subsets(n)
+        try:
+            with np.errstate(over="raise"):
+                r, q = closed_form_per_call(gen)
+        except FloatingPointError as exc:
+            raise InputError(
+                "rate matrix too large to fit: the solve overflows at max rate "
+                f"{float(np.max(w.w))!r}"
+            ) from exc
+        entropy = QuadraticEntropy(q)
+    resid = residual_metric(flow_operator_per_call(n, norm, r, subsets) @ entropy.q - gen, n)
+    rep = QTRepresentation(entropy, r, subsets, norm, resid)
+    tol = ACCEPT_TOL * max(1.0, float(np.max(np.abs(gen))))
+    if not resid <= tol:
+        raise FitNonConvergenceError(
+            f"fit residual {resid:.3e} above {tol:.3e} = {ACCEPT_TOL:.0e} * max(1, max|L|)",
+            rep,
+        )
+    return rep
+
+
+def to_json_dict_per_value(rep):
+    """QTRepresentation.to_json_dict with one float() per entry."""
+    return {
+        "n": rep.n,
+        "q": [[float(v) for v in row] for row in rep.entropy.q],
+        "r": [float(v) for v in rep.r],
+        "subsets": [list(s) for s in rep.subsets],
+        "norm": float(rep.norm),
+        "residual": float(rep.residual),
+    }
+
+
+def stationary_state_stacked(w):
+    """pme.stationary_state with each censoring update summed over a stacked axis."""
+    w = _as_transition_matrix(w)
+    reach = (w.w > 0.0).T | np.eye(w.n, dtype=bool)
+    for _ in range(w.n.bit_length()):
+        reach = reach @ reach
+    recurrent = (reach <= reach.T).all(axis=1)
+    closed = int(np.sum(recurrent & (reach.argmax(axis=1) == np.arange(w.n))))
+    if closed != 1:
+        raise DegenerateChainError(f"no unique stationary state: {closed} closed classes", closed)
+    states = np.flatnonzero(recurrent)
+    frac, expo = np.frexp(w.w[np.ix_(states, states)])
+    expo = expo.astype(np.int64)
+    expo[frac == 0.0] = -2**40
+    exits = [None] * states.size
+    for k in range(states.size - 1, 0, -1):
+        fe, ee = frexp_sum(frac[:k, k], expo[:k, k])
+        exits[k] = float(fe), int(ee)
+        frac[:k, :k], expo[:k, :k] = frexp_sum(
+            np.stack([frac[:k, :k], np.outer(frac[:k, k] / fe, frac[k, :k])]),
+            np.stack([expo[:k, :k], np.add.outer(expo[:k, k] - ee, expo[k, :k])]))
+    fracs, expos, p = frac.tolist(), expo.tolist(), [(0.5, 0)]
+    for k in range(1, states.size):
+        terms = [math.frexp(f * r) + (e + er,)
+                 for (f, e), r, er in zip(p, fracs[k], expos[k]) if f * r]
+        top = max((x + e for _, x, e in terms), default=0) + states.size.bit_length()
+        inflow = math.fsum(math.ldexp(m, x + e - top) for m, x, e in terms)
+        (fa, ea), (fb, eb) = math.frexp(inflow), exits[k]
+        f, e = math.frexp(fa / fb)
+        p.append((f, e + ea - eb + top))
+    top = max(e for f, e in p if f)
+    full = np.zeros(w.n)
+    full[states] = [math.ldexp(f, e - top) for f, e in p]
+    return ProbabilityState(full / math.fsum(full))
+
+
+def frexp_sum(frac, expo):
+    """Sum over axis 0 of frac * 2**expo, as a fraction and an int64 exponent."""
+    top = expo.max(axis=0)
+    f, e = np.frexp(np.ldexp(frac, np.maximum(expo - top, -1100)).sum(axis=0))
+    return f, e + top
+
+
+def render_recursive(obj, precision, level):
+    """_jsonio._render with every list item rendered by its own call."""
+    pad = "  " * level
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(key))}: {render_recursive(value, precision, level + 1)}"
+            for key, value in obj.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [f"{inner}{render_recursive(value, precision, level + 1)}" for value in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj, precision)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise InputError(f"cannot serialize {type(obj).__name__}")
+
+
+def dumps_recursive(obj, precision=17):
+    """_jsonio.dumps on render_recursive."""
+    return render_recursive(obj, precision, 0) + "\n"
 
 
 def csv_text_template(header, columns, precision=17):

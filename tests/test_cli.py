@@ -177,8 +177,12 @@ class TestQtFit:
         solve = qtfit._closed_form
 
         def shifted_solve(gen):
-            r, q = solve(gen)
-            return r + 1.0, q
+            # The flow operator the residual is taken from follows the shifted r.
+            r, q, _ = solve(gen)
+            n, frame = gen.shape[0], qtfit._fit_frame(gen.shape[0])
+            r = r + 1.0
+            op = qtfit._flow_operator(n, qtfit.normalizer(n), r, frame.cuts, frame.pairs)
+            return r, q, op
 
         monkeypatch.setattr(qtfit, "_closed_form", shifted_solve)
         out = tmp_path / "rep"

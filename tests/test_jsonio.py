@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_text_template
+from oracles import csv_text_template, dumps_recursive
 from qtrep import _jsonio
 from qtrep.errors import InputError
 
@@ -55,6 +55,53 @@ class TestDumps:
     def test_deterministic(self):
         doc = {"values": [math.pi, math.e, 1e-17]}
         assert _jsonio.dumps(doc) == _jsonio.dumps(doc)
+
+
+def _same_error(doc, precision=17):
+    with pytest.raises(InputError) as want:
+        dumps_recursive(doc, precision)
+    with pytest.raises(InputError) as got:
+        _jsonio.dumps(doc, precision)
+    assert str(got.value) == str(want.value)
+
+
+class TestRenderRows:
+    """dumps renders a list of floats or of ints in one join: the bytes
+    and the errors of the item-by-item renderer in oracles.py."""
+
+    @pytest.mark.parametrize("doc", [
+        [np.float64(0.1), np.float64(-2.5e-300)],
+        [0.1, np.float64(1 / 3), 2.0],
+        [1, True, 0, False],
+        [True, False],
+        [1, 2.5, -3],
+        [1.0, 2],
+        [[], [[]], {}, [[], [1]], [[[]]]],
+        {"a": [], "b": [[], []], "c": [[1.5], [2]]},
+        [[0.1, 0.2], [1, 2], [None, "x"], [True]],
+        [2**70, -2**70, 0],
+        (0.5, 1.5),
+        [-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-5],
+    ])
+    @pytest.mark.parametrize("precision", [1, 2, 5, 17, 25, 767])
+    def test_matches_item_by_item(self, doc, precision):
+        assert _jsonio.dumps(doc, precision) == dumps_recursive(doc, precision)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_in_a_row(self, bad):
+        _same_error([0.5, bad, 1.5])
+        _same_error({"q": [[0.5, 1.5], [2.5, bad]]})
+        _same_error([0.5, math.inf, bad], precision=767)
+
+    def test_unsupported_item_in_an_int_row(self):
+        _same_error([1, 2, np.int64(3)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+           st.integers(1, 40))
+    def test_float_rows(self, row, precision):
+        doc = {"row": row, "rows": [row, row[::-1]]}
+        assert _jsonio.dumps(doc, precision) == dumps_recursive(doc, precision)
 
 
 # Enough cells for csv_text to take its digit path, which runs only

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import literal_six_slot_main_term, signed_permutations
 from qtrep import multilinear as ml
+from qtrep import qtfit
 from qtrep.errors import InputError, SizeError
 
 
@@ -66,6 +67,38 @@ class TestNormalizer:
         for n in (172, 200):
             with pytest.raises(InputError, match=rf"^n = {n} is too large"):
                 ml.normalizer(n)
+
+
+class TestSizeCap:
+    """One cap, MAX_N, the largest n with n * (n-2)! a finite float,
+    checked before anything is computed or allocated."""
+
+    SIZED = {
+        "normalizer": ml.normalizer,
+        "difference_basis": ml.difference_basis,
+        "ham_subsets": qtfit.ham_subsets,
+        "ham_term": lambda n: ml.ham_term(np.zeros(3), (), n),
+    }
+
+    def test_cap_is_the_largest_float_size(self):
+        assert math.isfinite(float(ml.MAX_N * math.factorial(ml.MAX_N - 2)))
+        with pytest.raises(OverflowError):
+            float((ml.MAX_N + 1) * math.factorial(ml.MAX_N - 1))
+
+    @pytest.mark.parametrize("name", SIZED)
+    @pytest.mark.parametrize("n", [ml.MAX_N + 1, 3 * 10**5, 10**10, 10**400])
+    def test_above_the_cap_rejected_first(self, name, n, monkeypatch):
+        # No numpy call, factorial or combination runs above the cap.
+        monkeypatch.setattr(ml, "np", None)
+        monkeypatch.setattr(ml, "math", None)
+        monkeypatch.setattr(qtfit, "itertools", None)
+        with pytest.raises(InputError, match=rf"^n = {n} is too large: the size cap is "
+                                             rf"MAX_N = {ml.MAX_N}, above which"):
+            self.SIZED[name](n)
+
+    def test_at_the_cap(self):
+        assert ml.difference_basis(ml.MAX_N).shape == (ml.MAX_N - 1, ml.MAX_N)
+        assert ml.normalizer(ml.MAX_N) > 0.0
 
 
 class TestMainTerm:

@@ -15,7 +15,8 @@ g_i - mean(g), the orthogonal projection of g onto the simplex tangent
 space.  A contraction of epsilon with fixed vectors is a determinant:
 the signs are evaluated as determinants, each ham-term matrix as their
 closed form, the wedge of two integer cut vectors (a sum of terms is
-one antisymmetric matrix between the cut vectors), and the rank-6
+one antisymmetric matrix between the cut vectors, its pairs an upper
+triangle over the whole catalog), and the rank-6
 three-pair kernel as +-g/2 per pair.  Only main_term_bruteforce is a
 permutation sum: the oracle for the closed form, capped at N = 8.
 
@@ -176,7 +177,8 @@ def ham_term(g, subset, n):
     """
     n = _size(n, 3)
     g = _finite_array(g, "gradient", (n,))
-    return _ham_sum(n, [_check_subset(subset, n)], [1.0]) @ g
+    a, b = sorted(set(range(n - 1)).difference(_check_subset(subset, n)))
+    return _wedge_sum(_cut_vectors(n), _signed(n, a, b), 1.0) @ g
 
 
 def _cut_vectors(n):
@@ -184,40 +186,33 @@ def _cut_vectors(n):
     return n * np.tri(n - 1, n) - np.arange(1.0, n)[:, None]
 
 
-def _cut_pairs(n, subsets):
-    """(a, b, sign) arrays, one entry per subset: the two cuts a < b of 0..n-2 it leaves out.
+def _signed(n, a, b):
+    """(a, b, sign = (-1)**(n+a+b+1)) for the cuts a < b, ints or index arrays.
 
-    The determinants det[e_i; ones; e_k; v_s1; ...] of the subset form
-    the wedge sign * (c_a c_b^T - c_b c_a^T) / n of two cut vectors,
-    sign = (-1)**(n+a+b+1).
+    The determinants det[e_i; ones; e_k; v_s1; ...] of the subset leaving
+    out a and b form the wedge sign * (c_a c_b^T - c_b c_a^T) / n.
     """
-    cuts = set(range(n - 1))
-    pairs = np.array([sorted(cuts.difference(subset)) for subset in subsets], np.intp)
-    a, b = pairs.reshape(-1, 2).T.copy()
     return a, b, np.where((n + a + b) % 2, 1.0, -1.0)
 
 
-def _wedge_sum(cuts, pairs, coeffs):
-    """C^T W C / n from the cut vectors C = _cut_vectors(n) and the _cut_pairs of the terms.
+def _catalog_pairs(n):
+    """_signed cut pairs of the terms of qtfit.ham_subsets(n), in its order.
 
-    W is antisymmetric with entry W[a, b] = sign * coeff per term;
-    repeated pairs add in term order, each onto +0.0 first.
+    The catalog lists the size-(n-3) subsets of 0..n-2 in lex order, so
+    the pairs a < b they leave out are the upper triangle of range(n-1)
+    in reverse lex order.
     """
+    a, b = np.triu_indices(n - 1, 1)
+    return _signed(n, a[::-1], b[::-1])
+
+
+def _wedge_sum(cuts, pairs, coeffs):
+    """C^T (W - W^T) C / n, C = _cut_vectors(n), W[a, b] = sign * coeff per distinct pair."""
     a, b, sign = pairs
     n = cuts.shape[1]
     w = np.zeros((n - 1, n - 1))
-    np.add.at(w, (a, b), sign * coeffs)
+    w[a, b] += sign * coeffs
     return cuts.T @ (w - w.T) @ cuts / n
-
-
-def _ham_sum(n, subsets, coeffs):
-    """sum_a coeffs[a] * (matrix of ham_term(., subsets[a], n)), in closed form.
-
-    Each term is the wedge of its two cut vectors (_cut_pairs), so the
-    sum is C^T W C / n (_wedge_sum); repeated subsets add.  One term
-    with coefficient 1 has integer entries, exact in floats.
-    """
-    return _wedge_sum(_cut_vectors(n), _cut_pairs(n, subsets), coeffs)
 
 
 def check_six_state(s):

@@ -6,12 +6,12 @@ A flow dp/dt = L p on the probability simplex is rewritten as
 
 where main is the raw rank-N double contraction (equal to
 N*(N-2)!*(g - mean g)), the ham_a are the single-epsilon terms of
-multilinear.ham_term over all size-(N-3) subsets of the tangent basis,
-and q is a symmetric matrix defining the quadratic entropy
-S = p q p / 2.  The two contraction families share one overall
-normalization so that the fitted coefficients r_a are independent of it;
-with norm = normalizer(N) the main term is exactly the tangent
-projection of the entropy gradient.
+multilinear.ham_term over the catalog ham_subsets(N) of size-(N-3)
+subsets of the tangent basis, and q is a symmetric matrix defining the
+quadratic entropy S = p q p / 2.  The two contraction families share
+one overall normalization so that the fitted coefficients r_a are
+independent of it; with norm = normalizer(N) the main term is exactly
+the tangent projection of the entropy gradient.
 
 Unknown count: q contributes N(N+1)/2 - 1 (one direction is pure gauge,
 q -> q + k * ones changes nothing on the simplex), the coefficients
@@ -20,15 +20,17 @@ freedom of a generator with zero column sums.
 
 fit() solves the matching problem in closed form, in cut coordinates.
 With V = difference_basis(N), G = V V^T and the integer cut vectors
-C = N G^-1 V, sum_a r_a ham_a = C^T W C / N (multilinear._ham_sum), so
+C = N G^-1 V, sum_a r_a ham_a = C^T W C / N (multilinear._wedge_sum), so
 V L = (G + K) G^-1 V q with K antisymmetric, r_a its one entry
-K[i, j] = sign * r_a / (N-2)! at the cut pair (i, j, sign) of its subset
-(multilinear._cut_pairs).  Symmetry of q is B K + K B^T = Lambda -
-Lambda^T, Lambda = V L V^T and B = Lambda G^-1, one equation per entry
-above the diagonal: a square system of side C(N-1, 2), solved by least
-squares for the minimum-norm r where three or more closed classes make
-it singular.  Then V q = G (G + K)^-1 V L gives the rows of q as tail
-sums, the last row fixed by symmetry and the gauge q[N-1, N-1] = 0.
+K[i, j] = sign * r_a / (N-2)! at the cut pair (i, j, sign) its subset
+leaves out: the upper triangle in reverse lex order, as the catalog is
+in lex order (multilinear._catalog_pairs).  Symmetry of q is B K + K B^T
+= Lambda - Lambda^T, Lambda = V L V^T and B = Lambda G^-1, one equation
+per entry above the diagonal: a square system of side C(N-1, 2), solved
+by least squares for the minimum-norm r where three or more closed
+classes make it singular.  Then V q = G (G + K)^-1 V L gives the rows
+of q as tail sums, the last row fixed by symmetry and the gauge
+q[N-1, N-1] = 0.
 With K fixed, q is linear in L: one refinement pass of the q map on the
 flow mismatch removes the roundoff the first pass leaves on stiff
 chains.  There is no random start; N is capped at MAX_FIT_N, a bound on
@@ -49,10 +51,10 @@ import numpy as np
 
 from .errors import (
     FitNonConvergenceError, InputError,
-    _finite_array, _instance, _integer, _json_object, _positive, _sequence,
+    _finite_array, _instance, _integer, _integers, _json_object, _positive, _sequence,
 )
 from .multilinear import (
-    _check_subset, _cut_pairs, _cut_vectors, _size, _wedge_sum, difference_basis, normalizer,
+    _catalog_pairs, _cut_vectors, _size, _wedge_sum, difference_basis, normalizer,
 )
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
@@ -111,11 +113,11 @@ class QuadraticEntropy:
 class QTRepresentation:
     """Fitted representation: entropy, ham coefficients, normalization.
 
-    subsets holds the 0-based tangent-basis index tuples in the same
-    order as the coefficients r.  norm is positive and finite.  residual
-    is the worst absolute mismatch of the represented flow against the
-    target generator over the tangent basis directions and the simplex
-    centroid, finite and non-negative.
+    subsets is the catalog ham_subsets(n), whose terms the coefficients
+    r follow in order; no other list is accepted.  norm is positive and
+    finite.  residual is the worst absolute mismatch of the represented
+    flow against the target generator over the tangent basis directions
+    and the simplex centroid, finite and non-negative.
     """
 
     entropy: QuadraticEntropy
@@ -125,13 +127,16 @@ class QTRepresentation:
     residual: float
 
     def __post_init__(self):
+        n = _instance(self.entropy, QuadraticEntropy, "entropy").n
         r = _finite_array(self.r, "r", (None,))
-        subsets = tuple(_check_subset(s, self.entropy.n)
-                        for s in _sequence(self.subsets, "subsets"))
+        given = tuple(_sequence(s, "subset") for s in _sequence(self.subsets, "subsets"))
+        _integers(list(itertools.chain.from_iterable(given)), "subset index", 0)
+        subsets = ham_subsets(n)
+        if given != subsets:
+            raise InputError(f"subsets must be ham_subsets({n}): every "
+                             "size-(n-3) subset of 0..n-2 once, in lex order")
         if r.size != len(subsets):
-            raise InputError(
-                f"got {r.size} coefficients for {len(subsets)} subsets"
-            )
+            raise InputError(f"got {r.size} coefficients for {len(subsets)} subsets")
         norm = _positive(self.norm, "norm")
         residual = float(_finite_array(self.residual, "residual", ()))
         if residual < 0.0:
@@ -183,14 +188,11 @@ def ham_subsets(n):
 
 def _main_scale(norm, n):
     # Raw double contraction is N*(N-2)! times the tangent projection.
-    try:
-        return norm * norm * n * math.factorial(n - 2)
-    except OverflowError:
-        raise InputError(f"n = {n} is too large: (n-2)! exceeds the float range") from None
+    return norm * norm * n * math.factorial(n - 2)
 
 
 def _flow_operator(n, norm, r, cuts, pairs):
-    """Matrix that multiplies q in the represented flow, from the terms' _cut_pairs."""
+    """Matrix that multiplies q in the represented flow, from the catalog's cut pairs."""
     return _main_scale(norm, n) * (np.eye(n) - 1.0 / n) + norm * norm * _wedge_sum(cuts, pairs, r)
 
 
@@ -202,7 +204,7 @@ def qt_rhs(rep, p):
 def flow_matrix(rep):
     """The represented flow as a matrix acting on states."""
     rep = _instance(rep, QTRepresentation, "rep")
-    op = _flow_operator(rep.n, rep.norm, rep.r, _cut_vectors(rep.n), _cut_pairs(rep.n, rep.subsets))
+    op = _flow_operator(rep.n, rep.norm, rep.r, _cut_vectors(rep.n), _catalog_pairs(rep.n))
     return op @ rep.entropy.q
 
 
@@ -244,24 +246,23 @@ def three_state_kappa_r(rates):
 
 
 # The arrays fixed by n, read-only: V = difference_basis(n), G = V V^T,
-# the cut vectors and the (i, j, sign) _cut_pairs of the subsets,
+# the cut vectors and the (i, j, sign) _catalog_pairs of the catalog,
 # r_scale = sign * (n-2)! (r from K[i, j]), the residual's directions
 # (V and the centroid) as rows, and the 0/1 factors eye[i][:, i],
 # eye[j][:, j], eye[j][:, i] and eye[i][:, j] of the Sylvester gather.
-_Frame = collections.namedtuple("_Frame", "subsets pairs cuts basis gram dirs r_scale gathers")
+_Frame = collections.namedtuple("_Frame", "pairs cuts basis gram dirs r_scale gathers")
 
 
 @functools.lru_cache(maxsize=MAX_FIT_N)
 def _fit_frame(n):
     """The _Frame of n, built once per n <= MAX_FIT_N."""
-    subsets = ham_subsets(n)
-    i, j, sign = pairs = _cut_pairs(n, subsets)
+    i, j, sign = pairs = _catalog_pairs(n)
     v = difference_basis(n)
     ei, ej = np.eye(n - 1, dtype=bool)[i], np.eye(n - 1, dtype=bool)[j]
-    frame = _Frame(subsets, pairs, _cut_vectors(n), v, v @ v.T,
+    frame = _Frame(pairs, _cut_vectors(n), v, v @ v.T,
                    np.vstack([v, np.full(n, 1.0 / n)]), sign * math.factorial(n - 2),
                    (ei[:, i], ej[:, j], ej[:, i], ei[:, j]))
-    for arr in (*pairs, *frame[2:-1], *frame.gathers):
+    for arr in (*pairs, *frame[1:-1], *frame.gathers):
         arr.setflags(write=False)
     return frame
 
@@ -339,7 +340,6 @@ def fit(w):
         raise InputError(f"n = {n} exceeds the fit cap MAX_FIT_N = {MAX_FIT_N}")
     gen = build_generator(w)
     frame = _fit_frame(n)
-    subsets = frame.subsets
     if n == 2:
         entropy, r, norm = two_state_entropy(w), np.zeros(0), 1.0
         op = _flow_operator(n, norm, r, frame.cuts, frame.pairs)
@@ -359,7 +359,7 @@ def fit(w):
     # Residual first, so the representation is built and validated once: the
     # worst flow mismatch over the tangent directions and the centroid.
     resid = float(np.max(np.abs((op @ entropy.q - gen) @ frame.dirs.T)))
-    rep = QTRepresentation(entropy, r, subsets, norm, resid)
+    rep = QTRepresentation(entropy, r, ham_subsets(n), norm, resid)
     tol = ACCEPT_TOL * max(1.0, float(np.max(np.abs(gen))))
     if not resid <= tol:
         raise FitNonConvergenceError(

@@ -25,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import InputError, _boolean, _finite_array, _integer
+from .errors import InputError, _boolean, _finite_array, _instance, _integer
 from .pme import TransitionMatrix
 
 __all__ = [
@@ -254,8 +254,7 @@ def scan(grid, seed=0):
     generator, so equal (grid, seed) pairs give identical results.  seed
     is a non-negative integer.
     """
-    if not isinstance(grid, ScanGrid):
-        raise InputError(f"grid must be a ScanGrid, got {type(grid).__name__}")
+    grid = _instance(grid, ScanGrid, "grid")
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     lows = np.array([r[0] for r in grid.ranges])
     highs = np.array([r[1] for r in grid.ranges])

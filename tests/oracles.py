@@ -6,18 +6,23 @@
 * The rank-6 three-pair kernel as two loops over all 720 permutations,
   for the closed form of qtrep.multilinear.six_slot_main_term.
 * The ham-term matrix as a batched stack of n**4 determinants, for the
-  wedge form of qtrep.multilinear._ham_sum: the subset leaving out the
+  wedge form of qtrep.multilinear._wedge_sum: the subset leaving out the
   cuts a < b gives (-1)**(n+a+b+1) (c_a c_b^T - c_b c_a^T) / n, with
   integer cut vectors c_a = n [i <= a] - (a + 1), so a sum of terms is
   C^T W C / n, W antisymmetric with the signed coefficients r_a as its
   entries.
+* The cut pairs of any list of subsets by set difference
+  (cut_pairs_per_call), for the closed form of the catalog's pairs,
+  qtrep.multilinear._catalog_pairs, and the ham terms of any list of
+  subsets, repeats included, summed with one Python += per term
+  (ham_sum_loop).
 * The fit in an orthonormal QR frame, for the cut-coordinate closed
   form of qtrep.qtfit: _tangent_frame maps r to K through one ham-term
   matrix per subset, and _closed_form solves the Sylvester equation on
   all (N-1)**2 entries of K by least squares.  It is the earlier
-  implementation, kept verbatim, so it calls qtrep's _ham_sum (checked
-  against the determinants above), ham_subsets and the per-call flow
-  operator below.
+  implementation, kept verbatim but for the ham-term sum, which is
+  ham_sum_loop below (checked against the determinants above), so it
+  calls ham_subsets and the per-call flow operator below.
 * The cut-coordinate fit as it ran before qtrep.qtfit built its fixed
   structure once per n: fit_per_call rebuilds V, G, the cut vectors, the
   cut pairs and the Sylvester gather on every call, adds the ham terms
@@ -47,7 +52,7 @@ import numpy as np
 
 from qtrep._jsonio import format_float
 from qtrep.errors import DegenerateChainError, FitNonConvergenceError, InputError
-from qtrep.multilinear import _ham_sum, difference_basis, normalizer
+from qtrep.multilinear import difference_basis, normalizer
 from qtrep.pme import ProbabilityState, _as_transition_matrix
 from qtrep.qtfit import (
     ACCEPT_TOL, MAX_FIT_N, QTRepresentation, QuadraticEntropy, _main_scale, ham_subsets,
@@ -142,7 +147,7 @@ def literal_six_slot_main_term(g3):
 
 
 def ham_matrix_det(n, subset):
-    """multilinear._ham_sum(n, [subset], [1.0]) as one determinant per entry.
+    """The matrix of multilinear.ham_term(., subset, n) as one determinant per entry.
 
     Entry [i, k] is det[e_i; ones; e_k; v_s1; ...; v_s(n-3)] with
     v_s = e_s - e_{s+1}: an (n, n, n, n) stack through np.linalg.det.
@@ -168,7 +173,7 @@ def _tangent_frame(n):
     u = np.linalg.qr(difference_basis(n).T)[0]
     frame = np.column_stack([u, np.full(n, n ** -0.5)])
     r_to_k = normalizer(n) ** 2 * np.column_stack(
-        [(u.T @ _ham_sum(n, [s], [1.0]) @ u).ravel() for s in ham_subsets(n)]
+        [(u.T @ ham_sum_loop(n, [s], [1.0]) @ u).ravel() for s in ham_subsets(n)]
     )
     for arr in (frame, r_to_k):
         arr.setflags(write=False)
@@ -223,7 +228,7 @@ def cut_pairs_per_call(n, subsets):
 
 
 def ham_sum_loop(n, subsets, coeffs):
-    """multilinear._ham_sum with one Python += per term."""
+    """sum_a coeffs[a] * (matrix of ham_term(., subsets[a], n)), one Python += per term."""
     w = np.zeros((n - 1, n - 1))
     for coeff, (a, b, sign) in zip(coeffs, cut_pairs_per_call(n, subsets)):
         w[a, b] += sign * coeff

@@ -9,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _closed_form as qr_closed_form
-from oracles import ham_matrix_det, ham_term_bruteforce
+from oracles import cut_pairs_per_call, ham_matrix_det, ham_sum_loop, ham_term_bruteforce
 from qtrep import multilinear, pme, qtfit
 from qtrep.errors import FitNonConvergenceError, InputError
 from qtrep.relaxation import ThreeStateRates
+
+
+def catalog_term(n, k):
+    """Matrix of the k-th catalog term from its closed-form cut pair."""
+    a, b, sign = multilinear._catalog_pairs(n)
+    return multilinear._wedge_sum(multilinear._cut_vectors(n), (a[k], b[k], sign[k]), 1.0)
 
 
 def random_chain(n, seed, lo=0.05, hi=1.0):
@@ -53,42 +59,51 @@ class TestCatalog:
         # the wedge of two cut vectors against one determinant per entry:
         # every subset up to n = 12, five seeded ones above
         subsets = qtfit.ham_subsets(n)
+        picks = range(len(subsets))
         if n > 12:
             picks = np.random.default_rng(n).choice(len(subsets), size=5, replace=False)
-            subsets = [subsets[a] for a in picks]
-        for subset in subsets:
-            np.testing.assert_array_equal(multilinear._ham_sum(n, [subset], [1.0]),
-                                          ham_matrix_det(n, subset))
+        for k in picks:
+            np.testing.assert_array_equal(catalog_term(n, k), ham_matrix_det(n, subsets[k]))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_ham_matrix_matches_ham_term(self, n):
         # the wedge form against the literal permutation sum, column by column
-        for subset in qtfit.ham_subsets(n):
+        for index, subset in enumerate(qtfit.ham_subsets(n)):
             oracle = np.column_stack(
                 [ham_term_bruteforce(np.eye(n)[k], subset, n) for k in range(n)]
             )
             terms = np.column_stack(
                 [multilinear.ham_term(np.eye(n)[k], subset, n) for k in range(n)]
             )
-            np.testing.assert_array_equal(multilinear._ham_sum(n, [subset], [1.0]), oracle)
+            np.testing.assert_array_equal(catalog_term(n, index), oracle)
             np.testing.assert_array_equal(terms, oracle)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_ham_sum_matches_determinants(self, data):
-        # drawn subsets, repeats included, with drawn coefficients: the
-        # one antisymmetric matrix adds the terms the determinants give
+        # drawn coefficients over the whole catalog: the one antisymmetric
+        # matrix on the closed-form pairs adds the terms the determinants give
         n = data.draw(st.integers(min_value=3, max_value=9), label="n")
-        subsets = data.draw(st.lists(st.sampled_from(qtfit.ham_subsets(n)), max_size=12),
-                            label="subsets")
+        subsets = qtfit.ham_subsets(n)
         coeffs = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(subsets),
                                     max_size=len(subsets)), label="coeffs")
         oracle = np.zeros((n, n))
         for coeff, subset in zip(coeffs, subsets):
             oracle += coeff * ham_matrix_det(n, subset)
         tol = 4 * np.finfo(float).eps * n**3 * sum(map(abs, coeffs))
-        np.testing.assert_allclose(multilinear._ham_sum(n, subsets, coeffs), oracle,
-                                   rtol=0, atol=tol)
+        got = multilinear._wedge_sum(multilinear._cut_vectors(n),
+                                     multilinear._catalog_pairs(n), np.array(coeffs))
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=tol)
+        # the oracle sum the QR-frame fit uses, on the same terms
+        np.testing.assert_allclose(ham_sum_loop(n, subsets, coeffs), oracle, rtol=0, atol=tol)
+
+    def test_catalog_pairs_match_set_difference(self):
+        # the upper triangle in reverse lex order is, for every n up to the
+        # cap, the pairs each catalog subset leaves out, with their signs
+        for n in range(2, multilinear.MAX_N + 1):
+            got = np.column_stack(multilinear._catalog_pairs(n))
+            oracle = np.array(list(cut_pairs_per_call(n, qtfit.ham_subsets(n)))).reshape(-1, 3)
+            np.testing.assert_array_equal(got, oracle)
 
     def test_flow_matrix_of_a_large_representation_stays_small(self):
         # a loaded n = 100 representation: its 4,851 terms fold into one
@@ -393,12 +408,40 @@ class TestSerialization:
         with pytest.raises(InputError):
             qtfit.QTRepresentation.from_json_dict(doc)
 
-    @pytest.mark.parametrize("subset", [[0, 0], [1, 4], [1]])
+    @pytest.mark.parametrize("subset", [[0, 0], [1, 4], [1], [-1, 2]])
     def test_bad_subset_rejected(self, subset):
         doc = qtfit.fit(random_chain(5, seed=52)).to_json_dict()
         doc["subsets"][2] = subset
         with pytest.raises(InputError):
             qtfit.QTRepresentation.from_json_dict(doc)
+
+    @pytest.mark.parametrize("change", [
+        lambda s: s[::-1], lambda s: s[1:], lambda s: s[:1] + s[1:-1],
+        lambda s: s[:2] + s[1:-1], lambda s: s + [[2, 4]], lambda s: s + s[:1],
+        lambda s: [t[::-1] for t in s], lambda s: [[*t, 0] for t in s], lambda s: [],
+    ], ids=["reordered", "partial", "short", "repeated", "extra", "extra-repeat",
+            "reversed-subsets", "longer-subsets", "empty"])
+    def test_only_the_catalog_accepted(self, change):
+        # A representation holds ham_subsets(n), whole and in order; any other
+        # list is refused with one message, however many coefficients come with it.
+        doc = qtfit.fit(random_chain(5, seed=52)).to_json_dict()
+        subsets = change(doc["subsets"])
+        message = (r"^subsets must be ham_subsets\(5\): every size-\(n-3\) subset of "
+                   r"0\.\.n-2 once, in lex order$")
+        for r in (doc["r"], [0.5] * len(subsets)):
+            with pytest.raises(InputError, match=message):
+                qtfit.QTRepresentation.from_json_dict({**doc, "subsets": subsets, "r": r})
+        rep = qtfit.QTRepresentation.from_json_dict(doc)
+        with pytest.raises(InputError, match=message):
+            qtfit.QTRepresentation(rep.entropy, rep.r, subsets, rep.norm, rep.residual)
+
+    def test_catalog_stored_as_tuples(self):
+        # lists and numpy integers read as the catalog, stored as its tuple
+        doc = qtfit.fit(random_chain(5, seed=52)).to_json_dict()
+        subsets = [np.array(s, dtype=np.int32) for s in doc["subsets"]]
+        rep = qtfit.QTRepresentation.from_json_dict({**doc, "subsets": subsets})
+        assert rep.subsets == qtfit.ham_subsets(5)
+        assert all(type(i) is int for s in rep.subsets for i in s)
 
     @pytest.mark.parametrize("key, value", [
         ("n", 4.0), ("n", 4.9), ("n", "4"), ("n", True),
@@ -415,14 +458,13 @@ class TestSerialization:
                 multilinear.ham_term(np.ones(4), value[0], 4)
 
     def test_size_beyond_float_factorial_rejected(self):
-        # (n-2)! overflows a float from n = 173: InputError, not OverflowError
+        # (n-2)! overflows a float from n = 173: the catalog's size cap
+        # rejects the document at load, with an InputError naming n
         n = 173
         doc = {"n": n, "q": np.zeros((n, n)).tolist(), "r": [], "subsets": [],
                "norm": 1e-150, "residual": 0.0}
-        rep = qtfit.QTRepresentation.from_json_dict(doc)
-        for call in (lambda: qtfit.flow_matrix(rep), lambda: qtfit.qt_rhs(rep, np.full(n, 1 / n))):
-            with pytest.raises(InputError, match=rf"^n = {n} is too large"):
-                call()
+        with pytest.raises(InputError, match=rf"^n = {n} is too large"):
+            qtfit.QTRepresentation.from_json_dict(doc)
 
     def test_missing_key_rejected(self):
         with pytest.raises(InputError):

@@ -220,8 +220,8 @@ def test_entry_point_rejects_wrong_type(entry, bad):
 
 
 # Every library function that takes a channel, a composite system, a
-# fitted representation or a trajectory, its other arguments valid, with
-# the argument's name and type.
+# fitted representation, a trajectory, an entropy or a scan grid, its
+# other arguments valid, with the argument's name and type.
 _P = np.zeros(3)
 _W = composite.product_state(0.25, 0.75)
 _CHANNEL = ("channel", "LindbladChannel")
@@ -243,6 +243,9 @@ OBJECT_ARGUMENTS = {
     "qt_rhs": (lambda x: qtfit.qt_rhs(x, _P), ("rep", "QTRepresentation")),
     "monotonicity_witness":
         (lambda x: dynamics.monotonicity_witness(x, _P), ("trajectory", "Trajectory")),
+    "QTRepresentation": (lambda x: qtfit.QTRepresentation(x, [], (), 1.0, 0.0),
+                         ("entropy", "QuadraticEntropy")),
+    "scan": (relaxation.scan, ("grid", "ScanGrid")),
 }
 BAD_OBJECTS = {"none": None, "dict": {}, "object": object(), "string": "channel"}
 
@@ -293,11 +296,21 @@ def _representation(**change):
      "subsets must be a sequence, got int"),
     (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[7])),
      "subset must be a sequence, got int"),
+    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[[0.5]])),
+     "subset index must be an integer, got 0.5"),
+    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[[True]])),
+     "subset index must be an integer, got True"),
+    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[["0"]])),
+     "subset index must be an integer, got '0'"),
+    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[[0]])),
+     "subsets must be ham_subsets(3): every size-(n-3) subset of 0..n-2 once, in lex order"),
 ], ids=["seed-negative", "seed-string", "channel-list", "channel-no-dissipators-key",
         "dissipator-pair-list", "dissipators-int", "dissipators-string",
         "dissipator-unknown-key", "dissipator-missing-key", "representation-list",
         "representation-unknown-key", "representation-missing-key",
-        "representation-subsets-int", "representation-subset-int"])
+        "representation-subsets-int", "representation-subset-int",
+        "representation-index-float", "representation-index-bool",
+        "representation-index-string", "representation-not-the-catalog"])
 def test_document_errors_name_the_value(call, message):
     with pytest.raises(InputError) as info:
         call()

@@ -5,8 +5,8 @@ entry in the _COMMANDS table (unknown keys are rejected), computes, and
 writes results atomically.  The same table builds each subcommand's
 --help text; main builds its argparse parser once per process and
 parses every call with it.  Outputs are byte-identical for identical
-configs.  Exit codes: 0 success, 2 invalid input, 3 fit residual above
-1e-8 * max(1, max|L|), L the generator of the rates.
+configs.  Exit codes: 0 success, 2 invalid input or a failed write, 3
+fit residual above 1e-8 * max(1, max|L|), L the generator of the rates.
 """
 
 from __future__ import annotations
@@ -95,7 +95,11 @@ def _load_config(path, name):
 
 
 def _write_outputs(cfg, document, csv=None):
-    """Write <out>.csv and <out>.json, or the document to stdout."""
+    """Write <out>.csv and <out>.json, or the document to stdout.
+
+    A failed write is an InputError naming its path; the CSV is written
+    first, so a failed JSON write leaves it in place.
+    """
     # Render every text before writing any file, so that a value that
     # cannot be serialized leaves no output behind.
     text = _jsonio.dumps(document, precision=cfg["precision"])
@@ -103,9 +107,12 @@ def _write_outputs(cfg, document, csv=None):
     if out is None:
         sys.stdout.write(text)
         return
-    if csv is not None:
-        _jsonio.atomic_write_text(out + ".csv", csv)
-    _jsonio.atomic_write_text(out + ".json", text)
+    for path, content in ((out + ".csv", csv), (out + ".json", text)):
+        if content is not None:
+            try:
+                _jsonio.atomic_write_text(path, content)
+            except OSError as exc:  # its text names the random temporary file
+                raise InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _trajectory_csv(traj, cfg):
@@ -180,7 +187,6 @@ def _cmd_relax_scan(cfg):
         ranges=cfg["ranges"],
         samples=cfg["samples"],
         constrain_omega_zero=cfg["constrain_omega_zero"],
-        bins=cfg["bins"],
     )
     result = relaxation.scan(grid, seed=cfg["seed"])
     header = ["a", "b", "c", "d", "e", "f", "xi", "disc", "omega", "u", "v", "monotonic"]
@@ -191,7 +197,7 @@ def _cmd_relax_scan(cfg):
     summary = {
         "samples": grid.samples,
         "oscillatory_fraction": result.oscillatory_fraction,
-        "omega_bins": result.omega_bins(grid.bins),
+        "omega_bins": result.omega_bins(cfg["bins"]),
     }
     _write_outputs(cfg, summary, csv)
 
@@ -305,7 +311,7 @@ _COMMANDS = {
             "ranges": (_reader(_finite_array, [(2,), (6, 2)]), (0.0, 1.0),
                        "[lo, hi] or six pairs (default [0, 1])"),
             "constrain_omega_zero": (_reader(_boolean), False, "bool (default false)"),
-            "bins": (_reader(_integer, 1), 10, "int (default 10)"),
+            "bins": (_reader(relaxation._budget, relaxation.MAX_BINS), 10, "int (default 10)"),
             "out": _OUT,
             "seed": (_reader(_integer, 0), 0, "int (default 0)"),
         },

@@ -238,9 +238,12 @@ def monotonicity_witness(trajectory, stationary):
     have converged (final distance below 1e-6 in every component);
     otherwise raises InconclusiveError.
     """
-    trajectory = _instance(trajectory, Trajectory, "trajectory")
-    st = _finite_array(stationary, "stationary", trajectory.states.shape[1:])
-    dist = np.abs(trajectory.states - st)
+    states = _instance(trajectory, Trajectory, "trajectory").states
+    states = _finite_array(states, "trajectory states", (None, None))
+    if states.size == 0:
+        raise InputError("trajectory states must be a non-empty matrix")
+    st = _finite_array(stationary, "stationary", states.shape[1:])
+    dist = np.abs(states - st)
     final_gap = float(dist[-1].max())
     if final_gap >= WITNESS_CONVERGENCE:
         raise InconclusiveError(

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError, SizeError, _finite_array, _integer, _integers, _sequence
 
 # Largest state count of normalizer, difference_basis, ham_term and
-# qtfit.ham_subsets: n * (n-2)!, the square of 1 / normalizer(n), is a
+# ham_subsets: n * (n-2)!, the square of 1 / normalizer(n), is a
 # finite float up to n = 171.  Each checks it before it allocates.
 MAX_N = 171
 
@@ -50,6 +50,7 @@ __all__ = [
     "main_term_bruteforce",
     "main_term_closed",
     "ham_term",
+    "ham_subsets",
     "check_six_state",
     "six_slot_main_term",
 ]
@@ -97,11 +98,7 @@ def difference_basis(n):
     subsets parameterize the Hamiltonian-like terms of the flow.
     """
     n = _size(n)
-    basis = np.zeros((n - 1, n))
-    for b in range(n - 1):
-        basis[b, b] = 1.0
-        basis[b, b + 1] = -1.0
-    return basis
+    return np.eye(n - 1, n) - np.eye(n - 1, n, 1)
 
 
 def _check_subset(subset, n):
@@ -195,8 +192,21 @@ def _signed(n, a, b):
     return a, b, np.where((n + a + b) % 2, 1.0, -1.0)
 
 
+def ham_subsets(n):
+    """Catalog of ham-term subsets: size-(n-3) combinations, lex order.
+
+    Indices are 0-based positions in difference_basis(n).  Empty for
+    n = 2 (the two-state flow has no Hamiltonian freedom); a single
+    empty subset for n = 3.
+    """
+    n = _size(n)
+    if n == 2:
+        return ()
+    return tuple(itertools.combinations(range(n - 1), n - 3))
+
+
 def _catalog_pairs(n):
-    """_signed cut pairs of the terms of qtfit.ham_subsets(n), in its order.
+    """_signed cut pairs of the terms of ham_subsets(n), in its order.
 
     The catalog lists the size-(n-3) subsets of 0..n-2 in lex order, so
     the pairs a < b they leave out are the upper triangle of range(n-1)

@@ -35,8 +35,8 @@ With K fixed, q is linear in L: one refinement pass of the q map on the
 flow mismatch removes the roundoff the first pass leaves on stiff
 chains.  There is no random start; N is capped at MAX_FIT_N, a bound on
 the size of the least squares.  The arrays fixed by N (V, G, the cut
-vectors and pairs, the Sylvester gather) are built once per N, and the
-flow operator of the refinement pass also gives the fit's residual.
+vectors and pairs) are built once per N, and the flow operator of the
+refinement pass also gives the fit's residual.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     _finite_array, _instance, _integer, _integers, _json_object, _positive, _sequence,
 )
 from .multilinear import (
-    _catalog_pairs, _cut_vectors, _size, _wedge_sum, difference_basis, normalizer,
+    _catalog_pairs, _cut_vectors, _size, _wedge_sum, difference_basis, ham_subsets, normalizer,
 )
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
@@ -62,7 +62,6 @@ from .relaxation import _as_rates
 __all__ = [
     "QuadraticEntropy",
     "QTRepresentation",
-    "ham_subsets",
     "qt_rhs",
     "flow_matrix",
     "two_state_entropy",
@@ -113,43 +112,40 @@ class QuadraticEntropy:
 class QTRepresentation:
     """Fitted representation: entropy, ham coefficients, normalization.
 
-    subsets is the catalog ham_subsets(n), whose terms the coefficients
-    r follow in order; no other list is accepted.  norm is positive and
-    finite.  residual is the worst absolute mismatch of the represented
+    r holds one coefficient per term of the catalog ham_subsets(n), in
+    its order; subsets returns that catalog, and from_json_dict accepts
+    no other list.  norm is positive and finite.  residual is the worst absolute mismatch of the represented
     flow against the target generator over the tangent basis directions
     and the simplex centroid, finite and non-negative.
     """
 
     entropy: QuadraticEntropy
     r: np.ndarray
-    subsets: tuple
     norm: float
     residual: float
 
     def __post_init__(self):
         n = _instance(self.entropy, QuadraticEntropy, "entropy").n
         r = _finite_array(self.r, "r", (None,))
-        given = tuple(_sequence(s, "subset") for s in _sequence(self.subsets, "subsets"))
-        _integers(list(itertools.chain.from_iterable(given)), "subset index", 0)
-        subsets = ham_subsets(n)
-        if given != subsets:
-            raise InputError(f"subsets must be ham_subsets({n}): every "
-                             "size-(n-3) subset of 0..n-2 once, in lex order")
-        if r.size != len(subsets):
-            raise InputError(f"got {r.size} coefficients for {len(subsets)} subsets")
+        terms = math.comb(_size(n) - 1, 2)
+        if r.size != terms:
+            raise InputError(f"got {r.size} coefficients for {terms} subsets")
         norm = _positive(self.norm, "norm")
         residual = float(_finite_array(self.residual, "residual", ()))
         if residual < 0.0:
             raise InputError(f"residual must be >= 0, got {residual!r}")
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "subsets", subsets)
         object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "residual", residual)
 
     @property
     def n(self):
         return self.entropy.n
+
+    @property
+    def subsets(self):
+        return ham_subsets(self.n)
 
     def to_json_dict(self):
         return {
@@ -170,20 +166,12 @@ class QTRepresentation:
         entropy = QuadraticEntropy(data["q"])
         if entropy.n != n:
             raise InputError(f"q has size {entropy.n}, document says n = {n}")
-        return cls(entropy, data["r"], data["subsets"], data["norm"], data["residual"])
-
-
-def ham_subsets(n):
-    """Catalog of ham-term subsets: size-(n-3) combinations, lex order.
-
-    Indices are 0-based positions in difference_basis(n).  Empty for
-    n = 2 (the two-state flow has no Hamiltonian freedom); a single
-    empty subset for n = 3.
-    """
-    n = _size(n)
-    if n == 2:
-        return ()
-    return tuple(itertools.combinations(range(n - 1), n - 3))
+        given = tuple(_sequence(s, "subset") for s in _sequence(data["subsets"], "subsets"))
+        _integers(list(itertools.chain.from_iterable(given)), "subset index", 0)
+        if given != ham_subsets(n):
+            raise InputError(f"subsets must be ham_subsets({n}): every "
+                             "size-(n-3) subset of 0..n-2 once, in lex order")
+        return cls(entropy, data["r"], data["norm"], data["residual"])
 
 
 def _main_scale(norm, n):
@@ -247,22 +235,19 @@ def three_state_kappa_r(rates):
 
 # The arrays fixed by n, read-only: V = difference_basis(n), G = V V^T,
 # the cut vectors and the (i, j, sign) _catalog_pairs of the catalog,
-# r_scale = sign * (n-2)! (r from K[i, j]), the residual's directions
-# (V and the centroid) as rows, and the 0/1 factors eye[i][:, i],
-# eye[j][:, j], eye[j][:, i] and eye[i][:, j] of the Sylvester gather.
-_Frame = collections.namedtuple("_Frame", "pairs cuts basis gram dirs r_scale gathers")
+# r_scale = sign * (n-2)! (r from K[i, j]), and the residual's
+# directions (V and the centroid) as rows.
+_Frame = collections.namedtuple("_Frame", "pairs cuts basis gram dirs r_scale")
 
 
 @functools.lru_cache(maxsize=MAX_FIT_N)
 def _fit_frame(n):
     """The _Frame of n, built once per n <= MAX_FIT_N."""
-    i, j, sign = pairs = _catalog_pairs(n)
+    pairs = _catalog_pairs(n)
     v = difference_basis(n)
-    ei, ej = np.eye(n - 1, dtype=bool)[i], np.eye(n - 1, dtype=bool)[j]
     frame = _Frame(pairs, _cut_vectors(n), v, v @ v.T,
-                   np.vstack([v, np.full(n, 1.0 / n)]), sign * math.factorial(n - 2),
-                   (ei[:, i], ej[:, j], ej[:, i], ei[:, j]))
-    for arr in (*pairs, *frame[1:-1], *frame.gathers):
+                   np.vstack([v, np.full(n, 1.0 / n)]), pairs[2] * math.factorial(n - 2))
+    for arr in (*pairs, *frame[1:]):
         arr.setflags(write=False)
     return frame
 
@@ -279,13 +264,13 @@ def _closed_form(gen):
     # B = Lambda G^-1, with G^-1 V^T = C^T / n from the integer cut vectors.
     b = vl @ frame.cuts.T / n
     # Row (p, q), column (i, j) of K -> B K + K B^T, over the cut pairs: the
-    # entries above the diagonal, each once.  lstsq gives the minimum-norm K
+    # entries above the diagonal, each once, with 0/1 factors such as
+    # j[:, None] == j for eye[j][:, j].  lstsq gives the minimum-norm K
     # where three or more closed classes make the system singular.
-    ei_i, ej_j, ej_i, ei_j = frame.gathers
-    sylvester = b[i[:, None], i] * ej_j
-    sylvester -= b[i[:, None], j] * ej_i
-    sylvester += b[j[:, None], j] * ei_i
-    sylvester -= b[j[:, None], i] * ei_j
+    sylvester = b[i[:, None], i] * (j[:, None] == j)
+    sylvester -= b[i[:, None], j] * (j[:, None] == i)
+    sylvester += b[j[:, None], j] * (i[:, None] == i)
+    sylvester -= b[j[:, None], i] * (i[:, None] == j)
     k = np.zeros((m, m))
     k[i, j] = solution = np.linalg.lstsq(sylvester, (lam - lam.T)[i, j], rcond=None)[0]
     r = frame.r_scale * solution
@@ -359,7 +344,7 @@ def fit(w):
     # Residual first, so the representation is built and validated once: the
     # worst flow mismatch over the tangent directions and the centroid.
     resid = float(np.max(np.abs((op @ entropy.q - gen) @ frame.dirs.T)))
-    rep = QTRepresentation(entropy, r, ham_subsets(n), norm, resid)
+    rep = QTRepresentation(entropy, r, norm, resid)
     tol = ACCEPT_TOL * max(1.0, float(np.max(np.abs(gen))))
     if not resid <= tol:
         raise FitNonConvergenceError(

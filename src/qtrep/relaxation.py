@@ -174,13 +174,12 @@ class ScanGrid:
     ranges is either one (lo, hi) pair applied to all six rates or six
     pairs, one per rate.  With constrain_omega_zero the (b, c, f) group
     is rescaled after sampling so the cyclic imbalance vanishes.
-    samples and bins may not exceed MAX_SAMPLES and MAX_BINS.
+    samples may not exceed MAX_SAMPLES.
     """
 
     ranges: tuple
     samples: int
     constrain_omega_zero: bool = False
-    bins: int = 10
 
     def __post_init__(self):
         # + 0.0 turns -0.0 into 0.0: numpy rejects a high of -0.0 over a
@@ -193,11 +192,15 @@ class ScanGrid:
         object.__setattr__(self, "ranges", ranges)
         flag = _boolean(self.constrain_omega_zero, "constrain_omega_zero")
         object.__setattr__(self, "constrain_omega_zero", flag)
-        for name, budget in (("samples", MAX_SAMPLES), ("bins", MAX_BINS)):
-            value = _integer(getattr(self, name), name, 1)
-            if value > budget:
-                raise InputError(f"{name} = {value} exceeds the budget of {budget} {name}")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "samples", _budget(self.samples, "samples", MAX_SAMPLES))
+
+
+def _budget(value, name, budget):
+    """value as a Python int in [1, budget]: a sample or bin count."""
+    value = _integer(value, name, 1)
+    if value > budget:
+        raise InputError(f"{name} = {value} exceeds the budget of {budget} {name}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -217,11 +220,12 @@ class ScanResult:
         return float(1.0 - self.monotonic.mean())
 
     def omega_bins(self, bins):
-        """Oscillatory fraction binned over |omega|.
+        """Oscillatory fraction over |omega| in 1 <= bins <= MAX_BINS bins.
 
         Returns a list of dicts with the bin edges, the sample count and
         the oscillatory fraction (None for empty bins).
         """
+        bins = _budget(bins, "bins", MAX_BINS)
         abs_omega = np.abs(self.omega)
         top = float(abs_omega.max())
         if top == 0.0:

@@ -308,7 +308,7 @@ def fit_per_call(w):
             ) from exc
         entropy = QuadraticEntropy(q)
     resid = residual_metric(flow_operator_per_call(n, norm, r, subsets) @ entropy.q - gen, n)
-    rep = QTRepresentation(entropy, r, subsets, norm, resid)
+    rep = QTRepresentation(entropy, r, norm, resid)
     tol = ACCEPT_TOL * max(1.0, float(np.max(np.abs(gen))))
     if not resid <= tol:
         raise FitNonConvergenceError(

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtrep import cli, composite, lindblad, qtfit
+from qtrep import cli, composite, lindblad, qtfit, relaxation
 from qtrep.errors import InputError
 
 
@@ -364,6 +364,19 @@ class TestRelaxCommands:
         assert scan("again", seed=5) == scan("five", seed=5)
         assert scan("five", seed=5)[0] != default[0]
 
+    def test_bins_budget_checked_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # The config reader checks bins, so an over-budget count draws no sample.
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan called")
+
+        monkeypatch.setattr(relaxation, "scan", no_scan)
+        cfg = write_config(tmp_path / "c.json", {"samples": 10, "bins": 10**9,
+                                                 "out": str(tmp_path / "s")})
+        assert run(["relax-scan", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: bins = 1000000000 exceeds the budget of 10000 bins\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_scalar_ranges_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json", {"samples": 8, "ranges": 5, "out": str(tmp_path / "s")}
@@ -612,6 +625,28 @@ class TestAtomicWrites:
         cfg = write_config(tmp_path / "c.json", {"W": chain3, "out": str(out)})
         assert run(["qt-fit", "--config", cfg]) == 0
         assert "stale" not in (tmp_path / "rep.json").read_text()
+
+    @pytest.mark.parametrize("command, cfg, target", [
+        ("relax-classify", {"rates": [1, 2, 3, 4, 5, 6]}, "r.json"),
+        ("qt-fit", {"W": [[0.0, 3.0, 5.0], [1.0, 0.0, 6.0], [2.0, 4.0, 0.0]]}, "r.json"),
+        ("pme-solve", {"W": [[0.0, 1.0], [2.0, 0.0]], "p0": [0.9, 0.1], "t_end": 0.1}, "r.json"),
+        ("pme-solve", {"W": [[0.0, 1.0], [2.0, 0.0]], "p0": [0.9, 0.1], "t_end": 0.1}, "r.csv"),
+    ], ids=["relax-classify", "qt-fit", "pme-solve-json", "pme-solve-csv"])
+    def test_failed_write_exits_2_with_one_line(self, tmp_path, capsys, command, cfg, target):
+        # The target names a directory, so the rename onto it fails; its
+        # temporary file is removed.  The CSV is written before the JSON, so a
+        # failed JSON write leaves it in place and a failed CSV write writes no JSON.
+        (tmp_path / target).mkdir()
+        config = write_config(tmp_path / "c.json", {**cfg, "out": str(tmp_path / "r")})
+        assert run([command, "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {tmp_path / target}: Is a directory\n"
+        left = {"c.json", target}
+        if command == "pme-solve" and target == "r.json":
+            left.add("r.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(left)
+        assert list((tmp_path / target).iterdir()) == []
 
 
 LINDBLAD_CHANNEL = {"dissipators": [{"A": [1, 0, 0], "B": [0, 1, 0]}]}

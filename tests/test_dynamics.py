@@ -451,3 +451,24 @@ class TestMonotonicityWitness:
         traj = dynamics.integrate(decay_rhs(1.0), np.array([1.0]), 0.1, 0.05)
         with pytest.raises(InputError):
             dynamics.monotonicity_witness(traj, np.zeros(2))
+
+    @pytest.mark.parametrize("states, message", [
+        (None, r"^trajectory states must be a matrix, got shape \(\)$"),
+        ("ab", r"^trajectory states must be a numeric matrix$"),
+        ([["a", "b"]], r"^trajectory states must be a numeric matrix$"),
+        ([0.5, 0.5], r"^trajectory states must be a matrix, got shape \(2,\)$"),
+        ([[0.5, math.nan]], r"^trajectory states has non-finite entries$"),
+        (np.zeros((0, 2)), r"^trajectory states must be a non-empty matrix$"),
+        (np.zeros((1, 0)), r"^trajectory states must be a non-empty matrix$"),
+    ], ids=["none", "string", "string-entries", "vector", "nan", "no-rows", "no-columns"])
+    def test_record_states_checked(self, states, message):
+        # Trajectory is an unchecked record: the witness reads its states as
+        # outside input, whatever the other fields hold.
+        for fill in (None, "x"):
+            traj = dynamics.Trajectory(fill, states, fill, fill, fill, fill)
+            with pytest.raises(InputError, match=message):
+                dynamics.monotonicity_witness(traj, [0.5, 0.5])
+
+    def test_record_states_read_as_floats(self):
+        traj = dynamics.Trajectory(None, [[1, 0], [0.5, 0.5]], None, None, None, None)
+        assert dynamics.monotonicity_witness(traj, [0.5, 0.5]) == [True, True]

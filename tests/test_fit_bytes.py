@@ -102,7 +102,7 @@ def test_frame_is_cached_and_read_only():
     for n in (2, 3, 8):
         frame = qtfit._fit_frame(n)
         assert qtfit._fit_frame(n) is frame
-        arrays = [*frame.pairs, *frame[2:-1], *frame.gathers]
+        arrays = [*frame.pairs, *frame[1:]]
         assert all(isinstance(arr, np.ndarray) for arr in arrays)
         assert not any(arr.flags.writeable for arr in arrays)
 

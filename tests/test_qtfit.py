@@ -1,5 +1,6 @@
 """Representation fitting: closed forms, round trips, conventions."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -113,7 +114,7 @@ class TestCatalog:
         rng = np.random.default_rng(0)
         q = rng.standard_normal((n, n))
         rep = qtfit.QTRepresentation(qtfit.QuadraticEntropy(q + q.T),
-                                     rng.standard_normal(len(subsets)), subsets,
+                                     rng.standard_normal(len(subsets)),
                                      multilinear.normalizer(n), 0.0)
         tracemalloc.start()
         try:
@@ -246,7 +247,6 @@ class TestFitRoundTrip:
         shifted = qtfit.QTRepresentation(
             entropy=qtfit.QuadraticEntropy(rep.entropy.q + 5.0),
             r=rep.r,
-            subsets=rep.subsets,
             norm=rep.norm,
             residual=rep.residual,
         )
@@ -422,7 +422,7 @@ class TestSerialization:
     ], ids=["reordered", "partial", "short", "repeated", "extra", "extra-repeat",
             "reversed-subsets", "longer-subsets", "empty"])
     def test_only_the_catalog_accepted(self, change):
-        # A representation holds ham_subsets(n), whole and in order; any other
+        # A document holds ham_subsets(n), whole and in order; any other
         # list is refused with one message, however many coefficients come with it.
         doc = qtfit.fit(random_chain(5, seed=52)).to_json_dict()
         subsets = change(doc["subsets"])
@@ -431,9 +431,6 @@ class TestSerialization:
         for r in (doc["r"], [0.5] * len(subsets)):
             with pytest.raises(InputError, match=message):
                 qtfit.QTRepresentation.from_json_dict({**doc, "subsets": subsets, "r": r})
-        rep = qtfit.QTRepresentation.from_json_dict(doc)
-        with pytest.raises(InputError, match=message):
-            qtfit.QTRepresentation(rep.entropy, rep.r, subsets, rep.norm, rep.residual)
 
     def test_catalog_stored_as_tuples(self):
         # lists and numpy integers read as the catalog, stored as its tuple
@@ -442,6 +439,30 @@ class TestSerialization:
         rep = qtfit.QTRepresentation.from_json_dict({**doc, "subsets": subsets})
         assert rep.subsets == qtfit.ham_subsets(5)
         assert all(type(i) is int for s in rep.subsets for i in s)
+
+    def test_catalog_derived_from_n(self):
+        # The constructor takes no catalog: subsets is ham_subsets(n), defined
+        # once, in multilinear, and read-only.
+        assert [f.name for f in dataclasses.fields(qtfit.QTRepresentation)] == [
+            "entropy", "r", "norm", "residual"]
+        assert qtfit.ham_subsets is multilinear.ham_subsets
+        for n in range(2, 8):
+            rep = qtfit.fit(random_chain(n, seed=n))
+            assert rep.subsets == multilinear.ham_subsets(n)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rep.subsets = ()
+
+    @pytest.mark.parametrize("n, r, message", [
+        (4, [0.5, 0.5], r"^got 2 coefficients for 3 subsets$"),
+        (3, [], r"^got 0 coefficients for 1 subsets$"),
+        (2, [0.5], r"^got 1 coefficients for 0 subsets$"),
+        (1, [], r"^n must be >= 2, got 1$"),
+        (multilinear.MAX_N + 1, [], rf"^n = {multilinear.MAX_N + 1} is too large"),
+    ])
+    def test_coefficient_count_checked(self, n, r, message):
+        # One coefficient per catalog term, under the catalog's size cap.
+        with pytest.raises(InputError, match=message):
+            qtfit.QTRepresentation(qtfit.QuadraticEntropy(np.zeros((n, n))), r, 1.0, 0.0)
 
     @pytest.mark.parametrize("key, value", [
         ("n", 4.0), ("n", 4.9), ("n", "4"), ("n", True),
@@ -481,6 +502,6 @@ class TestSerialization:
         rep = qtfit.QTRepresentation.from_json_dict(doc)
         with pytest.raises(InputError, match=key):
             qtfit.QTRepresentation(
-                entropy=rep.entropy, r=rep.r, subsets=rep.subsets,
+                entropy=rep.entropy, r=rep.r,
                 **{"norm": rep.norm, "residual": rep.residual, key: value},
             )

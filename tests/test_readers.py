@@ -243,7 +243,7 @@ OBJECT_ARGUMENTS = {
     "qt_rhs": (lambda x: qtfit.qt_rhs(x, _P), ("rep", "QTRepresentation")),
     "monotonicity_witness":
         (lambda x: dynamics.monotonicity_witness(x, _P), ("trajectory", "Trajectory")),
-    "QTRepresentation": (lambda x: qtfit.QTRepresentation(x, [], (), 1.0, 0.0),
+    "QTRepresentation": (lambda x: qtfit.QTRepresentation(x, [], 1.0, 0.0),
                          ("entropy", "QuadraticEntropy")),
     "scan": (relaxation.scan, ("grid", "ScanGrid")),
 }

@@ -60,7 +60,7 @@ COPIED = [
     ("QuadraticEntropy", qtfit.QuadraticEntropy, lambda: [np.eye(2)],
      lambda rec: [rec.q]),
     ("QTRepresentation",
-     lambda r: qtfit.QTRepresentation(zero_entropy(3), r, ((),), 1.0, 0.0),
+     lambda r: qtfit.QTRepresentation(zero_entropy(3), r, 1.0, 0.0),
      lambda: [np.array([0.5])], lambda rec: [rec.r]),
     ("LindbladChannel", _channel,
      lambda: [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
@@ -114,7 +114,7 @@ CONVERTED = [
     ("ProbabilityState", (2,), pme.ProbabilityState, "state"),
     ("QuadraticEntropy", (2, 2), qtfit.QuadraticEntropy, "q"),
     ("QTRepresentation.r", (1,),
-     lambda x: qtfit.QTRepresentation(zero_entropy(3), x, ((),), 1.0, 0.0), "r"),
+     lambda x: qtfit.QTRepresentation(zero_entropy(3), x, 1.0, 0.0), "r"),
     ("LindbladChannel.h", (3,), lambda x: lindblad.LindbladChannel(h=x, dissipators=()), "h"),
     ("LindbladChannel.B", (3,), lambda x: _channel([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], x),
      r"B\[0\]"),

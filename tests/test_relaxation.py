@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -167,7 +168,7 @@ class TestScan:
             assert result.rates[:, j].max() <= hi
 
     def test_omega_bins_partition(self):
-        grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=300, bins=7)
+        grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=300)
         result = relaxation.scan(grid, seed=4)
         bins = result.omega_bins(7)
         assert len(bins) == 7
@@ -239,15 +240,18 @@ class TestScan:
     def test_bad_samples_rejected(self):
         with pytest.raises(InputError):
             relaxation.ScanGrid(ranges=(0.0, 1.0), samples=0)
+        result = relaxation.scan(relaxation.ScanGrid(ranges=(0.0, 1.0), samples=5))
+        with pytest.raises(InputError, match=r"^bins must be >= 1, got 0$"):
+            result.omega_bins(0)
         # int() would read these as 5, 2 and 1 samples or bins.
         for value in ("5", 2.7, True, None):
             with pytest.raises(InputError, match=f"samples must be an integer, got {value!r}"):
                 relaxation.ScanGrid(ranges=(0.0, 1.0), samples=value)
             with pytest.raises(InputError, match=f"bins must be an integer, got {value!r}"):
-                relaxation.ScanGrid(ranges=(0.0, 1.0), samples=5, bins=value)
-        grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=np.int64(5), bins=np.int32(3))
-        assert (grid.samples, grid.bins) == (5, 3)
-        assert type(grid.samples) is int and type(grid.bins) is int
+                result.omega_bins(value)
+        grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=np.int64(5))
+        assert grid.samples == 5 and type(grid.samples) is int
+        assert len(result.omega_bins(np.int32(3))) == 3
 
     def test_non_bool_constraint_rejected(self):
         # "false" is truthy and would switch the constraint on.
@@ -260,11 +264,16 @@ class TestScan:
         assert grid.constrain_omega_zero
 
     def test_budget(self):
-        grid = relaxation.ScanGrid(
-            ranges=(0.0, 1.0), samples=relaxation.MAX_SAMPLES, bins=relaxation.MAX_BINS
-        )
-        assert (grid.samples, grid.bins) == (10**6, 10**4)
+        grid = relaxation.ScanGrid(ranges=(0.0, 1.0), samples=relaxation.MAX_SAMPLES)
+        assert grid.samples == 10**6
         with pytest.raises(InputError, match="samples = 1000001 exceeds the budget"):
             relaxation.ScanGrid(ranges=(0.0, 1.0), samples=10**6 + 1)
-        with pytest.raises(InputError, match="bins = 10001 exceeds the budget"):
-            relaxation.ScanGrid(ranges=(0.0, 1.0), samples=1, bins=10**4 + 1)
+        result = relaxation.scan(relaxation.ScanGrid(ranges=(0.0, 1.0), samples=1))
+        assert len(result.omega_bins(relaxation.MAX_BINS)) == 10**4
+        with pytest.raises(InputError, match=r"^bins = 10001 exceeds the budget of 10000 bins$"):
+            result.omega_bins(10**4 + 1)
+
+    def test_grid_fields(self):
+        # The bin count belongs to omega_bins, not to the sampling plan.
+        assert [f.name for f in dataclasses.fields(relaxation.ScanGrid)] == [
+            "ranges", "samples", "constrain_omega_zero"]

@@ -23,7 +23,9 @@ the digits are proved.  The other cells (about 3 % of random doubles,
 every exact tie among them) are formatted by ``%`` one by one.  The
 ``%`` row template formats whole tables at p > 17, with fewer than
 ``CSV_DIGITS_MIN_CELLS`` cells, or where long double has no 64-bit
-significand (then float64, as on arm64).
+significand (then float64, as on arm64).  csv_text decodes the digit
+path's buffer into its str; the CLI takes the bytes themselves from
+``_csv_table`` and writes them without a copy.
 """
 
 from __future__ import annotations
@@ -99,12 +101,14 @@ def dumps(obj, precision=DEFAULT_PRECISION):
 def atomic_write_text(path, text):
     """Write text to path via a new temporary file and a rename.
 
-    The temporary file is created (O_EXCL) under a random name next to
+    text is a str, or bytes-like data that is written as it is.  The
+    temporary file is created (O_EXCL) under a random name next to
     path, so it gets the mode of any new file, 0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".qtrep-{secrets.token_hex(8)}.tmp")
-    handle = open(tmp, "x")  # raises, creating nothing, if the name is taken
+    # raises, creating nothing, if the name is taken
+    handle = open(tmp, "x" if isinstance(text, str) else "xb")
     try:
         with handle:
             handle.write(text)
@@ -138,8 +142,6 @@ _DOT, _MINUS, _PLUS, _E = b".-+e"
 _SCI, _ZERO, _NAN, _FALSE, _TRUE, _FALLBACK = range(6)
 _WORDS = {_ZERO: b"0", _NAN: b"nan", _FALSE: b"false", _TRUE: b"true"}
 _LEAD = np.frombuffer(b"0.000", np.uint8)
-# "00" .. "99", two ASCII bytes per entry
-_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
 
 
 @functools.cache
@@ -165,6 +167,12 @@ def _powers():
     high = np.array([m >> 32 for m in mants], np.float64).astype(np.longdouble)
     low = np.array([m & 0xFFFFFFFF for m in mants], np.float64).astype(np.longdouble)
     return np.ldexp(high * 2.0**32 + low, np.array(shifts))
+
+
+@functools.cache
+def _quads():
+    """"0000" .. "9999", four ASCII bytes per entry, built on first use."""
+    return np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)
 
 
 def _significands(a, precision):
@@ -201,19 +209,20 @@ def _significands(a, precision):
 
 def _digit_matrix(n, precision):
     """ASCII digits of n < 10**17, precision columns, leading digit first."""
-    width = precision + (precision & 1)
-    pairs = np.empty((n.size, width // 2), np.uint16)
+    width = 4 * ((precision + 3) // 4)
+    table = _quads()
+    quads = np.empty((n.size, width // 4), np.uint32)
     upper = n // np.uint64(10**8)
     lower = (n - upper * np.uint64(10**8)).astype(np.uint32)
     upper = upper.astype(np.uint32)
-    col = width // 2
-    for part, count in ((lower, min(4, col)), (upper, col - 4)):
+    col = width // 4
+    for part, count in ((lower, min(2, col)), (upper, col - 2)):
         for _ in range(count):
-            quot = part // 100
+            quot = part // 10000
             col -= 1
-            pairs[:, col] = _PAIRS[part - quot * 100]
+            quads[:, col] = table[part - quot * 10000]
             part = quot
-    return pairs.view(np.uint8)[:, width - precision:]
+    return quads.view(np.uint8)[:, width - precision:]
 
 
 def _percent_cells(values, precision):
@@ -345,7 +354,7 @@ def _digit_rows(cols, precision, text, size):
     del records, ends, order
     seps = np.full(len(cols), ord(","), np.uint8)
     seps[-1] = ord("\n")
-    out[np.arange(end.size), end] = np.tile(seps, rows)
+    out.reshape(-1)[np.arange(0, end.size * width, width) + end] = np.tile(seps, rows)
     # The kept bytes are copied out before they overwrite their records.
     kept = out.reshape(-1)[_keep(width)[start, end].view(bool).reshape(-1)]
     text[size:size + kept.size] = kept
@@ -358,6 +367,16 @@ def csv_text(header, columns, precision=DEFAULT_PRECISION):
     Bool columns print true/false; every other column is cast to float
     and printed like format_float, except that NaN prints nan.  A column
     holding +-inf, or columns of unequal length, raise InputError.
+    """
+    table = _csv_table(header, columns, precision)
+    return table if isinstance(table, str) else str(table, "utf-8", "surrogatepass")
+
+
+def _csv_table(header, columns, precision):
+    """csv_text's table: a str from the % template, else UTF-8 bytes.
+
+    The digit path's bytes are a view of its text buffer, which
+    atomic_write_text writes without a copy.
     """
     arrays = []
     for col in columns:
@@ -378,12 +397,12 @@ def csv_text(header, columns, precision=DEFAULT_PRECISION):
     if not (_EXTENDED and 1 <= precision <= _DIGITS_MAX_PRECISION
             and count * len(arrays) >= CSV_DIGITS_MIN_CELLS):
         return "".join([head, *(_template_rows(cols, precision) for cols in blocks)])
-    # One buffer holds the whole text and is decoded once: no block
-    # string outlives its block's temporaries to fragment the heap.
+    # One buffer holds the whole text: no block string outlives its
+    # block's temporaries to fragment the heap.
     head = head.encode("utf-8", "surrogatepass")
     text = np.empty(len(head) + count * len(arrays) * (precision + 8), np.uint8)
     text[:len(head)] = np.frombuffer(head, np.uint8)
     size = len(head)
     for cols in blocks:
         size = _digit_rows(cols, precision, text, size)
-    return str(text[:size], "utf-8", "surrogatepass")
+    return text[:size].data

@@ -121,7 +121,7 @@ def _trajectory_csv(traj, cfg):
     header = ["t"] + [f"y{i + 1}" for i in range(dim)] + ["entropy", "sum_drift"]
     entropy = np.full(traj.times.size, np.nan) if traj.entropy is None else traj.entropy
     columns = [traj.times, *traj.states.T, entropy, traj.sum_drift]
-    return _jsonio.csv_text(header, columns, cfg["precision"])
+    return _jsonio._csv_table(header, columns, cfg["precision"])
 
 
 def _default_dt(dt, scale, name):
@@ -150,7 +150,7 @@ def _cmd_pme_solve(cfg):
     stationary = pme.stationary_state(w)
     dynamics._check_rk4_stable(dt, spec.eigenvalues)
     traj = dynamics.integrate(
-        gen.dot, p0.p, cfg["t_end"], dt,
+        gen, p0.p, cfg["t_end"], dt,
         entropy=lambda rows: pme.bs_entropy(np.clip(rows, 0.0, 1.0)), stride=cfg["stride"],
     )
     report = {
@@ -192,8 +192,9 @@ def _cmd_relax_scan(cfg):
     header = ["a", "b", "c", "d", "e", "f", "xi", "disc", "omega", "u", "v", "monotonic"]
     columns = [*result.rates.T, result.xi, result.disc, result.omega, result.u,
                result.v, result.monotonic]
-    # Built first: it rejects an infinite |omega|, on which omega_bins warns.
-    csv = _jsonio.csv_text(header, columns, cfg["precision"])
+    # Built first: it rejects an infinite entry with its value, where omega_bins
+    # would give non-finite edges.
+    csv = _jsonio._csv_table(header, columns, cfg["precision"])
     summary = {
         "samples": grid.samples,
         "oscillatory_fraction": result.oscillatory_fraction,

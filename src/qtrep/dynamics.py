@@ -1,28 +1,42 @@
 """Fixed-step classical Runge-Kutta integration with monitors.
 
-One integrator serves every flow in the package.  Its loop carries the
-RK4 step inline, with no call per step: stages y + (h/2) k1,
-y + (h/2) k2 and y + h k3, then y + (h/6) (((k1 + 2 k2) + 2 k3) + k4),
-rounded in that order.  The 2 and the step scalars h/2, h and h/6 are
-0-d float64 arrays, the latter built again only for a truncated last
-step: numpy multiplies by those without converting a Python float on
-every call.  Each scaled product goes into one scratch buffer and the
-weighted sum of the stages into another, both owned by the loop.  Every
-stage and every new state is a fresh array, so rhs is never handed a
-buffer that the loop overwrites later, and an rhs that returns its
-argument, or a view of it, stays correct.  The first rhs result must be
-a real numeric ndarray of y0's shape.  Every new state is checked finite
-before the next step evaluates rhs on it, by math.isfinite over its
-Python floats: on a float64 state that is np.isfinite(y).all()'s answer
-at a fraction of its dispatch cost.  A non-finite state, or an
+One integrator serves every flow in the package.  It takes the flow as
+a callable rhs, or, for a linear flow dy/dt = M y, as the matrix M
+itself.  Either loop carries the RK4 step inline, with no call per
+step: stages y + (h/2) k1, y + (h/2) k2 and y + h k3, then
+y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), rounded in that order.  The 2
+and the step scalars h/2, h and h/6 are 0-d float64 arrays, the latter
+built again only for a truncated last step: numpy multiplies by those
+without converting a Python float on every call.
+
+The callable loop writes each scaled product into one scratch buffer
+and the weighted sum of the stages into another, both owned by the
+loop.  Every stage and every new state is a fresh array, so rhs is never
+handed a buffer that the loop overwrites later, and an rhs that returns
+its argument, or a view of it, stays correct.  The first rhs result must
+be a real numeric ndarray of y0's shape.  Every new state is checked
+finite before the next step evaluates rhs on it, by math.isfinite over
+its Python floats: on a float64 state that is np.isfinite(y).all()'s
+answer at a fraction of its dispatch cost.  A non-finite state, or an
 InputError from rhs on a non-finite stage, is a DivergenceError at that
-step.  The loop records the initial state, every stride-th accepted
-state and the final one in one array.  After the run it derives from
-each recorded state the drift of the component sum (the conserved
-energy of the probability flows).
-When an entropy callable is supplied, it is called once on the whole
-array of recorded states, and gives each row's entropy; the increments
-between recorded rows follow from those values.
+step.
+
+The matrix loop computes M.dot into the rows of one (4, n) array and
+every stage sum and state into vectors of its own, the state updated in
+place, so a step allocates nothing; 2 k2 and 2 k3 come from one multiply
+over two of those rows.  Its rounding is the callable loop's on M.dot,
+bit for bit.  It checks finiteness only at recorded rows: a non-finite
+entry stays non-finite under y + (h/6) acc, so the first non-finite
+state lies in the segment that ends at the failing row.  The callable
+loop then replays that segment from its recorded start on M.dot, and
+raises the DivergenceError of a per-step check, with its step and text.
+
+The loops record the initial state, every stride-th accepted state and
+the final one in one array.  After the run the drift of the component
+sum (the conserved energy of the probability flows) is derived from
+each recorded state.  When an entropy callable is supplied, it is
+called once on the whole array of recorded states, and gives each row's
+entropy; the increments between recorded rows follow from those values.
 The step size is constant except for the final step, which is truncated
 so the last recorded time is exactly t_end.
 """
@@ -93,6 +107,12 @@ def _step_scalars(h):
     return np.array(0.5 * h), np.array(h), np.array(h / 6.0)
 
 
+def _divergence(step, dt, n_full, t_end):
+    """The DivergenceError of a non-finite state after step; the last step ends at t_end."""
+    t = step * dt if step <= n_full else t_end
+    return DivergenceError(f"non-finite state at step {step} (t = {t!r})", step)
+
+
 def _check_rhs_result(k, y):
     """Raise InputError unless k, rhs's first result, is a real numeric array of y's shape."""
     if isinstance(k, np.ndarray) and k.dtype.kind in "iuf" and k.shape == y.shape:
@@ -102,13 +122,16 @@ def _check_rhs_result(k, y):
 
 
 def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
-    """Integrate dy/dt = rhs(y) from 0 to t_end with fixed step dt.
+    """Integrate dy/dt = rhs(y), or M y for a matrix M, from 0 to t_end with fixed step dt.
 
     Parameters
     ----------
-    rhs : callable
+    rhs : callable or matrix
         Maps a state vector to its time derivative, a real numeric
         ndarray of the state's shape.  It must not modify its argument.
+        Anything not callable is read as the matrix M of the linear flow
+        dy/dt = M y: a square real matrix of y0's size, every entry
+        finite.  The matrix gives the bits that the callable M.dot gives.
     y0 : array
         Initial state.
     t_end, dt : float
@@ -130,11 +153,12 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     ------
     InputError
         When t_end or dt is not a positive finite number, t_end / dt
-        exceeds MAX_STEPS or stride is not a positive integer, before the
-        first step; when the first rhs result is not a real numeric
-        ndarray of y0's shape (later results are cast into float64
-        buffers, which numpy checks); or when entropy does not return one
-        value per recorded row.
+        exceeds MAX_STEPS, stride is not a positive integer or a
+        non-callable rhs is not such a matrix, before the first step;
+        when the first rhs result is not a real numeric ndarray of y0's
+        shape (later results are cast into float64 buffers, which numpy
+        checks); or when entropy does not return one value per recorded
+        row.
     DivergenceError
         When a step produces a non-finite state, or rhs raises InputError
         on a non-finite stage of it; carries the step index.  The time
@@ -146,6 +170,7 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     y = _finite_array(y0, "y0", (None,))
     if y.size == 0:
         raise InputError("y0 must be a non-empty vector")
+    matrix = None if callable(rhs) else _finite_array(rhs, "rhs", (y.size, y.size))
 
     if t_end / dt > MAX_STEPS:
         raise InputError(
@@ -167,14 +192,58 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
     row = 1
     half, full, sixth = _step_scalars(dt)
     two = np.array(2.0)
-    scratch, acc = np.empty_like(y), np.empty_like(y)
     # Bound to locals: a module lookup per ufunc call is a measurable share of a step.
     add, multiply = np.add, np.multiply
+    # The callable loop below takes steps first..last: all of them for a callable rhs;
+    # for a matrix none, or the steps inside a segment whose end state is not finite.
+    first, last = 1, steps
     # A step that overflows is caught by the finiteness check, which
     # raises DivergenceError; an overflowing monitor leaves a non-finite
     # value in its column.  numpy's warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
+        if matrix is not None:
+            # Stages in the rows of k, stage sums in stage, the state in y, updated in
+            # place: nothing is allocated per step.
+            dot = matrix.dot
+            k = np.empty((4, y.size))
+            k1, k2, k3, k4 = k
+            middle = k[1:3]
+            stage, acc = np.empty_like(y), np.empty_like(y)
+            for step in range(1, steps + 1):
+                if step > n_full:
+                    half, full, sixth = _step_scalars(remainder)
+                dot(y, k1)
+                multiply(half, k1, stage)
+                add(y, stage, stage)
+                dot(stage, k2)
+                multiply(half, k2, stage)
+                add(y, stage, stage)
+                dot(stage, k3)
+                multiply(full, k3, stage)
+                add(y, stage, stage)
+                dot(stage, k4)
+                # 2 k2 and 2 k3 at once (doubling is exact), then
+                # acc = ((k1 + 2 k2) + 2 k3) + k4 and y + (h/6) acc.
+                multiply(two, middle, middle)
+                add(k1, k2, acc)
+                add(acc, k3, acc)
+                add(acc, k4, acc)
+                multiply(sixth, acc, acc)
+                add(y, acc, y)
+                if step % stride == 0 or step == steps:
+                    # A non-finite entry stays non-finite under y + (h/6) acc, so the
+                    # first non-finite state lies in this row's segment: the callable
+                    # loop replays the steps before its end on dot, checking each.
+                    if not all(map(math.isfinite, y.tolist())):
+                        first, last, rhs, y = recorded[row - 1] + 1, step - 1, dot, states[row - 1]
+                        half, full, sixth = _step_scalars(dt)
+                        break
+                    states[row] = y
+                    row += 1
+            else:
+                last = 0
+        scratch, acc = np.empty_like(y), np.empty_like(y)
+        for step in range(first, last + 1):
             if step > n_full:
                 half, full, sixth = _step_scalars(remainder)
             k1 = rhs(y)
@@ -207,11 +276,13 @@ def integrate(rhs, y0, t_end, dt, entropy=None, stride=1):
                 y = add(y, acc)
             # k1 = rhs(y) of the next step relies on a finite y.
             if not all(map(math.isfinite, y.tolist())):
-                t = step * dt if step <= n_full else t_end
-                raise DivergenceError(f"non-finite state at step {step} (t = {t!r})", step)
+                raise _divergence(step, dt, n_full, t_end)
             if step % stride == 0 or step == steps:
                 states[row] = y
                 row += 1
+        if row < recorded.size:
+            # The replay stayed finite: the matrix loop's row is the first non-finite state.
+            raise _divergence(last + 1, dt, n_full, t_end)
         # Only the last step can pass t_end, and it ends there exactly.
         times = recorded * dt
         times[-1] = t_end

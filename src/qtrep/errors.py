@@ -3,8 +3,9 @@
 Everything raised on bad user input derives from InputError (a ValueError),
 so callers can catch one type at API boundaries.  Each kind of outside
 input has one reader here, which returns the checked value or raises
-InputError naming it: _finite_array, _integer (and _integers for many at
-once), _positive, _boolean, _json_object, _sequence and _instance.  Errors
+InputError naming it: _finite_array (_real_array where NaN and
+infinities may pass), _integer (and _integers for many at once),
+_positive, _boolean, _json_object, _sequence and _instance.  Errors
 carrying partial results (non-converged fits, diverged integrations)
 derive from QtrepError directly and expose their payload as attributes.
 """
@@ -88,12 +89,24 @@ class InconclusiveError(QtrepError):
 def _finite_array(x, name, shape):
     """x copied into a float array of the given shape, every entry finite.
 
+    Raises InputError as _real_array does, and when x holds a NaN or an
+    infinity.
+    """
+    arr = _real_array(x, name, shape)
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} has non-finite entries")
+    return arr
+
+
+def _real_array(x, name, shape):
+    """x copied into a float array of the given shape; NaN and infinities pass.
+
     shape has at most two axes; a None allows any size along its axis,
     and () asks for a scalar.  A list of such shapes accepts any of
-    them.  Raises InputError naming name when x is not numeric, has
-    another shape, or holds a NaN or an infinity.  Bools, strings and
-    complex numbers are not numeric here: numpy would read the first as
-    0/1, parse the second and drop the imaginary part of the third.
+    them.  Raises InputError naming name when x is not numeric or has
+    another shape.  Bools, strings and complex numbers are not numeric
+    here: numpy would read the first as 0/1, parse the second and drop
+    the imaginary part of the third.
     """
     try:
         raw = np.asarray(x)
@@ -111,8 +124,6 @@ def _finite_array(x, name, shape):
         raise InputError(f"{name} must be a numeric {_describe(shape)}") from exc
     if arr.shape != shape and not _fits(arr.shape, shape):
         raise InputError(f"{name} must be a {_describe(shape)}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InputError(f"{name} has non-finite entries")
     return arr
 
 

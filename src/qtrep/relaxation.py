@@ -25,7 +25,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import InputError, _boolean, _finite_array, _instance, _integer
+from .errors import InputError, _boolean, _finite_array, _instance, _integer, _real_array
 from .pme import TransitionMatrix
 
 __all__ = [
@@ -205,7 +205,14 @@ def _budget(value, name, budget):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Vectorized classification of a sampled rate region."""
+    """Vectorized classification of a sampled rate region.
+
+    rates is an (N, 6) float array with N >= 1, in the order of
+    ThreeStateRates; xi, disc, omega, u and v are (N,) float arrays and
+    monotonic an (N,) bool array.  The record holds read-only copies; its
+    float fields may hold NaN or infinities where the rates overflowed,
+    and the CSV writer rejects an infinity.
+    """
 
     rates: np.ndarray
     xi: np.ndarray
@@ -214,6 +221,22 @@ class ScanResult:
     u: np.ndarray
     v: np.ndarray
     monotonic: np.ndarray
+
+    def __post_init__(self):
+        rates = _real_array(self.rates, "rates", (None, 6))
+        if not rates.size:
+            raise InputError("rates must hold at least one sample")
+        count = rates.shape[:1]
+        fields = {"rates": rates}
+        for name in ("xi", "disc", "omega", "u", "v"):
+            fields[name] = _real_array(getattr(self, name), name, count)
+        flags = self.monotonic
+        if not (isinstance(flags, np.ndarray) and flags.dtype == bool and flags.shape == count):
+            raise InputError(f"monotonic must be a bool array of shape {count}")
+        fields["monotonic"] = flags.copy()
+        for name, arr in fields.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def oscillatory_fraction(self):
@@ -230,7 +253,10 @@ class ScanResult:
         top = float(abs_omega.max())
         if top == 0.0:
             top = 1.0
-        edges = np.linspace(0.0, top, bins + 1)
+        # A NaN or infinite top gives non-finite edges, which the JSON
+        # writer rejects; numpy's warning on them would only add noise.
+        with np.errstate(invalid="ignore"):
+            edges = np.linspace(0.0, top, bins + 1)
         # Bins are [lo, hi) except the last, which also takes its top
         # edge: a sample falls in the last bin whose lo it reaches, if it
         # is not above the top edge.  A NaN |omega| falls in none.

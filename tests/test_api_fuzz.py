@@ -12,9 +12,13 @@ reads (a size, a state, a rate matrix and rate tuple, a channel, a
 system, an entropy, a representation, a grid, a trajectory and an rhs),
 so that a bad value among good ones reaches the later checks too.
 Whatever the call, it must return or raise a QtrepError, raise no
-warning, and end within MAX_SECONDS.
+warning, and end within MAX_SECONDS.  Two cases the drawn calls seldom
+build get tests of their own: integrate with each pool value as rhs and
+a valid state and horizon, and ScanResult records with at most one junk
+field, whose methods are called when the record is built.
 """
 
+import dataclasses
 import inspect
 import math
 import time
@@ -119,3 +123,39 @@ def test_drawn_calls(data):
     kwargs = {key: data.draw(st.sampled_from(POOL), label=key)
               for key in optional if data.draw(st.booleans(), label=f"pass {key}")}
     _call(name, args, kwargs)
+
+
+def test_integrate_reads_any_rhs():
+    for value in POOL:
+        _call("integrate", [value, [0.2, 0.3, 0.5], 1.0, 0.25], {})
+
+
+# Good values of each ScanResult field for 3 samples, non-finite entries among them.
+_COLUMNS = [np.zeros(3), np.array([0.5, math.inf, -1.0]), np.array([math.nan, 0.0, 1.0]),
+            [1e308, -1e308, 5e-324], [-math.inf, math.inf, math.nan]]
+SCAN_FIELDS = {
+    "rates": [np.ones((3, 6)), np.full((3, 6), math.nan), [[1e308] * 6] * 3],
+    **dict.fromkeys(["xi", "disc", "omega", "u", "v"], _COLUMNS),
+    "monotonic": [np.array([True, False, True]), np.zeros(3, bool)],
+}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_scan_result_with_a_junk_field(data):
+    junk = data.draw(st.sampled_from([None, *SCAN_FIELDS]), label="junk field")
+    fields = {name: data.draw(st.sampled_from(POOL if name == junk else good), label=name)
+              for name, good in SCAN_FIELDS.items()}
+    assert list(fields) == [field.name for field in dataclasses.fields(qtrep.ScanResult)]
+    bins = data.draw(st.sampled_from(POOL + [1, 7, 10**4]), label="bins")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = qtrep.ScanResult(**fields)
+        except QtrepError:
+            return
+        assert 0.0 <= result.oscillatory_fraction <= 1.0
+        try:
+            result.omega_bins(bins)
+        except QtrepError:
+            pass

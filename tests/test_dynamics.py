@@ -301,6 +301,122 @@ class TestGeneratorDot:
             assert got.tobytes() == want[rows].tobytes()
 
 
+def drawn_flow(n, seed, dense):
+    """A matrix, its initial state and a step of size 0.5 / (largest absolute row sum).
+
+    A chain's generator from rates e^U(-5, 5), 30 % of them zero, or a dense normal matrix,
+    whose flow may grow; over 40 steps it stays far below overflow.
+    """
+    rng = np.random.default_rng(seed)
+    if dense:
+        m, y0 = rng.normal(size=(n, n)), rng.normal(size=n)
+    else:
+        n = max(n, 2)
+        w = np.exp(rng.uniform(-5.0, 5.0, (n, n)))
+        w[rng.random((n, n)) < 0.3] = 0.0
+        np.fill_diagonal(w, 0.0)
+        m, y0 = pme.build_generator(w), rng.dirichlet(np.ones(n))
+    return m, y0, 0.5 / max(1.0, float(np.max(np.abs(m).sum(axis=1))))
+
+
+def divergence(*args, **kwargs):
+    """The DivergenceError that integrate(*args, **kwargs) raises."""
+    with pytest.raises(DivergenceError) as info:
+        dynamics.integrate(*args, **kwargs)
+    return info.value
+
+
+class TestMatrixRhs:
+    """A matrix rhs runs the matrix loop, to the bits of the callable loop on M @ y.
+
+    Odd and even n put the rows of the loop's (4, n) stage array at different
+    address offsets; the strides run from 1 to past the step count.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=1, max_value=17), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans(), st.integers(min_value=1, max_value=40), st.booleans(),
+           st.integers(min_value=1, max_value=45))
+    def test_matches_callable_and_oracle_bitwise(self, n, seed, dense, steps, truncated, stride):
+        m, y0, dt = drawn_flow(n, seed, dense)
+        t_end = dt * (steps + (0.37 if truncated else 0.0))
+        traj = dynamics.integrate(m, y0, t_end, dt, stride=stride)
+        want = dynamics.integrate(lambda y: m @ y, y0, t_end, dt, stride=stride)
+        assert traj.steps == want.steps
+        for got, kept in zip([traj.times, traj.states, traj.sum_drift],
+                             [want.times, want.states, want.sum_drift]):
+            assert got.tobytes() == kept.tobytes()
+        assert_matches_reference(traj, lambda y: m @ y, y0, t_end, dt, stride)
+
+    # No filterwarnings("error") mark: pyproject's filter already errors on numpy's
+    # warnings, and a mark would drop its ignore entry that hypothesis's report needs.
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=60), st.booleans())
+    def test_divergence_matches_callable(self, n, seed, stride, truncated):
+        # dt * |eigenvalue| of 10 to 1000 overflows within a few hundred steps; the
+        # first non-finite state mostly falls inside a segment, where the replay finds it.
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(1.0, 3.0)
+        y0 = rng.normal(size=n)
+        t_end = 300.0 + (0.5 if truncated else 0.0)
+        got = divergence(m, y0, t_end, 1.0, stride=stride)
+        want = divergence(lambda y: m @ y, y0, t_end, 1.0, stride=stride)
+        assert type(got) is type(want)
+        assert (got.step, str(got)) == (want.step, str(want))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_end, stride, message", [
+        # y' = 100 y grows about 4.3e6-fold a step and overflows at step 47.
+        (200.0, 1, r"^non-finite state at step 47 \(t = 47\.0\)$"),
+        (200.0, 10, r"^non-finite state at step 47 \(t = 47\.0\)$"),  # inside (40, 50]
+        (200.0, 47, r"^non-finite state at step 47 \(t = 47\.0\)$"),  # a segment's end
+        (200.0, 500, r"^non-finite state at step 47 \(t = 47\.0\)$"),  # past the last step
+        # Step 47 is the last, shortened to 0.5, and still overflows.
+        (46.5, 10, r"^non-finite state at step 47 \(t = 46\.5\)$"),
+    ])
+    def test_divergence_step_and_time(self, t_end, stride, message):
+        rhs = lambda y: np.array([[100.0]]) @ y
+        with pytest.raises(DivergenceError, match=message) as want:
+            reference_integrate(rhs, [1.0], t_end, 1.0)
+        got = divergence([[100.0]], [1.0], t_end, 1.0, stride=stride)
+        assert got.step == want.value.step == 47
+        assert str(got) == str(want.value)
+
+    @pytest.mark.parametrize("rhs, message", [
+        (np.zeros((3, 2)), r"^rhs must be a 3x3 matrix, got shape \(3, 2\)$"),
+        (np.zeros((2, 2)), r"^rhs must be a 3x3 matrix, got shape \(2, 2\)$"),
+        (np.zeros(3), r"^rhs must be a 3x3 matrix, got shape \(3,\)$"),
+        (np.eye(3, dtype=bool), r"^rhs must be a numeric 3x3 matrix$"),
+        (np.eye(3) * 1j, r"^rhs must be a numeric 3x3 matrix$"),
+        ([[0.0, 1.0, math.nan], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], r"^rhs has non-finite entries$"),
+        ([[0.0, 1.0], [1.0, 0.0, 0.0], [0.0]], r"^rhs must be a numeric 3x3 matrix$"),
+        (None, r"^rhs must be a 3x3 matrix, got shape \(\)$"),
+        (5, r"^rhs must be a 3x3 matrix, got shape \(\)$"),
+        ("abc", r"^rhs must be a numeric 3x3 matrix$"),
+        ([1.0], r"^rhs must be a 3x3 matrix, got shape \(1,\)$"),
+    ], ids=["non-square", "wrong-size", "vector", "bool", "complex", "nan", "ragged", "none",
+            "int", "string", "list"])
+    def test_bad_matrix_rejected(self, rhs, message):
+        with pytest.raises(InputError, match=message):
+            dynamics.integrate(rhs, [0.2, 0.3, 0.5], 1.0, 0.25)
+
+    def test_caller_arrays_unchanged(self):
+        # The loop updates its state in place, in its own copy of y0.
+        m = pme.build_generator([[0.0, 0.7, 0.2], [0.4, 0.0, 0.9], [0.3, 0.5, 0.0]])
+        y0 = np.array([0.5, 0.3, 0.2])
+        kept = m.copy(), y0.copy()
+        traj = dynamics.integrate(m, y0, 1.0, 0.1, stride=3)
+        assert m.tobytes() == kept[0].tobytes() and y0.tobytes() == kept[1].tobytes()
+        assert traj.states[0].tobytes() == y0.tobytes()
+
+    def test_integer_matrix_read_as_float(self):
+        m = [[-1, 2], [1, -2]]
+        traj = dynamics.integrate(m, [1.0, 0.0], 1.0, 0.1)
+        want = dynamics.integrate(np.array(m, dtype=float), [1.0, 0.0], 1.0, 0.1)
+        assert traj.states.tobytes() == want.states.tobytes()
+
+
 def smallest_divisor(steps):
     return next(d for d in range(2, steps + 1) if steps % d == 0)
 

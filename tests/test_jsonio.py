@@ -305,6 +305,41 @@ class TestCsvText:
         block_cells = min(rows, _block_rows(width)) * width
         assert peak - buffer <= max(sys.getsizeof(text), 100 * block_cells) + 2**16
 
+    @pytest.mark.parametrize("rows", [DIGIT_CELLS // 4 - 1, DIGIT_CELLS])
+    def test_table_is_the_text_as_bytes(self, rows):
+        # The CLI writes _csv_table: on the digit path the UTF-8 bytes of
+        # csv_text, as a view of its buffer; below it the same str.
+        rng = np.random.default_rng(rows)
+        columns = [rng.standard_normal(rows), rng.random(rows) < 0.5, np.arange(rows) / 3,
+                   np.full(rows, math.nan)]
+        text = _jsonio.csv_text(["x", "flag", "t", "nan"], columns)
+        table = _jsonio._csv_table(["x", "flag", "t", "nan"], columns, 17)
+        if isinstance(table, str):
+            assert rows * 4 < DIGIT_CELLS and table == text
+        else:
+            assert DIGITS_RUN and isinstance(table, memoryview)
+            assert bytes(table) == text.encode("ascii")
+
+    @pytest.mark.skipif(not DIGITS_RUN, reason="the digit path needs an x87 long double")
+    def test_table_holds_no_second_copy(self):
+        # Besides the text buffer, the peak is one block's temporaries: a
+        # str of the whole 6000-row scan table (1.3 MB) would exceed the bound.
+        rng = np.random.default_rng(12)
+        rows = 6000
+        columns = [rng.uniform(0.1, 2.0, rows) for _ in range(6)]
+        columns += [rng.standard_normal(rows) for _ in range(5)]
+        columns.append(rng.random(rows) < 0.5)
+        header = [f"c{c}" for c in range(12)]
+        _jsonio._csv_table(header, columns, 17)  # fills the cached tables
+        tracemalloc.start()
+        try:
+            table = _jsonio._csv_table(header, columns, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = len(",".join(header)) + 1 + rows * 12 * 25
+        assert peak - buffer <= 100 * _block_rows(12) * 12 + 2**16 < len(table)
+
     def test_without_extended_precision_bytes_hold(self, monkeypatch):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2**64, 4 * DIGIT_CELLS, dtype=np.uint64).view(np.float64)
@@ -339,6 +374,20 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert target.stat().st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("data", [b"a,b\n1,2\n", memoryview(b"a,b\n1,2\n"),
+                                      np.frombuffer(b"a,b\n1,2\n", np.uint8).data],
+                             ids=["bytes", "memoryview", "array-view"])
+    def test_bytes_written_as_they_are(self, tmp_path, data):
+        target = tmp_path / "b.csv"
+        old = os.umask(0o022)
+        try:
+            _jsonio.atomic_write_text(str(target), data)
+        finally:
+            os.umask(old)
+        assert target.read_bytes() == b"a,b\n1,2\n"
+        assert target.stat().st_mode & 0o777 == 0o644
+        assert os.listdir(tmp_path) == ["b.csv"]
 
     def test_process_umask_untouched(self, tmp_path, monkeypatch):
         # Toggling the umask to read it would race with other threads' files.

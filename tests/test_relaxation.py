@@ -213,17 +213,18 @@ class TestScan:
             elif case == "inf":
                 omega[[2, 5]] = [np.inf, -np.inf]
             monotonic = rng.uniform(size=omega.size) < 0.6
+        zeros = np.zeros(omega.size)
         result = relaxation.ScanResult(
-            rates=None, xi=None, disc=None, omega=omega, u=None, v=None,
-            monotonic=monotonic,
+            rates=np.zeros((omega.size, 6)), xi=zeros, disc=zeros, omega=omega, u=zeros,
+            v=zeros, monotonic=monotonic,
         )
-        # np.linspace warns on an infinite top edge.
+        # np.linspace warns on an infinite top edge; omega_bins mutes that itself.
         with np.errstate(invalid="ignore"):
             want = self._bins_oracle(omega, monotonic, bins)
-            got = [
-                (b["lo"], b["hi"], b["count"], b["oscillatory_fraction"])
-                for b in result.omega_bins(bins)
-            ]
+        got = [
+            (b["lo"], b["hi"], b["count"], b["oscillatory_fraction"])
+            for b in result.omega_bins(bins)
+        ]
         np.testing.assert_array_equal([g[:2] for g in got], [w[:2] for w in want])
         assert [g[2:] for g in got] == [w[2:] for w in want]
         if case in ("scan", "edges", "zero"):
@@ -277,3 +278,67 @@ class TestScan:
         # The bin count belongs to omega_bins, not to the sampling plan.
         assert [f.name for f in dataclasses.fields(relaxation.ScanGrid)] == [
             "ranges", "samples", "constrain_omega_zero"]
+
+
+def scan_fields(count, **fields):
+    """ScanResult fields of count samples, zero unless given."""
+    zeros = np.zeros(count)
+    return {"rates": np.zeros((count, 6)), "xi": zeros, "disc": zeros, "omega": zeros,
+            "u": zeros, "v": zeros, "monotonic": np.ones(count, bool), **fields}
+
+
+class TestScanResultRecord:
+    """ScanResult checks its fields when it is built."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"rates": None}, r"^rates must be a Nx6 matrix, got shape \(\)$"),
+        ({"rates": np.zeros((3, 5))}, r"^rates must be a Nx6 matrix, got shape \(3, 5\)$"),
+        ({"rates": "abc"}, r"^rates must be a numeric Nx6 matrix$"),
+        ({"rates": np.zeros((3, 6), bool)}, r"^rates must be a numeric Nx6 matrix$"),
+        ({"xi": np.zeros(2)}, r"^xi must be a 3-vector, got shape \(2,\)$"),
+        ({"disc": [1.0, 2.0, 1 + 2j]}, r"^disc must be a numeric 3-vector$"),
+        ({"omega": None}, r"^omega must be a 3-vector, got shape \(\)$"),
+        ({"u": np.zeros((3, 1))}, r"^u must be a 3-vector, got shape \(3, 1\)$"),
+        ({"v": [[1.0], [1.0, 2.0]]}, r"^v must be a numeric 3-vector$"),
+        ({"monotonic": None}, r"^monotonic must be a bool array of shape \(3,\)$"),
+        ({"monotonic": np.ones(3)}, r"^monotonic must be a bool array of shape \(3,\)$"),
+        ({"monotonic": [True, False, True]},
+         r"^monotonic must be a bool array of shape \(3,\)$"),
+        ({"monotonic": np.ones(2, bool)}, r"^monotonic must be a bool array of shape \(3,\)$"),
+    ], ids=["rates-none", "rates-5-columns", "rates-string", "rates-bool", "xi-short",
+            "disc-complex", "omega-none", "u-2-d", "v-ragged", "monotonic-none",
+            "monotonic-float", "monotonic-list", "monotonic-short"])
+    def test_bad_field_rejected(self, fields, message):
+        with pytest.raises(InputError, match=message):
+            relaxation.ScanResult(**scan_fields(3, **fields))
+
+    def test_junk_and_empty_records_rejected(self):
+        with pytest.raises(InputError):
+            relaxation.ScanResult(*[None] * 7)
+        with pytest.raises(InputError, match=r"^rates must hold at least one sample$"):
+            relaxation.ScanResult(**scan_fields(0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_kept(self, value):
+        # Overflowed rates give such values; the CSV writer rejects an infinity later.
+        column = np.array([0.5, value, -1.0])
+        rates = np.full((3, 6), value)
+        result = relaxation.ScanResult(**scan_fields(3, rates=rates, omega=column, xi=column))
+        assert result.omega.tobytes() == column.tobytes()
+        assert result.rates.tobytes() == rates.tobytes()
+        assert len(result.omega_bins(4)) == 4
+        assert result.oscillatory_fraction == 0.0
+
+    def test_fields_are_read_only_float_copies(self):
+        omega = [1, 2, 3]
+        rates = np.ones((3, 6), np.float32)
+        flags = np.ones(3, bool)
+        result = relaxation.ScanResult(
+            **scan_fields(3, rates=rates, omega=omega, monotonic=flags))
+        assert result.omega.dtype == np.float64 and result.rates.dtype == np.float64
+        rates[0, 0] = 5.0
+        flags[0] = False
+        assert result.rates[0, 0] == 1.0 and result.monotonic[0]
+        for field in dataclasses.fields(result):
+            assert not getattr(result, field.name).flags.writeable

@@ -2,7 +2,8 @@
 
 The reference rebuilds each CSV from reference_integrate, which runs the
 monitors as each step is accepted (bs_entropy on the clipped state, or
-bloch_entropy), on the np.cross form of bloch_rhs, and picks the rows
+bloch_entropy), on gen @ y where pme-solve passes the generator itself
+and on the np.cross form of bloch_rhs, and picks the rows
 0, stride, 2 * stride, ... and the last one from the full record.  The
 report fields that do not come from the trajectory are taken from the
 CLI's own report; the final state comes from the reference, and the
@@ -75,6 +76,12 @@ CONFIGS = [
 ] + [
     # larger chains come last so the ids of the cases above stay put
     ("pme-solve", pme_config(n, stride)) for n in (12, 16) for stride in (1, 7)
+] + [
+    # pme-solve's matrix loop with no truncated step (80 steps of 1/64), at
+    # n = 2 and odd n, with strides that do and do not divide the step count and
+    # one past it
+    ("pme-solve", {**pme_config(n, stride), "t_end": 1.25, "dt": 1 / 64})
+    for n, stride in ((2, 1), (2, 200), (5, 16), (5, 3), (11, 1), (11, 80))
 ]
 
 

@@ -296,7 +296,7 @@ _COMMANDS = {
         _cmd_qt_fit, "Fit a quadratic-entropy representation to a rate matrix.",
         {"W": (_reader(_finite_array, (None, None)), _REQUIRED, "NxN rate matrix"), "out": _OUT},
         f"The fit is the closed-form Sylvester solve, for N <= {qtfit.MAX_FIT_N}.  "
-        "Writes <out>.json with fields n, q, r, subsets, norm, residual.  Exit code 3 if the "
+        "Writes <out>.json with fields q, r, norm, residual.  Exit code 3 if the "
         "flow residual is above 1e-8 * max(1, max|L|), L the generator "
         "(the representation is still written).",
     ),

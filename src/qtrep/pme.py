@@ -21,7 +21,6 @@ __all__ = [
     "Spectrum",
     "WSymmetryFlags",
     "build_generator",
-    "pme_rhs",
     "stationary_state",
     "spectrum",
     "classify_w",
@@ -114,12 +113,6 @@ def build_generator(w):
         del col[k]
         gen[k, k] = -math.fsum(col)
     return gen
-
-
-def pme_rhs(w, p):
-    """Right-hand side dp/dt = L p of the master equation."""
-    w = _as_transition_matrix(w)
-    return build_generator(w) @ _finite_array(p, "state", (w.n,))
 
 
 def stationary_state(w):

@@ -8,10 +8,12 @@ where main is the raw rank-N double contraction (equal to
 N*(N-2)!*(g - mean g)), the ham_a are the single-epsilon terms of
 multilinear.ham_term over the catalog ham_subsets(N) of size-(N-3)
 subsets of the tangent basis, and q is a symmetric matrix defining the
-quadratic entropy S = p q p / 2.  The two contraction families share
-one overall normalization so that the fitted coefficients r_a are
-independent of it; with norm = normalizer(N) the main term is exactly
-the tangent projection of the entropy gradient.
+quadratic entropy S = p q p / 2.  The catalog follows from N and N from
+q, so a representation stores neither: it is q, r, norm and the fit's
+residual.  The two contraction families share one overall
+normalization so that the fitted coefficients r_a are independent of
+it; with norm = normalizer(N) the main term is exactly the tangent
+projection of the entropy gradient.
 
 Unknown count: q contributes N(N+1)/2 - 1 (one direction is pure gauge,
 q -> q + k * ones changes nothing on the simplex), the coefficients
@@ -44,17 +46,15 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from .errors import (
-    FitNonConvergenceError, InputError,
-    _finite_array, _instance, _integer, _integers, _json_object, _positive, _sequence,
+    FitNonConvergenceError, InputError, _finite_array, _instance, _json_object, _positive,
 )
 from .multilinear import (
-    _catalog_pairs, _cut_vectors, _size, _wedge_sum, difference_basis, ham_subsets, normalizer,
+    _catalog_pairs, _cut_vectors, _size, _wedge_sum, difference_basis, normalizer,
 )
 from .pme import _as_transition_matrix, build_generator
 from .relaxation import _as_rates
@@ -62,7 +62,6 @@ from .relaxation import _as_rates
 __all__ = [
     "QuadraticEntropy",
     "QTRepresentation",
-    "qt_rhs",
     "flow_matrix",
     "two_state_entropy",
     "three_state_kappa_r",
@@ -113,10 +112,10 @@ class QTRepresentation:
     """Fitted representation: entropy, ham coefficients, normalization.
 
     r holds one coefficient per term of the catalog ham_subsets(n), in
-    its order; subsets returns that catalog, and from_json_dict accepts
-    no other list.  norm is positive and finite.  residual is the worst absolute mismatch of the represented
-    flow against the target generator over the tangent basis directions
-    and the simplex centroid, finite and non-negative.
+    its order.  norm is positive and finite.  residual is the worst
+    absolute mismatch of the represented flow against the target
+    generator over the tangent basis directions and the simplex
+    centroid, finite and non-negative.
     """
 
     entropy: QuadraticEntropy
@@ -143,16 +142,10 @@ class QTRepresentation:
     def n(self):
         return self.entropy.n
 
-    @property
-    def subsets(self):
-        return ham_subsets(self.n)
-
     def to_json_dict(self):
         return {
-            "n": self.n,
             "q": self.entropy.q.tolist(),
             "r": self.r.tolist(),
-            "subsets": [list(s) for s in self.subsets],
             "norm": float(self.norm),
             "residual": float(self.residual),
         }
@@ -160,18 +153,9 @@ class QTRepresentation:
     @classmethod
     def from_json_dict(cls, data):
         """Representation from a to_json_dict document; every key is required."""
-        keys = ("n", "q", "r", "subsets", "norm", "residual")
+        keys = ("q", "r", "norm", "residual")
         data = _json_object(data, "representation", keys, keys)
-        n = _integer(data["n"], "n", 1)
-        entropy = QuadraticEntropy(data["q"])
-        if entropy.n != n:
-            raise InputError(f"q has size {entropy.n}, document says n = {n}")
-        given = tuple(_sequence(s, "subset") for s in _sequence(data["subsets"], "subsets"))
-        _integers(list(itertools.chain.from_iterable(given)), "subset index", 0)
-        if given != ham_subsets(n):
-            raise InputError(f"subsets must be ham_subsets({n}): every "
-                             "size-(n-3) subset of 0..n-2 once, in lex order")
-        return cls(entropy, data["r"], data["norm"], data["residual"])
+        return cls(QuadraticEntropy(data["q"]), data["r"], data["norm"], data["residual"])
 
 
 def _main_scale(norm, n):
@@ -184,11 +168,6 @@ def _flow_operator(n, norm, r, cuts, pairs):
     return _main_scale(norm, n) * (np.eye(n) - 1.0 / n) + norm * norm * _wedge_sum(cuts, pairs, r)
 
 
-def qt_rhs(rep, p):
-    """Right-hand side of the represented flow at state p."""
-    return flow_matrix(rep) @ _finite_array(p, "state", (rep.n,))
-
-
 def flow_matrix(rep):
     """The represented flow as a matrix acting on states."""
     rep = _instance(rep, QTRepresentation, "rep")
@@ -199,11 +178,11 @@ def flow_matrix(rep):
 def two_state_entropy(w):
     """Diagonal entropy reproducing the two-state master equation.
 
-    Returns q = diag(-w21, -w12), verified against pme_rhs under the
-    raw two-variable contraction (norm = 1): the flow it generates is
-    dp1/dt = w12 p2 - w21 p1.  Note the cross assignment, rate 1->2 on
-    the p1 slot; the straight one fails the verification with the two
-    rates interchanged.
+    Returns q = diag(-w21, -w12), verified against build_generator
+    under the raw two-variable contraction (norm = 1): the flow it
+    generates is dp1/dt = w12 p2 - w21 p1.  Note the cross assignment,
+    rate 1->2 on the p1 slot; the straight one fails the verification
+    with the two rates interchanged.
     """
     w = _as_transition_matrix(w)
     if w.n != 2:

@@ -250,11 +250,13 @@ class ScanResult:
         """
         bins = _budget(bins, "bins", MAX_BINS)
         abs_omega = np.abs(self.omega)
-        top = float(abs_omega.max())
+        # fmax skips NaN, and its 0.0 start covers an all-NaN omega with
+        # no warning; a NaN sample then falls in no bin.
+        top = float(np.fmax.reduce(abs_omega, initial=0.0))
         if top == 0.0:
             top = 1.0
-        # A NaN or infinite top gives non-finite edges, which the JSON
-        # writer rejects; numpy's warning on them would only add noise.
+        # An infinite top gives non-finite edges, which the JSON writer
+        # rejects; numpy's warning on them would only add noise.
         with np.errstate(invalid="ignore"):
             edges = np.linspace(0.0, top, bins + 1)
         # Bins are [lo, hi) except the last, which also takes its top

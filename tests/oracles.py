@@ -52,11 +52,10 @@ import numpy as np
 
 from qtrep._jsonio import format_float
 from qtrep.errors import DegenerateChainError, FitNonConvergenceError, InputError
-from qtrep.multilinear import difference_basis, normalizer
+from qtrep.multilinear import difference_basis, ham_subsets, normalizer
 from qtrep.pme import ProbabilityState, _as_transition_matrix
 from qtrep.qtfit import (
-    ACCEPT_TOL, MAX_FIT_N, QTRepresentation, QuadraticEntropy, _main_scale, ham_subsets,
-    two_state_entropy,
+    ACCEPT_TOL, MAX_FIT_N, QTRepresentation, QuadraticEntropy, _main_scale, two_state_entropy,
 )
 
 
@@ -321,10 +320,8 @@ def fit_per_call(w):
 def to_json_dict_per_value(rep):
     """QTRepresentation.to_json_dict with one float() per entry."""
     return {
-        "n": rep.n,
         "q": [[float(v) for v in row] for row in rep.entropy.q],
         "r": [float(v) for v in rep.r],
-        "subsets": [list(s) for s in rep.subsets],
         "norm": float(rep.norm),
         "residual": float(rep.residual),
     }

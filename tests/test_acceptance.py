@@ -64,7 +64,7 @@ def test_criterion_02_fit_round_trip():
             assert q_dof + rep.r.size == n * (n - 1)
             for _ in range(20):
                 p = rng.dirichlet(np.ones(n))
-                diff = qtfit.qt_rhs(rep, p) - pme.pme_rhs(w, p)
+                diff = qtfit.flow_matrix(rep) @ p - pme.build_generator(w) @ p
                 worst = max(worst, float(np.max(np.abs(diff))))
     report(2, "fit round-trip, 200 random generators (tol 1e-8)",
            worst < 1e-8, f"max flow mismatch {worst:.2e} over {fits} fits")

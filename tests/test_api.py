@@ -29,8 +29,8 @@ PINNED = frozenset("""
     classify classify_w composite_entropy composite_generator difference_basis
     embed_six entropy_gradient extract_bloch fit flow_matrix gradient_rhs ham_subsets
     ham_term integrate lambda_star main_term_bruteforce
-    main_term_closed monotonicity_witness normalizer pme_rhs q_parameter qt_flow
-    qt_rhs qt_six_rhs scan secular six_slot_main_term spectrum stationary_bloch
+    main_term_closed monotonicity_witness normalizer q_parameter qt_flow
+    qt_six_rhs scan secular six_slot_main_term spectrum stationary_bloch
     stationary_state three_state_kappa_r two_state_entropy MAX_BRUTEFORCE_N
     check_six_state product_state require_gradient_form subsystem_entropies
 """.split())

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oracles import literal_six_slot_main_term, signed_permutations
 from qtrep import multilinear as ml
-from qtrep import qtfit
 from qtrep.errors import InputError, SizeError
 
 
@@ -76,7 +75,7 @@ class TestSizeCap:
     SIZED = {
         "normalizer": ml.normalizer,
         "difference_basis": ml.difference_basis,
-        "ham_subsets": qtfit.ham_subsets,
+        "ham_subsets": ml.ham_subsets,
         "ham_term": lambda n: ml.ham_term(np.zeros(3), (), n),
     }
 
@@ -91,7 +90,7 @@ class TestSizeCap:
         # No numpy call, factorial or combination runs above the cap.
         monkeypatch.setattr(ml, "np", None)
         monkeypatch.setattr(ml, "math", None)
-        monkeypatch.setattr(qtfit, "itertools", None)
+        monkeypatch.setattr(ml, "itertools", None)
         with pytest.raises(InputError, match=rf"^n = {n} is too large: the size cap is "
                                              rf"MAX_N = {ml.MAX_N}, above which"):
             self.SIZED[name](n)
@@ -181,6 +180,12 @@ class TestHamTerm:
     def test_subset_index_out_of_range(self):
         with pytest.raises(InputError):
             ml.ham_term(np.zeros(4), (3,), 4)
+
+    @pytest.mark.parametrize("subset", [[0.9], [0.0], ["0"], [False]])
+    def test_non_integer_index_rejected(self, subset):
+        # Indices are integers; a float, string or bool is not truncated.
+        with pytest.raises(InputError, match="integer"):
+            ml.ham_term(np.ones(4), subset, 4)
 
     def test_two_states_have_no_ham_terms(self):
         with pytest.raises(InputError):

@@ -240,7 +240,6 @@ OBJECT_ARGUMENTS = {
     "qt_flow": (lambda x: composite.qt_flow(x, _W), _SYSTEM),
     "q_parameter": (composite.q_parameter, _SYSTEM),
     "flow_matrix": (qtfit.flow_matrix, ("rep", "QTRepresentation")),
-    "qt_rhs": (lambda x: qtfit.qt_rhs(x, _P), ("rep", "QTRepresentation")),
     "monotonicity_witness":
         (lambda x: dynamics.monotonicity_witness(x, _P), ("trajectory", "Trajectory")),
     "QTRepresentation": (lambda x: qtfit.QTRepresentation(x, [], 1.0, 0.0),
@@ -290,27 +289,12 @@ def _representation(**change):
      "representation must be a JSON object, got list"),
     (lambda: qtfit.QTRepresentation.from_json_dict(_representation(extra=1)),
      "unknown representation keys: extra"),
-    (lambda: qtfit.QTRepresentation.from_json_dict({"n": 3}),
+    (lambda: qtfit.QTRepresentation.from_json_dict({"r": []}),
      "missing required representation key: q"),
-    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=5)),
-     "subsets must be a sequence, got int"),
-    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[7])),
-     "subset must be a sequence, got int"),
-    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[[0.5]])),
-     "subset index must be an integer, got 0.5"),
-    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[[True]])),
-     "subset index must be an integer, got True"),
-    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[["0"]])),
-     "subset index must be an integer, got '0'"),
-    (lambda: qtfit.QTRepresentation.from_json_dict(_representation(subsets=[[0]])),
-     "subsets must be ham_subsets(3): every size-(n-3) subset of 0..n-2 once, in lex order"),
 ], ids=["seed-negative", "seed-string", "channel-list", "channel-no-dissipators-key",
         "dissipator-pair-list", "dissipators-int", "dissipators-string",
         "dissipator-unknown-key", "dissipator-missing-key", "representation-list",
-        "representation-unknown-key", "representation-missing-key",
-        "representation-subsets-int", "representation-subset-int",
-        "representation-index-float", "representation-index-bool",
-        "representation-index-string", "representation-not-the-catalog"])
+        "representation-unknown-key", "representation-missing-key"])
 def test_document_errors_name_the_value(call, message):
     with pytest.raises(InputError) as info:
         call()

@@ -177,9 +177,9 @@ class TestScan:
     @staticmethod
     def _bins_oracle(omega, monotonic, bins):
         # One mask per bin: [lo, hi) for every bin but the last, which
-        # is [lo, hi].
+        # is [lo, hi].  The edges span the non-NaN samples.
         abs_omega = np.abs(omega)
-        top = float(abs_omega.max())
+        top = float(np.max(abs_omega[~np.isnan(abs_omega)], initial=0.0))
         if top == 0.0:
             top = 1.0
         edges = np.linspace(0.0, top, bins + 1)
@@ -229,6 +229,8 @@ class TestScan:
         assert [g[2:] for g in got] == [w[2:] for w in want]
         if case in ("scan", "edges", "zero"):
             assert sum(g[2] for g in got) == omega.size
+        if case == "nan":
+            assert sum(g[2] for g in got) == omega.size - 2
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(InputError):
@@ -329,6 +331,25 @@ class TestScanResultRecord:
         assert result.rates.tobytes() == rates.tobytes()
         assert len(result.omega_bins(4)) == 4
         assert result.oscillatory_fraction == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_omega_falls_in_no_bin(self):
+        # The bin edges come from the finite samples; only the NaN one is left out.
+        rng = np.random.default_rng(7)
+        omega = rng.uniform(-2.0, 2.0, 300)
+        omega[7] = math.nan
+        flags = rng.random(300) < 0.5
+        result = relaxation.ScanResult(**scan_fields(300, omega=omega, monotonic=flags))
+        got = [tuple(b.values()) for b in result.omega_bins(5)]
+        assert sum(g[2] for g in got) == 299
+        assert got == TestScan._bins_oracle(omega, flags, 5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_nan_omega_gives_empty_bins(self):
+        result = relaxation.ScanResult(**scan_fields(4, omega=np.full(4, math.nan)))
+        bins = result.omega_bins(3)
+        assert [b["count"] for b in bins] == [0, 0, 0]
+        assert all(b["oscillatory_fraction"] is None for b in bins)
 
     def test_fields_are_read_only_float_copies(self):
         omega = [1, 2, 3]

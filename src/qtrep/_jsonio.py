@@ -13,19 +13,31 @@ p <= 17 numpy computes those bytes into one buffer: each block's cells
 become fixed-width records in the buffer's free tail, and a boolean
 mask over them keeps the bytes each cell prints.  For a finite
 nonzero cell x it estimates E = floor(log10|x|) and forms
-v = |x| * 10**(p-1-E) in long double, from a table of powers of ten
-each rounded to nearest on a 64-bit significand.  The table entry and
-the product are each off by at most 2**-64 relative, and v < 10**17, so
-v is within 10**17 * 2**-63 < 0.011 of the exact scaled value; E is
-corrected once when rint(v) leaves [10**(p-1), 10**p].  Hence N = rint(v)
-is the correctly rounded significand wherever | |v - N| - 1/2 | >= 2**-6:
-the digits are proved.  The other cells (about 3 % of random doubles,
-every exact tie among them) are formatted by ``%`` one by one.  The
-``%`` row template formats whole tables at p > 17, with fewer than
-``CSV_DIGITS_MIN_CELLS`` cells, or where long double has no 64-bit
-significand (then float64, as on arm64).  csv_text decodes the digit
-path's buffer into its str; the CLI takes the bytes themselves from
-``_csv_table`` and writes them without a copy.
+v = |x| * 10**s, s = p-1-E, as a float64 double-double hi + lo
+(Dekker, Numer. Math. 18, 224 (1971)).  A table holds, for each s in
+[-291, 299], H = fl(10**s), its halves H_hi + H_lo = H of 26 bits each,
+and L = fl(10**s - H), all normal, so 10**s = H + L + d with
+|d| <= 2**-106 * 10**s.  hi = fl(|x| H), and lo adds Dekker's exact
+error of that product to fl(|x| L): each of the two roundings in lo is
+at most 2**-105 v, so |v - (hi + lo)| <= 2**-104 v, below 2**-46 for
+v < 10**17.  With f = fl((hi - rint(hi)) + lo), whose rounding is below
+2**-48, N = rint(hi) + rint(f) is within |f - rint(f)| + 2**-45 of v:
+wherever |f - rint(f)| <= 1/2 - 2**-30, N is the integer nearest v, the
+correctly rounded significand whatever the tie rule, and the digits
+are proved.  log10 may be one off next to a power of ten, and N may
+round up to 10**p: the cells with N >= 10**p or N <= 10**(p-1) compare
+hi + lo exactly against those two powers (fl((hi - P) + lo), with
+hi - P exact or larger than lo) and are scaled again where E moves.
+No double other than 10**k lies within 2**-62 relative of 10**k, for
+any k a double reaches, far outside the error of hi + lo: the
+comparison is exact, except where v equals the power, and there either
+answer gives the same digits.  The other cells are formatted by ``%``
+one by one: exact ties, which ``%`` rounds half-even, exponents s
+outside the table, and |x| > 2**996, where the split's product would
+overflow.  The ``%`` row template formats whole tables at p > 17 or
+with fewer than ``CSV_DIGITS_MIN_CELLS`` cells.  csv_text decodes the
+digit path's buffer into its str; the CLI takes the bytes themselves
+from ``_csv_table`` and writes them without a copy.
 """
 
 from __future__ import annotations
@@ -119,23 +131,29 @@ def atomic_write_text(path, text):
 
 
 # Cells formatted per block by csv_text: max(1, CSV_BLOCK_CELLS // columns)
-# rows.  The digit path's temporaries peak at about 73 bytes a cell (x87,
-# numpy 2.4), so a block holds about 0.6 MB besides the table's own text
+# rows.  The digit path's temporaries peak at about 80 bytes a cell (numpy
+# 2.4), so a block holds about 0.65 MB besides the table's own text
 # buffer: below the 256-row blocks of 227 bytes a cell it replaces, on
 # 11 or 12 columns.  12288-cell blocks wrote the 6000-row scan table no
 # faster and raised the peak RSS of the trajectory benchmark by 0.3 MB.
 CSV_BLOCK_CELLS = 8192
 # Tables with fewer cells take the % template: below this the fixed cost
-# of the digit path's numpy calls exceeds the per-cell cost of %.
+# of the digit path's numpy calls exceeds the per-cell cost of %.  On
+# 11-column pme-solve tables (numpy 2.4, 2-core Xeon) the digit path took
+# 2.05x the template's time at 253 cells, 1.27x at 506, 1.00x at 759,
+# 0.81x at 1,023 and 0.42x at 4,092: the stride-50 pme-solve (242 cells)
+# and lindblad (774 cells) tables would gain nothing from it.
 CSV_DIGITS_MIN_CELLS = 1024
-# The digit path proves its rounding only with a 64-bit long double
-# significand (x87 extended precision) and for at most 17 digits.
-_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+# The digit path proves its rounding for at most 17 digits, where 10**p
+# and 10**(p-1) are exact doubles.
 _DIGITS_MAX_PRECISION = 17
-# A scaled value nearer than this to a half-integer is not proved.
-_WINDOW = 2.0 ** -6
-# 10**s for s in [-_MAX_POWER, _MAX_POWER] scales every nonzero double.
-_MAX_POWER = 350
+# Proved cells: |f - rint(f)| at most this (see the module docstring).
+_WINDOW = 0.5 - 2.0 ** -30
+# The table's s: H, its halves and L are normal, and H * _SPLIT is finite.
+_S_MIN, _S_MAX = -291, 299
+# Dekker's split into halves of 26 bits; y * _SPLIT is finite for y <= _SPLIT_MAX.
+_SPLIT = 2.0 ** 27 + 1
+_SPLIT_MAX = 2.0 ** 996
 _DOT, _MINUS, _PLUS, _E = b".-+e"
 # Cell kinds of the digit path, in sort order: fixed notation with
 # exponent X is kind X + 4 (X = -4 .. p - 1); the rest follow.
@@ -145,28 +163,23 @@ _LEAD = np.frombuffer(b"0.000", np.uint8)
 
 
 @functools.cache
-def _powers():
-    """10**s in long double for s = -_MAX_POWER.._MAX_POWER, at index s + _MAX_POWER.
+def _scales():
+    """H, H_hi, H_lo and L for s = _S_MIN.._S_MAX, at index s - _S_MIN.
 
-    Each entry is 10**s rounded to nearest-even on a 64-bit significand,
-    from exact integer arithmetic, so it is exact for 0 <= s <= 27.
+    H = fl(10**s) and L = fl(10**s - H), each correctly rounded from
+    exact integer arithmetic; H_hi + H_lo = H is Dekker's split of H.
     """
-    mants, shifts = [], []
-    for s in range(-_MAX_POWER, _MAX_POWER + 1):
-        if s >= 0:
-            shift = max((10**s).bit_length() - 64, 0)
-            num, den = 10**s, 1 << shift
-        else:
-            shift = -(63 + (10**-s).bit_length())
-            num, den = 1 << -shift, 10**-s
-        mant, rem = divmod(num, den)
-        if 2 * rem > den or (2 * rem == den and mant & 1):
-            mant += 1
-        mants.append(mant)
-        shifts.append(shift)
-    high = np.array([m >> 32 for m in mants], np.float64).astype(np.longdouble)
-    low = np.array([m & 0xFFFFFFFF for m in mants], np.float64).astype(np.longdouble)
-    return np.ldexp(high * 2.0**32 + low, np.array(shifts))
+    power, rest = [], []
+    for s in range(_S_MIN, _S_MAX + 1):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        h = num / den
+        m, d = h.as_integer_ratio()
+        power.append(h)
+        rest.append((num * d - m * den) / (den * d))
+    power = np.array(power)
+    t = power * _SPLIT
+    high = t - (t - power)
+    return power, high, power - high, np.array(rest)
 
 
 @functools.cache
@@ -175,36 +188,87 @@ def _quads():
     return np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), np.uint32)
 
 
+def _scaled(a, exp, precision):
+    """hi, lo and outside: hi + lo = a * 10**(precision-1-exp) for a > 0.
+
+    Where outside is True, the table has no such power or a's split
+    would overflow, and hi and lo are not a's.
+    """
+    index = exp.astype(np.intp)
+    np.subtract(precision - 1 - _S_MIN, index, out=index)
+    # one unsigned compare also catches the negative indices
+    outside = index.view(np.uintp) > _S_MAX - _S_MIN
+    outside |= a > _SPLIT_MAX
+    if outside.any():
+        a = np.where(outside, 1.0, a)
+        index[outside] = precision - 1 - _S_MIN
+    power, power_hi, power_lo, rest = _scales()
+    hi = power.take(index)
+    hi *= a
+    a_hi = a * _SPLIT
+    a_lo = a_hi - a
+    a_hi -= a_lo
+    np.subtract(a, a_hi, out=a_lo)
+    # Dekker's exact error of hi, ((a_hi H_hi - hi) + a_lo H_hi + a_hi H_lo)
+    # + a_lo H_lo (Dekker's order with the factors exchanged), then
+    # fl(a L); in place, so that one buffer serves every table entry.
+    h = power_hi.take(index)
+    lo = a_hi * h
+    lo -= hi
+    h *= a_lo
+    lo += h
+    np.take(power_lo, index, out=h)
+    a_hi *= h
+    lo += a_hi
+    h *= a_lo
+    lo += h
+    np.take(rest, index, out=h)
+    h *= a
+    lo += h
+    return hi, lo, outside
+
+
+def _rounded(hi, lo):
+    """N = rint(hi) + rint(f), f = (hi - rint(hi)) + lo, and where N is not proved."""
+    whole = np.rint(hi)
+    f = hi - whole
+    f += lo
+    step = np.rint(f)
+    f -= step
+    loose = np.abs(f, out=f) > _WINDOW
+    n = whole.astype(np.int64)
+    n += step.astype(np.int64)
+    return n, loose
+
+
 def _significands(a, precision):
     """Exponents, rounded significands and unproved cells for a > 0.
 
     Where the returned mask is False, '%.{p}g' % a has exponent E and
     the p significant digits of the integer N in [10**(p-1), 10**p).
     """
-    powers = _powers()
-    low, high = powers[_MAX_POWER + precision - 1], powers[_MAX_POWER + precision]
     # int16 holds every decimal exponent of a double, -324..308
     exp = np.floor(np.log10(a)).astype(np.int16)
-    # The gathered powers become v in place: float64 a widens exactly.
-    v = powers[_MAX_POWER + precision - 1 - exp]
-    v *= a
-    n = np.rint(v)
-    # log10 may be one off next to a power of ten: correct E once.
-    shift = (n > high).astype(np.int8) - (v < low)
-    fix = np.flatnonzero(shift)
-    if fix.size:
-        exp[fix] += shift[fix]
-        v[fix] = powers[_MAX_POWER + precision - 1 - exp[fix]] * a[fix]
-        n[fix] = np.rint(v[fix])
-    # v - n is exact; its float64 rounding is far below the window.
-    v -= n
-    d = np.abs(v.astype(np.float64))
-    d -= 0.5
-    unproved = np.abs(d, out=d) < _WINDOW
-    top = n == high
-    n[top] = low
-    exp[top] += 1
-    return exp, n.astype(np.uint64), unproved
+    hi, lo, unproved = _scaled(a, exp, precision)
+    n, loose = _rounded(hi, lo)
+    unproved |= loose
+    low, high = 10 ** (precision - 1), 10**precision
+    edge = np.flatnonzero((n >= high) | (n <= low))
+    if edge.size:
+        # v >= 10**p: E was one low; v < 10**(p-1): one high.
+        e_hi, e_lo = hi[edge], lo[edge]
+        shift = ((e_hi - high) + e_lo >= 0).astype(np.int16) - ((e_hi - low) + e_lo < 0)
+        moved = shift != 0
+        fix = edge[moved]
+        exp[fix] += shift[moved]
+        hi, lo, outside = _scaled(a[fix], exp[fix], precision)
+        n[fix], loose = _rounded(hi, lo)
+        unproved[fix] = outside | loose
+        # N = 10**p carries into the exponent
+        top = edge[n[edge] == high]
+        n[top] = low
+        exp[top] += 1
+    return exp, n.view(np.uint64), unproved
 
 
 def _digit_matrix(n, precision):
@@ -266,7 +330,8 @@ def _sorted_records(x, flags, precision, width):
     # The % text of the unproved cells is made now, so that x can go: del
     # frees it unless the caller holds it.
     cells, fb = x.size, fixed_kinds + _FALLBACK
-    fallback = _percent_cells(np.abs(x[order[bounds[fb]:bounds[fb + 1]]]), precision)
+    loose = x[order[bounds[fb]:bounds[fb + 1]]]
+    fallback = _percent_cells(np.abs(loose), precision) if loose.size else []
     del x
 
     regular = order[:bounds[fixed_kinds + _SCI + 1]]
@@ -394,7 +459,7 @@ def _csv_table(header, columns, precision):
     head = ",".join(header) + "\n"
     rows = max(1, CSV_BLOCK_CELLS // len(arrays))
     blocks = ([col[start:start + rows] for col in arrays] for start in range(0, count, rows))
-    if not (_EXTENDED and 1 <= precision <= _DIGITS_MAX_PRECISION
+    if not (1 <= precision <= _DIGITS_MAX_PRECISION
             and count * len(arrays) >= CSV_DIGITS_MIN_CELLS):
         return "".join([head, *(_template_rows(cols, precision) for cols in blocks)])
     # One buffer holds the whole text: no block string outlives its

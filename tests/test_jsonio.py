@@ -4,6 +4,7 @@ import os
 import secrets
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,10 +105,8 @@ class TestRenderRows:
         assert _jsonio.dumps(doc, precision) == dumps_recursive(doc, precision)
 
 
-# Enough cells for csv_text to take its digit path, which runs only
-# where long double has a 64-bit significand.
+# Enough cells for csv_text to take its digit path.
 DIGIT_CELLS = _jsonio.CSV_DIGITS_MIN_CELLS
-DIGITS_RUN = _jsonio._EXTENDED
 SPECIAL = [math.nan, -math.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
            2.225073858507201e-308, 1e-300, 1.7e308, -1.7e308, 1.7976931348623157e308,
            21.0, 1e16, 1e17, 9.5, 0.5, 0.125, 2.5, 1e-5, 9.9999e-5, 1e-4, 123456.789]
@@ -159,6 +158,14 @@ def _block_rows(columns):
     return max(1, _jsonio.CSV_BLOCK_CELLS // columns)
 
 
+def _scan_columns(rows, rng):
+    """A relax-scan table: six rates, five derived values, a flag."""
+    columns = [rng.uniform(0.1, 2.0, rows) for _ in range(6)]
+    columns += [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 3, rows) for _ in range(5)]
+    columns.append(rng.random(rows) < 0.5)
+    return columns
+
+
 def _tiled(values, columns=2):
     """values repeated over `columns` columns of DIGIT_CELLS cells or more."""
     rows = max(len(values), -(-DIGIT_CELLS // columns))
@@ -191,7 +198,7 @@ class TestCsvText:
         header = ["f", "i", "flag", "g"]
         for precision in range(1, 18):
             _check(header, columns, precision)
-        assert len(digit_rows) == 17 * 3 * DIGITS_RUN
+        assert len(digit_rows) == 17 * 3
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -215,8 +222,7 @@ class TestCsvText:
         near = (n + 0.5) * 10.0 ** rng.integers(-300, 290, DIGIT_CELLS)
         columns = [ties, -ties, near]
         _check(["t", "u", "x"], columns, precision)
-        if DIGITS_RUN:
-            assert sum(len(cells) for cells in fallback) >= 2 * DIGIT_CELLS
+        assert sum(len(cells) for cells in fallback) >= 2 * DIGIT_CELLS
 
     def test_powers_of_ten_and_their_neighbours(self):
         # log10 is one off next to some powers of ten, and a significand
@@ -228,6 +234,49 @@ class TestCsvText:
         header = ["a", "b", "c", "d"]
         for precision in range(1, 18):
             _check(header, columns, precision)
+
+    def test_scan_table_takes_no_percent(self, monkeypatch):
+        # Every cell of a 6000-row scan table is proved: none is formatted by %.
+        fallback = _spy(monkeypatch, "_percent_cells")
+        columns = _scan_columns(6000, np.random.default_rng(6000))
+        _check([f"c{c}" for c in range(12)], columns)
+        assert not fallback
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_ends_of_the_scale_table(self, precision):
+        # Cells scaled by the first and last powers of the table, and by
+        # the powers just outside it, and cells around the split's limit:
+        # the ones the table covers are proved, the rest take %.
+        rng = np.random.default_rng(precision)
+        s = np.repeat([_jsonio._S_MIN - 1, _jsonio._S_MIN, _jsonio._S_MAX, _jsonio._S_MAX + 1], 64)
+        values = rng.uniform(1.1, 1.7, s.size) * 10.0 ** (precision - 1 - s)
+        split = _jsonio._SPLIT_MAX
+        big = np.concatenate([[split, np.nextafter(split, np.inf)],
+                              10.0 ** rng.uniform(299.05, 308.2, 256)])
+        values = np.concatenate([values, big])
+        s = np.concatenate([s, precision - 1 - np.floor(np.log10(big))])
+        covered = (s >= _jsonio._S_MIN) & (s <= _jsonio._S_MAX) & (values <= split)
+        assert covered.any() and not covered.all()
+        _, _, unproved = _jsonio._significands(values.copy(), precision)
+        np.testing.assert_array_equal(unproved, ~covered)
+        _check(["a", "b"], _tiled(np.concatenate([values, -values])), precision)
+
+    def test_scale_table_entries(self):
+        # H = fl(10**s), H_hi + H_lo = H in halves of at most 26 bits and
+        # L = fl(10**s - H), every one normal or zero, and H * _SPLIT finite.
+        power, power_hi, power_lo, rest = _jsonio._scales()
+        scales = range(_jsonio._S_MIN, _jsonio._S_MAX + 1)
+        assert len(power) == len(scales)
+        for s, h, h_hi, h_lo, l in zip(scales, power, power_hi, power_lo, rest):
+            exact = Fraction(10) ** s
+            assert h == float(exact) and l == float(exact - Fraction(float(h)))
+            assert Fraction(float(h_hi)) + Fraction(float(h_lo)) == Fraction(float(h))
+            for half in (h_hi, h_lo):
+                mant = abs(float(half).as_integer_ratio()[0])
+                assert mant == 0 or mant // (mant & -mant) < 2**26
+            for value in (h, h_hi, h_lo, l):
+                assert value == 0 or abs(value) >= np.finfo(float).tiny
+            assert math.isfinite(h * _jsonio._SPLIT)
 
     @pytest.mark.parametrize("precision", [18, 767])
     def test_high_precision_takes_template(self, monkeypatch, precision):
@@ -244,7 +293,7 @@ class TestCsvText:
         header = ["p", "x", "q"]
         _check(header, columns)
         _check(header[::2], flags)
-        assert bool(digit_rows) == DIGITS_RUN
+        assert digit_rows
 
     # 1, 12 and 40 columns, and a table wider than the block budget,
     # which formats one row per block
@@ -262,7 +311,7 @@ class TestCsvText:
                    else rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
                    for c in range(width)]
         _check([f"c{c}" for c in range(width)], columns)
-        digits = DIGITS_RUN and rows * width >= DIGIT_CELLS
+        digits = rows * width >= DIGIT_CELLS
         assert len(digit_rows) == math.ceil(rows / per_block) * digits
         sizes = [len(cols[0]) for cols in digit_rows]
         assert sizes[:-1] == [per_block] * (len(sizes) - 1)
@@ -277,19 +326,15 @@ class TestCsvText:
         with pytest.raises(InputError, match="columns must be 1-D of length 3"):
             _jsonio.csv_text(["x", "y"], [np.ones(3), np.ones(4)])
 
-    @pytest.mark.skipif(not DIGITS_RUN, reason="the digit path needs an x87 long double")
     @pytest.mark.parametrize("rows, width", [(6000, 12), (1025, 11)], ids=["scan", "solve"])
     def test_block_memory_per_cell(self, rows, width):
         # Besides the text buffer, the peak is the returned str or one
-        # block's temporaries: about 74 bytes a cell on these tables (numpy
+        # block's temporaries: about 80 bytes a cell on these tables (numpy
         # 2.4), and the bound allows 100.  np.compress, which built an int64
         # index per kept byte, took about 227.  64 KiB cover small objects.
         rng = np.random.default_rng(rows)
-        if width == 12:  # relax-scan: six rates, five derived values, a flag
-            columns = [rng.uniform(0.1, 2.0, rows) for _ in range(6)]
-            columns += [rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 3, rows)
-                        for _ in range(5)]
-            columns.append(rng.random(rows) < 0.5)
+        if width == 12:
+            columns = _scan_columns(rows, rng)
         else:  # pme-solve at n = 8, stride 1: t, y1..y8, entropy, sum_drift
             columns = [np.arange(rows) / 256, *rng.dirichlet(np.ones(8), rows).T,
                        -rng.random(rows), rng.standard_normal(rows) * 1e-16]
@@ -317,10 +362,9 @@ class TestCsvText:
         if isinstance(table, str):
             assert rows * 4 < DIGIT_CELLS and table == text
         else:
-            assert DIGITS_RUN and isinstance(table, memoryview)
+            assert isinstance(table, memoryview)
             assert bytes(table) == text.encode("ascii")
 
-    @pytest.mark.skipif(not DIGITS_RUN, reason="the digit path needs an x87 long double")
     def test_table_holds_no_second_copy(self):
         # Besides the text buffer, the peak is one block's temporaries: a
         # str of the whole 6000-row scan table (1.3 MB) would exceed the bound.
@@ -339,18 +383,6 @@ class TestCsvText:
             tracemalloc.stop()
         buffer = len(",".join(header)) + 1 + rows * 12 * 25
         assert peak - buffer <= 100 * _block_rows(12) * 12 + 2**16 < len(table)
-
-    def test_without_extended_precision_bytes_hold(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        bits = rng.integers(0, 2**64, 4 * DIGIT_CELLS, dtype=np.uint64).view(np.float64)
-        columns = _tiled(np.where(np.isinf(bits), 0.0, bits), 4)
-        columns.append(columns[0] > 0)
-        header = ["a", "b", "c", "d", "pos"]
-        digits = _jsonio.csv_text(header, columns)
-        monkeypatch.setattr(_jsonio, "_EXTENDED", False)
-        digit_rows = _spy(monkeypatch, "_digit_rows")
-        _assert_same(_jsonio.csv_text(header, columns), digits)
-        assert not digit_rows
 
 
 class TestAtomicWrite:

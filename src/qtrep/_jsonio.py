@@ -113,17 +113,23 @@ def dumps(obj, precision=DEFAULT_PRECISION):
 def atomic_write_text(path, text):
     """Write text to path via a new temporary file and a rename.
 
-    text is a str, or bytes-like data that is written as it is.  The
-    temporary file is created (O_EXCL) under a random name next to
-    path, so it gets the mode of any new file, 0o666 less the umask.
+    text is a str, written as strict UTF-8 whatever the locale, or
+    bytes-like data that is written as it is.  The temporary file is
+    created (O_EXCL) under a random name next to path, so it gets the
+    mode of any new file, 0o666 less the umask.
     """
+    # Encoded first: text that cannot be written creates nothing.
+    data = memoryview(text.encode("utf-8") if isinstance(text, str) else text).cast("B")
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".qtrep-{secrets.token_hex(8)}.tmp")
     # raises, creating nothing, if the name is taken
-    handle = open(tmp, "x" if isinstance(text, str) else "xb")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with handle:
-            handle.write(text)
+        try:
+            while data:  # os.write may take fewer bytes than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

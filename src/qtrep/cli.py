@@ -3,10 +3,13 @@
 Every subcommand reads one JSON config file, validates it against its
 entry in the _COMMANDS table (unknown keys are rejected), computes, and
 writes results atomically.  The same table builds each subcommand's
---help text; main builds its argparse parser once per process and
-parses every call with it.  Outputs are byte-identical for identical
-configs.  Exit codes: 0 success, 2 invalid input or a failed write, 3
-fit residual above 1e-8 * max(1, max|L|), L the generator of the rates.
+--help text.  main reads the canonical argv [command, "--config", path]
+itself; every other argv goes to the argparse parser, built once per
+process, which alone holds the grammar, help, usage and errors.
+Configs are read, and outputs written, as UTF-8 whatever the locale.
+Outputs are byte-identical for identical configs.  Exit codes: 0
+success, 2 invalid input or a failed write, 3 fit residual above
+1e-8 * max(1, max|L|), L the generator of the rates.
 """
 
 from __future__ import annotations
@@ -45,6 +48,14 @@ def _reader(check, *args):
 def _out(key, value):
     if not isinstance(value, str) or not value:
         raise InputError(f"{key} must be a non-empty path string, got {value!r}")
+    # The OS takes no NUL, and the file system encoding may not cover every
+    # character: either would fail the write only after the compute.
+    if "\0" in value:
+        raise InputError(f"{key} must not contain a NUL character, got {value!r}")
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError as exc:
+        raise InputError(f"{key} is not a file name this system can encode: {exc}")
     directory = os.path.dirname(os.path.abspath(value))
     if not os.path.isdir(directory):
         raise InputError(f"{key} directory does not exist: {directory}")
@@ -81,10 +92,12 @@ def _description(command):
 def _load_config(path, name):
     """Parse the config file and return its validated keys with defaults."""
     try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot take
         raise InputError(f"cannot read config {path}: {exc}")
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise InputError(f"config {path} is not valid JSON: {exc}")
     keys = {**_COMMANDS[name].keys, **_COMMON_KEYS}
@@ -365,18 +378,28 @@ def build_parser():
     return parser
 
 
-# main's parser, built on its first call.  argparse reads sys.stdout,
-# sys.stderr and the terminal width when it prints, not when it builds,
-# so the cached parser prints what a fresh one would.
+# main's parser, built on its first non-canonical argv.  argparse reads
+# sys.stdout, sys.stderr and the terminal width when it prints, not when
+# it builds, so the cached parser prints what a fresh one would.
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # [command, "--config", path] parses to (command, path) in argparse too:
+    # a path that does not start with "-" is --config's value, whatever else
+    # it holds.  Anything else, help and every error included, is argparse's.
+    if (type(argv) is list and len(argv) == 3 and all(type(arg) is str for arg in argv)
+            and argv[0] in _COMMANDS and argv[1] == "--config" and not argv[2].startswith("-")):
+        command, path = argv[0], argv[2]
+    else:
+        args = _parser().parse_args(argv)
+        command, path = args.command, args.config
     try:
-        cfg = _load_config(args.config, args.command)
+        cfg = _load_config(path, command)
         # A handler returns its exit code only when that is not 0.
-        return _COMMANDS[args.command].handler(cfg) or 0
+        return _COMMANDS[command].handler(cfg) or 0
     except QtrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,21 @@
 """CLI contract: schemas, exit codes, determinism, atomic output."""
 
+import contextlib
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qtrep
 from qtrep import cli, composite, lindblad, qtfit, relaxation
 from qtrep.errors import InputError
 
@@ -79,6 +89,31 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: unknown {name} config keys: seed\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("name", ["x\0y.json", "\ud800.json"], ids=["nul", "surrogate"])
+    def test_config_path_the_os_cannot_take(self, tmp_path, name):
+        # A failed read, not a failed parse.  The error names the path as it
+        # is, so it goes to a stream that takes a lone surrogate.
+        path = str(tmp_path / name)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(["qt-fit", "--config", path]) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: cannot read config {path}: ")
+        assert len(err.getvalue().splitlines()) == 1
+
+    @pytest.mark.parametrize("raw, reason", [
+        (b'{"W": [[0, 1], [2, 0]], "out": "\xff"}',
+         "'utf-8' codec can't decode byte 0xff in position 32: invalid start byte"),
+        (b'\xef\xbb\xbf{"W": [[0, 1], [2, 0]]}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ], ids=["invalid-utf8", "bom"])
+    def test_config_that_is_not_utf8_json(self, tmp_path, capsys, raw, reason):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(raw)
+        assert run(["qt-fit", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: config {cfg} is not valid JSON: {reason}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
@@ -603,6 +638,29 @@ class TestOutPath:
         assert "does not exist" in errors[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
+    @pytest.mark.parametrize("suffix, message", [
+        ("x\0y", "out must not contain a NUL character, got '{base}x\\x00y'"),
+        ("x\ud800", "out is not a file name this system can encode: 'utf-8' codec can't "
+                     "encode character '\\ud800' in position {at}: surrogates not allowed"),
+    ], ids=["nul", "surrogate"])
+    def test_out_the_os_cannot_take_fails_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                         chain3, suffix, message):
+        if sys.getfilesystemencoding() != "utf-8":
+            pytest.skip("the message names the UTF-8 codec")
+
+        def no_fit(w):
+            raise AssertionError("the fit ran before out was checked")
+
+        monkeypatch.setattr(qtfit, "fit", no_fit)
+        base = str(tmp_path) + os.sep
+        cfg = write_config(tmp_path / "c.json", {"W": chain3, "out": base + suffix})
+        assert run(["qt-fit", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        text = message.format(base=base, at=len(base) + 1)
+        assert captured.err == f"error: {text}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
 
 class TestAtomicWrites:
     def test_no_partial_file_on_failure(self, tmp_path):
@@ -648,6 +706,69 @@ class TestAtomicWrites:
             left.add("r.csv")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(left)
         assert list((tmp_path / target).iterdir()) == []
+
+    def test_full_disk_exits_2_and_keeps_the_old_target(self, tmp_path, capsys,
+                                                          monkeypatch, chain3):
+        def full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        (tmp_path / "r.json").write_bytes(b"old\n")
+        config = write_config(tmp_path / "c.json", {"W": chain3, "out": str(tmp_path / "r")})
+        monkeypatch.setattr(os, "write", full)
+        code = run(["qt-fit", "--config", config])
+        monkeypatch.undo()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {tmp_path / 'r.json'}: "
+                                f"{os.strerror(errno.ENOSPC)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "r.json"]
+        assert (tmp_path / "r.json").read_bytes() == b"old\n"
+
+
+# The C locale with neither UTF-8 mode nor locale coercion: Python's
+# locale and file system encodings are then ASCII.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+UTF8_MODE = {"PYTHONUTF8": "1"}
+
+
+def run_process(args, env, *options):
+    """Run python -m qtrep.cli in a fresh process under the given environment."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtrep.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *options, "-m", "qtrep.cli", *map(str, args)],
+                          env={**os.environ, **env, "PYTHONPATH": path},
+                          capture_output=True, timeout=120)
+
+
+class TestLocale:
+    """Configs are read, and outputs written, as UTF-8 whatever the locale."""
+
+    def test_ascii_locale_writes_the_utf8_bytes(self, tmp_path, chain3):
+        outputs = []
+        for name, env in (("ascii", ASCII_LOCALE), ("utf8", UTF8_MODE)):
+            cfg = write_config(tmp_path / f"{name}.json",
+                               {"W": chain3, "out": str(tmp_path / name)})
+            # No text is read or written in the locale's default encoding.
+            proc = run_process(["qt-fit", "--config", cfg], env,
+                               "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+            outputs.append((tmp_path / f"{name}.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_non_ascii_out(self, tmp_path, chain3):
+        # The config is valid UTF-8: it parses under either locale, and only
+        # the ASCII file system encoding rejects its out, before any compute.
+        cfg = write_config(tmp_path / "c.json", {"W": chain3, "out": str(tmp_path / "\u00e9")})
+        proc = run_process(["qt-fit", "--config", cfg], ASCII_LOCALE)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: out is not a file name this system can encode: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        proc = run_process(["qt-fit", "--config", cfg], UTF8_MODE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "\u00e9.json"]
 
 
 LINDBLAD_CHANNEL = {"dissipators": [{"A": [1, 0, 0], "B": [0, 1, 0]}]}
@@ -811,7 +932,8 @@ class TestHelp:
 
 
 class TestParseOnce:
-    """main parses every call with one parser; its bytes stay a fresh parser's."""
+    """main parses every non-canonical argv with one parser, whose bytes stay a
+    fresh parser's; the canonical argv builds none."""
 
     @pytest.mark.parametrize("argv", [["nosuch"], ["qt-fit"], []])
     def test_usage_error_repeats(self, capsys, argv):
@@ -857,3 +979,100 @@ class TestParseOnce:
         assert first is not second
         assert cli._parser() is cli._parser()
         assert cli._parser() not in (first, second)
+
+    def test_canonical_argv_builds_no_parser(self, tmp_path, capsys, monkeypatch, chain3):
+        cfg = write_config(tmp_path / "c.json", {"W": chain3, "out": str(tmp_path / "a")})
+        cli._parser.cache_clear()
+        assert cli.main(["qt-fit", "--config", cfg]) == 0
+        assert cli._parser.cache_info().currsize == 0
+        # argv=None reads sys.argv[1:], canonical too.
+        write_config(tmp_path / "c.json", {"W": chain3, "out": str(tmp_path / "b")})
+        monkeypatch.setattr(sys, "argv", ["qtrep", "qt-fit", "--config", cfg])
+        assert cli.main() == 0
+        assert cli._parser.cache_info().currsize == 0
+        # Any other spelling goes to argparse, with the same result.
+        write_config(tmp_path / "c.json", {"W": chain3, "out": str(tmp_path / "c")})
+        assert cli.main(["qt-fit", f"--config={cfg}"]) == 0
+        assert cli._parser.cache_info().currsize == 1
+        assert capsys.readouterr().err == ""
+        first = (tmp_path / "a.json").read_bytes()
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "c.json").read_bytes() == first
+
+
+class _Parsed(Exception):
+    """Raised in place of loading a config, with the (command, path) parsed."""
+
+
+def _stop_at_load(path, name):
+    raise _Parsed(name, path)
+
+
+def _argparse(argv):
+    args = cli.build_parser().parse_args(argv)
+    raise _Parsed(args.command, args.config)
+
+
+def _outcome(parse, argv):
+    """What parse(argv) did: its result, exit or exception, and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except _Parsed as exc:
+            result = ("parsed", *exc.args)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except Exception as exc:
+            result = ("raised", type(exc), str(exc))
+    return result, out.getvalue(), err.getvalue()
+
+
+class _Str(str):
+    pass
+
+
+ARGV_ENTRIES = [*cli._COMMANDS, "nosuch", "--config", "--conf", "--config=x", "-h", "--help",
+                "--", "", "-1", "-", "c.json", "a b", " -x", "qt-fit=x", "d/c.json",
+                5, None, b"qt-fit", _Str("qt-fit"), _Str("--config")]
+
+
+def _argvs():
+    entries = st.sampled_from(ARGV_ENTRIES)
+    shaped = st.tuples(st.sampled_from([*cli._COMMANDS, "nosuch", _Str("composite")]),
+                       st.sampled_from(["--config", "--conf", "--config=x", "-h", "--"]),
+                       entries)
+    lists = st.one_of(st.lists(entries, max_size=4), shaped.map(list))
+    return st.one_of(lists, lists.map(tuple))
+
+
+def _canonical(argv):
+    return (isinstance(argv, list) and len(argv) == 3
+            and all(type(arg) is str for arg in argv) and argv[0] in cli._COMMANDS
+            and argv[1] == "--config" and not argv[2].startswith("-"))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=_argvs())
+@example(argv=["qt-fit", "--config", ""])
+@example(argv=["qt-fit", "--config", "-1"])
+@example(argv=["qt-fit", "--config", " -x"])
+@example(argv=["qt-fit", "--config", "--"])
+@example(argv=["qt-fit", "--conf", "c.json"])
+@example(argv=["qt-fit", "--config=x"])
+@example(argv=["qt-fit", "--config", "c.json", "--"])
+@example(argv=[_Str("qt-fit"), "--config", "c.json"])
+@example(argv=("qt-fit", "--config", "c.json"))
+@example(argv=["qt-fit", "--config", None])
+@example(argv=["qt-fit", "--config", 5])
+def test_argv_parses_as_argparse_does(argv):
+    """main's (command, path), exit, output and exception are argparse's."""
+    want = _outcome(_argparse, argv)
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "_load_config", _stop_at_load):
+        got = _outcome(cli.main, argv)
+    assert got == want
+    if _canonical(argv):
+        assert want == (("parsed", argv[0], argv[2]), "", "")
+        assert cli._parser.cache_info().currsize == 0
+    else:
+        assert cli._parser.cache_info().currsize == 1

@@ -43,6 +43,10 @@ SPECIAL = [float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 1e-300,
            -1e-300, 0, 0.0, -1, -2.5, 1e308, 2**31, 2**63, 10**400]
 WRONG = [None, True, "x", [], {}, [1.0, 2.0], [[1.0]], [[1.0, 2.0], [3.0]], {"h": 1}]
 UNKNOWN = ["typo", "Out", "seeds", "dt_max"]
+# Broken out values; an "OUT" prefix stands for a path in the run's
+# directory, so the last two fail only on the NUL and on the surrogate no
+# file system encodes.
+BROKEN_OUT = ["", 5, "missing/o", ["o"], "OUT\0y", "OUT\ud800"]
 # Wall-time bound per config.  Valid runs take milliseconds; the step,
 # sample and bin budgets must stop any config long before this.
 MAX_SECONDS = 10.0
@@ -109,7 +113,7 @@ def configs(draw, name):
         if key not in broken:
             cfg[key] = draw(st.booleans()) if isinstance(valid[key], bool) else valid[key]
         elif key == "out":
-            cfg[key] = draw(st.sampled_from(["", 5, "missing/o", ["o"]]))
+            cfg[key] = draw(st.sampled_from(BROKEN_OUT))
         else:
             cfg[key] = draw(_broken(valid[key]))
     if draw(st.sampled_from([False] * 7 + [True])):
@@ -120,8 +124,9 @@ def configs(draw, name):
 def run_config(name, cfg):
     """Run one config in a fresh directory; return (code, stdout, stderr, files)."""
     with tempfile.TemporaryDirectory() as tmp:
-        if cfg.get("out") == "OUT":
-            cfg = {**cfg, "out": os.path.join(tmp, "o")}
+        out = cfg.get("out")
+        if isinstance(out, str) and out.startswith("OUT"):
+            cfg = {**cfg, "out": os.path.join(tmp, "o") + out[3:]}
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as handle:
             json.dump(cfg, handle)
@@ -172,7 +177,8 @@ def _cases():
 
 # The @example cases are defects this test found, each a traceback or a
 # numpy warning before the fix, and a chain whose stationary ratio
-# p1 / p0 = 1e310 overflows a double.
+# p1 / p0 = 1e310 overflows a double.  The two out paths failed after the
+# fit had run, with a ValueError and a UnicodeEncodeError.
 @settings(max_examples=600, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cases())
@@ -186,5 +192,7 @@ def _cases():
 @example(case=_case("relax-scan", ranges=[0.0, -10**400]))
 @example(case=_case("pme-solve", W=[[0.0, 1e-10, 0.0], [1e300, 0.0, 1.0], [0.0, 1.0, 0.0]],
                     p0=[0.0, 0.5, 0.5], t_end=1e-300, dt=1e-303))
+@example(case=_case("qt-fit", out="OUT\0y"))
+@example(case=_case("pme-solve", out="OUT\ud800"))
 def test_config_boundary(case):
     check_contract(*case)

@@ -1,7 +1,9 @@
+import errno
 import json
 import math
 import os
 import secrets
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -441,7 +443,70 @@ class TestAtomicWrite:
         assert taken.read_text() == "not ours\n"
 
     def test_failed_write_removes_its_temporary_file(self, tmp_path):
-        # A lone surrogate cannot be encoded: the write fails after creation.
+        # A lone surrogate cannot be encoded: the write fails before creation.
         with pytest.raises(UnicodeEncodeError):
             _jsonio.atomic_write_text(str(tmp_path / "s.txt"), "data \ud800\n")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("kind", ["str", "bytes", "array-view"])
+    def test_short_writes_write_every_byte(self, tmp_path, monkeypatch, kind):
+        # os.write may write fewer bytes than it is given; the rest follow.
+        text = "".join(f"{i},\u00e9{i * 0.1!r}\n" for i in range(300))
+        raw = text.encode("utf-8")
+        data = {"str": text, "bytes": raw,
+                "array-view": np.frombuffer(raw, np.uint8).data}[kind]
+        real_write = os.write
+        calls = []
+
+        def short_write(fd, buffer):
+            calls.append(len(buffer))
+            return real_write(fd, buffer[:7])
+
+        monkeypatch.setattr(os, "write", short_write)
+        target = tmp_path / "w.csv"
+        _jsonio.atomic_write_text(str(target), data)
+        monkeypatch.undo()
+        assert target.read_bytes() == raw
+        assert len(calls) == -(-len(raw) // 7)
+        assert calls[0] == len(raw)
+        assert os.listdir(tmp_path) == ["w.csv"]
+
+    def test_full_disk_keeps_the_old_target(self, tmp_path, monkeypatch):
+        def full(fd, buffer):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        target = tmp_path / "t.txt"
+        target.write_bytes(b"old\n")
+        monkeypatch.setattr(os, "write", full)
+        with pytest.raises(OSError) as info:
+            _jsonio.atomic_write_text(str(target), "new\n")
+        monkeypatch.undo()
+        assert info.value.errno == errno.ENOSPC
+        assert os.listdir(tmp_path) == ["t.txt"]
+        assert target.read_bytes() == b"old\n"
+
+    def test_both_csv_paths_write_utf8_under_an_ascii_locale(self, tmp_path):
+        # The C locale with neither UTF-8 mode nor locale coercion: the
+        # locale encoding is ASCII, and a str is still written as UTF-8.
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from qtrep import _jsonio",
+            "header = ['t', '\\u00e9']",
+            "for name, rows in (('template', 4), ('digits', 600)):",
+            "    columns = [np.arange(rows) * 0.1, np.arange(rows) * 0.3]",
+            "    table = _jsonio._csv_table(header, columns, 17)",
+            "    assert isinstance(table, str) == (name == 'template'), name",
+            "    _jsonio.atomic_write_text(sys.argv[1] + name + '.csv', table)",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(_jsonio.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path) + os.sep],
+                              env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        for name in ("template", "digits"):
+            lines = (tmp_path / f"{name}.csv").read_bytes().splitlines(keepends=True)
+            assert lines[0] == "t,\u00e9\n".encode("utf-8")
+            assert lines[2] == b"0.10000000000000001,0.29999999999999999\n"
